@@ -532,18 +532,19 @@ pub fn trace(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `flat sim` — simulate a dataflow and compare with the analytical
-/// model.
+/// `flat sim` — price a dataflow with the closed form, the event
+/// backend, or both.
 ///
-/// `--engine analytical` (default) runs the `flat-sim` job-graph
-/// simulator; `--engine event` runs the `flat-desim` discrete-event
-/// backend; `--engine both` runs the closed-form pricing against the
-/// event backend and reports their relative divergence (add `--sweep`
-/// for the seq-len × dataflow validation grid).
+/// `--engine analytical` (default) prints the closed form's cycles,
+/// utilization and per-lane busy cycles; `--engine event` runs the
+/// `flat-desim` discrete-event backend; `--engine both` runs the
+/// closed-form pricing against the event backend and reports their
+/// relative divergence (add `--sweep` for the seq-len × dataflow
+/// validation grid).
 pub fn sim(args: &Args) -> Result<(), String> {
     let setup = parse::setup(args)?;
     let df = parse::dataflow(&args.get("dataflow", "flat-r64"))?;
-    let engine = flat_sim::SimBackend::parse(&args.get("engine", "analytical"))?;
+    let engine = parse::SimBackend::parse(&args.get("engine", "analytical"))?;
     let tolerance = parse::opt_f64_arg(args, "tolerance")?.unwrap_or(0.05);
     if !(0.0..=1.0).contains(&tolerance) {
         return Err(format!(
@@ -556,48 +557,73 @@ pub fn sim(args: &Args) -> Result<(), String> {
             "--buffers expects 1..=64 staging slots, got {buffers}"
         ));
     }
-    if args.flag("sweep") && engine != flat_sim::SimBackend::Both {
+    if args.flag("sweep") && engine != parse::SimBackend::Both {
         return Err("--sweep requires --engine both".to_owned());
     }
     let trace_path = args.get("trace-json", "");
     match engine {
-        flat_sim::SimBackend::Analytical => sim_analytical(args, &setup, &df, &trace_path),
-        flat_sim::SimBackend::Event => sim_event(args, &setup, &df, buffers as u32, &trace_path),
-        flat_sim::SimBackend::Both => {
+        parse::SimBackend::Analytical if !trace_path.is_empty() => Err(
+            "--trace-json requires --engine event or both (the closed form has no timeline)"
+                .to_owned(),
+        ),
+        parse::SimBackend::Analytical => sim_analytical(args, &setup, &df),
+        parse::SimBackend::Event => sim_event(args, &setup, &df, buffers as u32, &trace_path),
+        parse::SimBackend::Both => {
             sim_both(args, &setup, &df, buffers as u32, tolerance, &trace_path)
         }
     }
 }
 
-/// The historical `flat sim` path: the job-graph simulator vs the
-/// closed form.
+/// The workload and dataflow lines every `flat sim` report opens with.
+fn print_sim_header(setup: &parse::Setup, df: &flat_core::BlockDataflow) {
+    println!(
+        "workload:    {} (B={}, N={}) on {}",
+        setup.model, setup.batch, setup.seq, setup.accel.name
+    );
+    println!("dataflow:    {}", df.label());
+    println!();
+}
+
+/// The `lanes` array of `flat sim --json`: one `(name, busy cycles,
+/// occupancy)` entry per hardware lane, the same shape for every engine.
+fn lanes_json<'a>(lanes: impl Iterator<Item = (&'a str, f64, f64)>) -> Vec<serde_json::Value> {
+    lanes
+        .map(|(name, busy, occupancy)| {
+            json!({
+                "name": name,
+                "busy_cycles": busy,
+                "occupancy": occupancy,
+            })
+        })
+        .collect()
+}
+
+/// The human-readable counterpart of [`lanes_json`].
+fn print_lanes<'a>(lanes: impl Iterator<Item = (&'a str, f64, f64)>) {
+    for (name, busy, occupancy) in lanes {
+        println!(
+            "  {name:5} busy {busy:.3e} cycles ({:.1}% of makespan)",
+            occupancy * 100.0
+        );
+    }
+}
+
+/// `flat sim --engine analytical` — the closed form alone, with the
+/// per-lane busy cycles its fold takes the `max` (or sum) of.
 fn sim_analytical(
     args: &Args,
     setup: &parse::Setup,
     df: &flat_core::BlockDataflow,
-    trace_path: &str,
 ) -> Result<(), String> {
-    let opts = flat_sim::SimOptions {
-        record_trace: !trace_path.is_empty(),
-        // Keep exported traces viewable.
-        max_simulated_iterations: if trace_path.is_empty() { 4096 } else { 512 },
-        ..flat_sim::SimOptions::default()
+    let cm = CostModel::with_options(&setup.accel, parse::model_options(args)?);
+    let cost = cm.la_cost(&setup.block, &df.la);
+    let busy = match &df.la {
+        LaExecution::Fused(fused) => cm.fused_lane_demands(&setup.block, fused).lane_busy(),
+        LaExecution::Sequential { logit, attend } => cm
+            .sequential_lane_demands(&setup.block, logit, attend)
+            .lane_busy(),
     };
-    let cm = CostModel::new(&setup.accel);
-    let analytical = cm.la_cost(&setup.block, &df.la);
-    let simulated = match df.la {
-        flat_core::LaExecution::Fused(fused) => {
-            flat_sim::simulate_fused(&setup.accel, &setup.block, &fused, opts)
-        }
-        flat_core::LaExecution::Sequential { .. } => {
-            flat_sim::simulate_sequential(&setup.accel, &setup.block, opts)
-        }
-    };
-    if !trace_path.is_empty() {
-        std::fs::write(trace_path, simulated.to_chrome_trace())
-            .map_err(|e| format!("{trace_path}: {e}"))?;
-        eprintln!("wrote Chrome trace to {trace_path} (open in chrome://tracing or Perfetto)");
-    }
+    let lanes = || busy.iter().map(|&(name, b)| (name, b, b / cost.cycles));
     if args.flag("json") {
         println!(
             "{}",
@@ -606,39 +632,22 @@ fn sim_analytical(
                 "engine": "analytical",
                 "dataflow": df.label(),
                 "seq": setup.seq,
-                "analytical_cycles": analytical.cycles,
-                "simulated_cycles": simulated.cycles,
-                "ratio": simulated.cycles / analytical.cycles,
+                "analytical_cycles": cost.cycles,
+                "util": cost.util(),
+                "lanes": lanes_json(lanes()),
             }))
             .expect("report serializes")
         );
         return Ok(());
     }
-    println!(
-        "workload:    {} (B={}, N={}) on {}",
-        setup.model, setup.batch, setup.seq, setup.accel.name
-    );
-    println!("dataflow:    {}", df.label());
-    println!();
+    print_sim_header(setup, df);
     println!(
         "analytical:  {:.4e} cycles (util {:.3})",
-        analytical.cycles,
-        analytical.util()
-    );
-    println!("simulated:   {simulated}");
-    println!(
-        "sim/analytical: {:.3}",
-        simulated.cycles / analytical.cycles
+        cost.cycles,
+        cost.util()
     );
     println!();
-    for u in &simulated.resources {
-        println!(
-            "  {:5} busy {:.3e} cycles ({:.1}% of makespan)",
-            u.name,
-            u.busy_cycles,
-            u.occupancy * 100.0
-        );
-    }
+    print_lanes(lanes());
     Ok(())
 }
 
@@ -647,14 +656,14 @@ fn event_options(
     args: &Args,
     buffers: u32,
     trace_path: &str,
-) -> Result<flat_sim::EventOptions, String> {
-    Ok(flat_sim::EventOptions {
+) -> Result<flat_desim::EventOptions, String> {
+    Ok(flat_desim::EventOptions {
         model: parse::model_options(args)?,
         buffers,
         // Keep exported traces viewable.
         max_iterations: if trace_path.is_empty() { 4096 } else { 512 },
         record_trace: !trace_path.is_empty(),
-        ..flat_sim::EventOptions::default()
+        ..flat_desim::EventOptions::default()
     })
 }
 
@@ -667,13 +676,19 @@ fn sim_event(
     trace_path: &str,
 ) -> Result<(), String> {
     let opts = event_options(args, buffers, trace_path)?;
-    let report = flat_sim::simulate_la_event(&setup.accel, &setup.block, &df.la, opts)
+    let report = flat_desim::simulate_la_event(&setup.accel, &setup.block, &df.la, opts)
         .map_err(|e| e.to_string())?;
     if !trace_path.is_empty() {
         std::fs::write(trace_path, report.to_chrome_trace())
             .map_err(|e| format!("{trace_path}: {e}"))?;
         eprintln!("wrote Chrome trace to {trace_path} (open in https://ui.perfetto.dev)");
     }
+    let lanes = || {
+        report
+            .lanes
+            .iter()
+            .map(|l| (l.name.as_str(), l.busy_cycles, l.occupancy))
+    };
     if args.flag("json") {
         println!(
             "{}",
@@ -691,22 +706,13 @@ fn sim_event(
                     "mean_in_flight": report.buffers.mean_in_flight,
                     "peak_in_flight": report.buffers.peak_in_flight,
                 }),
-                "lanes": report.lanes.iter().map(|l| json!({
-                    "name": l.name,
-                    "busy_cycles": l.busy_cycles,
-                    "occupancy": l.occupancy,
-                })).collect::<Vec<_>>(),
+                "lanes": lanes_json(lanes()),
             }))
             .expect("report serializes")
         );
         return Ok(());
     }
-    println!(
-        "workload:    {} (B={}, N={}) on {}",
-        setup.model, setup.batch, setup.seq, setup.accel.name
-    );
-    println!("dataflow:    {}", df.label());
-    println!();
+    print_sim_header(setup, df);
     println!(
         "event:       {:.4e} cycles ({} of {} iterations simulated{})",
         report.cycles,
@@ -723,14 +729,7 @@ fn sim_event(
         report.buffers.capacity, report.buffers.mean_in_flight, report.buffers.peak_in_flight
     );
     println!();
-    for l in &report.lanes {
-        println!(
-            "  {:5} busy {:.3e} cycles ({:.1}% of makespan)",
-            l.name,
-            l.busy_cycles,
-            l.occupancy * 100.0
-        );
-    }
+    print_lanes(lanes());
     Ok(())
 }
 
@@ -745,16 +744,16 @@ fn sim_both(
     trace_path: &str,
 ) -> Result<(), String> {
     let opts = event_options(args, buffers, trace_path)?;
-    let agreement =
-        flat_sim::agreement(&setup.accel, &setup.block, &df.la, opts).map_err(|e| e.to_string())?;
+    let agreement = flat_desim::agreement(&setup.accel, &setup.block, &df.la, opts)
+        .map_err(|e| e.to_string())?;
     let sweep = if args.flag("sweep") {
-        flat_sim::agreement_sweep(&setup.accel, &[512, 1024, 4096], opts)
+        flat_desim::agreement_sweep(&setup.accel, &[512, 1024, 4096], opts)
             .map_err(|e| e.to_string())?
     } else {
         Vec::new()
     };
     if !trace_path.is_empty() {
-        let report = flat_sim::simulate_la_event(&setup.accel, &setup.block, &df.la, opts)
+        let report = flat_desim::simulate_la_event(&setup.accel, &setup.block, &df.la, opts)
             .map_err(|e| e.to_string())?;
         std::fs::write(trace_path, report.to_chrome_trace())
             .map_err(|e| format!("{trace_path}: {e}"))?;
@@ -786,12 +785,7 @@ fn sim_both(
         );
         return Ok(());
     }
-    println!(
-        "workload:    {} (B={}, N={}) on {}",
-        setup.model, setup.batch, setup.seq, setup.accel.name
-    );
-    println!("dataflow:    {}", df.label());
-    println!();
+    print_sim_header(setup, df);
     println!("analytical:  {:.4e} cycles", agreement.analytical_cycles);
     println!("event:       {:.4e} cycles", agreement.event_cycles);
     println!(

@@ -25,8 +25,8 @@ pub fn setup(args: &Args) -> Result<Setup, String> {
         let name = args.get("model", "bert");
         Model::by_name(&name).ok_or_else(|| format!("unknown model {name:?}"))?
     };
-    let batch = u64_arg(args, "batch", 64)?;
-    let seq = u64_arg(args, "seq", 4096)?;
+    let batch = positive_u64_arg(args, "batch", 64)?;
+    let seq = positive_u64_arg(args, "seq", 4096)?;
     let block = model.block(batch, seq);
     Ok(Setup {
         accel,
@@ -45,6 +45,14 @@ pub fn u64_arg(args: &Args, key: &str, default: u64) -> Result<u64, String> {
         Some(raw) => raw
             .parse()
             .map_err(|_| format!("--{key} expects a non-negative integer, got {raw:?}")),
+    }
+}
+
+/// Like [`u64_arg`], but zero is a diagnostic too.
+fn positive_u64_arg(args: &Args, key: &str, default: u64) -> Result<u64, String> {
+    match u64_arg(args, key, default)? {
+        0 => Err(format!("--{key} expects a positive integer, got 0")),
+        v => Ok(v),
     }
 }
 
@@ -91,7 +99,13 @@ pub fn model_from_json(path: &str) -> Result<Model, String> {
         .ok_or_else(|| format!("{path}: missing num_hidden_layers"))?;
     let ffn = get("intermediate_size")
         .or_else(|| get("d_ff"))
-        .unwrap_or(4 * hidden);
+        .unwrap_or(hidden.saturating_mul(4));
+    if hidden == 0 || heads == 0 || blocks == 0 || ffn == 0 {
+        return Err(format!(
+            "{path}: hidden size, heads, layers and FFN size must be positive \
+             (got {hidden}, {heads}, {blocks}, {ffn})"
+        ));
+    }
     if hidden % heads != 0 {
         return Err(format!(
             "{path}: hidden_size {hidden} not divisible by {heads} heads"
@@ -196,6 +210,35 @@ pub fn objective(args: &Args) -> Result<Objective, String> {
     }
 }
 
+/// Which engine `flat sim` runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimBackend {
+    /// The closed-form cost model only (the default).
+    Analytical,
+    /// The `flat-desim` discrete-event backend only.
+    Event,
+    /// Both, reporting per-configuration relative divergence.
+    Both,
+}
+
+impl SimBackend {
+    /// Parses a `--engine` value.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line diagnostic naming the accepted values.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "analytical" => Ok(SimBackend::Analytical),
+            "event" => Ok(SimBackend::Event),
+            "both" => Ok(SimBackend::Both),
+            other => Err(format!(
+                "unknown engine '{other}' (expected analytical, event, or both)"
+            )),
+        }
+    }
+}
+
 fn optional(args: &Args, key: &str) -> Option<String> {
     let v = args.get(key, "\u{0}");
     if v == "\u{0}" {
@@ -268,6 +311,21 @@ mod tests {
     }
 
     #[test]
+    fn zero_model_dimensions_are_diagnostics() {
+        let path = std::env::temp_dir().join("flat_cli_test_zero_dims.json");
+        for config in [
+            r#"{"hidden_size": 768, "num_attention_heads": 0, "num_hidden_layers": 12}"#,
+            r#"{"hidden_size": 0, "num_attention_heads": 12, "num_hidden_layers": 12}"#,
+            r#"{"hidden_size": 768, "num_attention_heads": 12, "num_hidden_layers": 0}"#,
+            r#"{"d_model": 512, "num_heads": 8, "num_layers": 6, "d_ff": 0}"#,
+        ] {
+            std::fs::write(&path, config).unwrap();
+            let err = model_from_json(&path.display().to_string()).unwrap_err();
+            assert!(err.contains("must be positive"), "{config}: {err}");
+        }
+    }
+
+    #[test]
     fn malformed_numeric_args_are_diagnostics_not_panics() {
         let args = flat_bench::args::Args::parse_from(
             ["--seq", "lots", "--slo-ms", "soon"]
@@ -281,6 +339,15 @@ mod tests {
         assert!(err.contains("--slo-ms"));
         assert_eq!(u64_arg(&args, "absent", 7).unwrap(), 7);
         assert_eq!(opt_u64_arg(&args, "absent").unwrap(), None);
+    }
+
+    #[test]
+    fn backend_parses_all_three_engines() {
+        assert_eq!(SimBackend::parse("analytical"), Ok(SimBackend::Analytical));
+        assert_eq!(SimBackend::parse("event"), Ok(SimBackend::Event));
+        assert_eq!(SimBackend::parse("both"), Ok(SimBackend::Both));
+        let err = SimBackend::parse("magic").expect_err("rejects");
+        assert!(err.contains("analytical, event, or both"), "{err}");
     }
 
     #[test]

@@ -278,6 +278,59 @@ fn bad_sim_engine_and_tolerance_are_diagnostics() {
     assert!(stderr(&out).contains("--engine both"), "{}", stderr(&out));
 }
 
+/// Zero dimensions, from flags or a model config, and a trace request
+/// the closed form cannot honour are one-line diagnostics, never panics.
+#[test]
+fn hostile_sizes_and_analytical_trace_are_diagnostics() {
+    let zero_heads = std::env::temp_dir().join("flat_cli_test_zero_heads.json");
+    std::fs::write(
+        &zero_heads,
+        r#"{"hidden_size": 768, "num_attention_heads": 0, "num_hidden_layers": 12}"#,
+    )
+    .expect("write model config");
+    let zero_heads = zero_heads.display().to_string();
+    let trace = std::env::temp_dir().join("flat_cli_test_analytical_trace.json");
+    let trace = trace.display().to_string();
+    for (args, needle) in [
+        (["sim", "--seq", "0"].as_slice(), "--seq"),
+        (&["cost", "--batch", "0"], "--batch"),
+        (&["cost", "--model-json", &zero_heads], "heads"),
+        (
+            &["sim", "--engine", "analytical", "--trace-json", &trace],
+            "--trace-json",
+        ),
+    ] {
+        let out = flat(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let err = stderr(&out);
+        assert!(
+            err.contains(needle),
+            "{args:?}: diagnostic names {needle}: {err}"
+        );
+        assert!(!err.contains("panicked"), "no panic backtrace: {err}");
+        assert_eq!(err.trim().lines().count(), 1, "one-line diagnostic: {err}");
+    }
+}
+
+/// `flat sim --engine analytical --json` is the pure closed form: cycles,
+/// utilization and the per-lane busy cycles its fold takes the `max` of.
+#[test]
+fn sim_analytical_json_reports_lanes() {
+    let out = flat(&["sim", "--seq", "1024", "--engine", "analytical", "--json"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let json = String::from_utf8_lossy(&out.stdout).replace(char::is_whitespace, "");
+    for key in ["\"analytical_cycles\":", "\"util\":", "\"lanes\":[{"] {
+        assert!(json.contains(key), "{key} missing: {json}");
+    }
+    for lane in ["dma", "pe", "sg", "sfu"] {
+        assert!(
+            json.contains(&format!("\"name\":\"{lane}\"")),
+            "{lane}: {json}"
+        );
+    }
+    assert!(!json.contains("simulated_cycles") && !json.contains("\"ratio\""));
+}
+
 /// `flat sim --engine both --json` is the CI validation smoke: it must
 /// report a divergence field and agree within the default tolerance on
 /// an uncontended config.

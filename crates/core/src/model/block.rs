@@ -191,11 +191,15 @@ mod tests {
     #[test]
     fn la_dominates_at_long_seq() {
         let accel = Accelerator::cloud();
-        let block = Model::xlm().block(64, 65_536);
         let cm = CostModel::new(&accel);
         let df = BlockDataflow::base();
-        let cost = cm.block_cost(&block, &df);
+        let cost = cm.block_cost(&Model::xlm().block(64, 65_536), &df);
         assert!(cost.logit_attend.cycles > 3.0 * cost.projection.cycles);
+        // Already at 16K the pair outweighs projections and FFN together.
+        let cost = cm.block_cost(&Model::xlm().block(64, 16_384), &df);
+        assert!(
+            cost.logit_attend.cycles > 2.0 * (cost.projection.cycles + cost.feed_forward.cycles)
+        );
     }
 
     #[test]

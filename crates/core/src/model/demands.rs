@@ -98,6 +98,25 @@ impl FusedLaneDemands {
     pub fn total_cycles(&self) -> f64 {
         self.iterations as f64 * self.per_iteration_cycles() + self.warmup_cycles
     }
+
+    /// Whole-run busy cycles of each hardware lane, before the fold,
+    /// under the lane names of the `flat-desim` executor (`dma`, `pe`,
+    /// `sg`, `l2`, `sfu`). The DMA lane also carries the one-time warmup
+    /// fetch; `l2` is listed only when the accelerator has an L2 link.
+    #[must_use]
+    pub fn lane_busy(&self) -> Vec<(&'static str, f64)> {
+        let n = self.iterations as f64;
+        let mut lanes = vec![
+            ("dma", self.warmup_cycles + n * self.offchip_cycles()),
+            ("pe", n * self.compute_cycles),
+            ("sg", n * self.onchip_cycles()),
+        ];
+        if self.l2_cycles > 0.0 {
+            lanes.push(("l2", n * self.l2_cycles));
+        }
+        lanes.push(("sfu", n * self.sfu_cycles));
+        lanes
+    }
 }
 
 /// Whole-phase lane demands of one sequential-pipeline phase (Logit,
@@ -146,6 +165,24 @@ impl SequentialLaneDemands {
     #[must_use]
     pub fn phases(&self) -> [&PhaseLaneDemands; 3] {
         [&self.logit, &self.softmax, &self.attend]
+    }
+
+    /// Whole-run busy cycles of each hardware lane summed over the three
+    /// phases, under the lane names of the `flat-desim` executor (`dma`,
+    /// `pe`, `sg`, `sfu`). The DMA lane also carries the phase warmups.
+    #[must_use]
+    pub fn lane_busy(&self) -> Vec<(&'static str, f64)> {
+        let sum =
+            |f: fn(&PhaseLaneDemands) -> f64| -> f64 { self.phases().into_iter().map(f).sum() };
+        vec![
+            (
+                "dma",
+                sum(|p| p.warmup_cycles) + sum(|p| p.offchip_bytes) / self.offchip_bytes_per_cycle,
+            ),
+            ("pe", sum(|p| p.compute_cycles)),
+            ("sg", sum(|p| p.onchip_bytes) / self.onchip_bytes_per_cycle),
+            ("sfu", sum(|p| p.sfu_cycles)),
+        ]
     }
 }
 

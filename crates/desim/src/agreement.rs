@@ -1,60 +1,16 @@
-//! Simulation backend selection and the analytical/event agreement
-//! harness.
+//! The analytical/event agreement harness.
 //!
-//! `flat sim` historically ran one engine: the job-graph simulator in
-//! this crate. The `flat-desim` event backend adds a second,
-//! independently-built execution of the same dataflow, and this module
-//! is where the two meet: [`SimBackend`] names the engine, [`agreement`]
-//! runs an analytical pricing and an event simulation of one
-//! configuration and reports their relative divergence, and
+//! [`agreement`] runs the closed-form pricing and an event simulation of
+//! one configuration and reports their relative divergence;
 //! [`agreement_sweep`] does so across the seq-len × dataflow grid the
 //! validation suite and `flat sim --engine both --sweep` report.
 
+use crate::{simulate_la_event, EngineError, EventOptions};
 use flat_arch::Accelerator;
 use flat_core::{
     CostModel, FusedDataflow, Granularity, LaExecution, OperatorDataflow, Stationarity,
 };
-use flat_desim::{simulate_la_event, EngineError, EventOptions};
 use flat_workloads::{AttentionBlock, Model};
-
-/// Which engine `flat sim` runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimBackend {
-    /// The closed-form cost model only (the historical default).
-    Analytical,
-    /// The `flat-desim` discrete-event backend only.
-    Event,
-    /// Both, reporting per-configuration relative divergence.
-    Both,
-}
-
-impl SimBackend {
-    /// Parses a `--engine` value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line diagnostic naming the accepted values.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "analytical" => Ok(SimBackend::Analytical),
-            "event" => Ok(SimBackend::Event),
-            "both" => Ok(SimBackend::Both),
-            other => Err(format!(
-                "unknown engine '{other}' (expected analytical, event, or both)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for SimBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SimBackend::Analytical => "analytical",
-            SimBackend::Event => "event",
-            SimBackend::Both => "both",
-        })
-    }
-}
 
 /// One analytical-vs-event comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,15 +120,6 @@ pub fn agreement_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_parses_all_three_engines() {
-        assert_eq!(SimBackend::parse("analytical"), Ok(SimBackend::Analytical));
-        assert_eq!(SimBackend::parse("event"), Ok(SimBackend::Event));
-        assert_eq!(SimBackend::parse("both"), Ok(SimBackend::Both));
-        let err = SimBackend::parse("magic").expect_err("rejects");
-        assert!(err.contains("analytical, event, or both"), "{err}");
-    }
 
     #[test]
     fn agreement_reports_signed_divergence() {

@@ -11,7 +11,7 @@ use flat_arch::Accelerator;
 use flat_core::{
     CostModel, FusedDataflow, Granularity, ModelOptions, OperatorDataflow, Stationarity,
 };
-use flat_desim::{simulate_fused_event, simulate_sequential_event, EventOptions};
+use flat_desim::{simulate_fused_event, simulate_sequential_event, EventOptions, EventReport};
 use flat_workloads::Model;
 
 /// Relative divergence of the event backend from the analytical pricing.
@@ -185,27 +185,134 @@ fn event_traces_are_byte_deterministic() {
     assert!(a.contains("\"ph\":\"X\"") && a.contains("\"ph\":\"C\""));
 }
 
-/// The report's lane accounting is coherent: occupancies are in [0, 1]
-/// and the PE lane's busy time matches the priced compute.
-#[test]
-fn lane_accounting_is_coherent() {
-    let accel = Accelerator::edge();
-    let block = Model::bert().block(64, 1024);
-    let df = FusedDataflow::new(Granularity::Row(64));
-    let report = simulate_fused_event(&accel, &block, &df, EventOptions::default())
-        .expect("wiring is sound");
+/// Asserts the event report runs exactly the priced lanes, in the same
+/// order, each busy within 1 % of the closed form's `lane_busy()`, with
+/// every occupancy in [0, 1].
+fn assert_lanes_match(report: &EventReport, priced: &[(&str, f64)], what: &str) {
+    let names: Vec<&str> = report.lanes.iter().map(|l| l.name.as_str()).collect();
+    let priced_names: Vec<&str> = priced.iter().map(|&(name, _)| name).collect();
+    assert_eq!(names, priced_names, "{what}: lane set");
+    for &(name, busy) in priced {
+        let rel = (report.lane_busy(name) - busy).abs() / busy.max(1.0);
+        assert!(
+            rel < 0.01,
+            "{what}: {name} busy time off by {:.3}%",
+            rel * 100.0
+        );
+    }
     for lane in &report.lanes {
         assert!(
             (0.0..=1.0).contains(&lane.occupancy),
-            "{}: occupancy {}",
+            "{what}: {} occupancy {}",
             lane.name,
             lane.occupancy
         );
     }
-    let demands = CostModel::new(&accel).fused_lane_demands(&block, &df);
-    let priced_pe = demands.iterations as f64 * demands.compute_cycles;
-    let rel = (report.lane_busy("pe") - priced_pe).abs() / priced_pe;
-    assert!(rel < 0.01, "pe busy time off by {:.3}%", rel * 100.0);
-    assert!(report.buffers.peak_in_flight <= report.buffers.capacity);
-    assert!(report.buffers.capacity == 2);
+}
+
+/// The report's lane accounting is coherent: on every lane the event
+/// backend's busy time matches the closed form's per-lane demand, for
+/// uncontended fused configs and for the sequential baseline.
+#[test]
+fn lane_accounting_is_coherent() {
+    let base = OperatorDataflow::baseline(Stationarity::Weight);
+    for accel in [Accelerator::edge(), Accelerator::cloud()] {
+        let cm = CostModel::new(&accel);
+        for seq in [512u64, 4096] {
+            let block = Model::bert().block(64, seq);
+            for g in [
+                Granularity::Row(64),
+                Granularity::Row(256),
+                Granularity::Head,
+            ] {
+                let df = FusedDataflow::new(g);
+                let report = simulate_fused_event(&accel, &block, &df, EventOptions::default())
+                    .expect("wiring is sound");
+                let priced = cm.fused_lane_demands(&block, &df).lane_busy();
+                assert_lanes_match(&report, &priced, &format!("{} seq={seq} {g:?}", accel.name));
+                assert!(report.buffers.peak_in_flight <= report.buffers.capacity);
+                assert_eq!(report.buffers.capacity, 2);
+            }
+            let report =
+                simulate_sequential_event(&accel, &block, &base, &base, EventOptions::default())
+                    .expect("wiring is sound");
+            let priced = cm.sequential_lane_demands(&block, &base, &base).lane_busy();
+            assert_lanes_match(&report, &priced, &format!("{} seq={seq} base", accel.name));
+        }
+    }
+}
+
+/// More staging buffers never slow the pipeline: event cycles do not
+/// increase as the credit pool grows 1 → 2 → 4, so a single buffer
+/// exposes the softmax and fetch that two can hide.
+#[test]
+fn more_staging_buffers_never_slow_the_pipeline() {
+    let accel = Accelerator::edge();
+    let block = Model::bert().block(64, 512);
+    let df = FusedDataflow::new(Granularity::Row(16));
+    let cycles: Vec<f64> = [1u32, 2, 4]
+        .into_iter()
+        .map(|buffers| {
+            let opts = EventOptions {
+                buffers,
+                ..Default::default()
+            };
+            simulate_fused_event(&accel, &block, &df, opts)
+                .expect("wiring is sound")
+                .cycles
+        })
+        .collect();
+    assert!(
+        cycles.windows(2).all(|w| w[1] <= w[0]),
+        "cycles for buffers 1, 2, 4: {cycles:?}"
+    );
+}
+
+/// The event backend ranks the dataflows the way the closed form does:
+/// the sequential baseline is slower than FLAT-R64 wherever the logit
+/// tensor dwarfs the scratchpad.
+#[test]
+fn event_base_is_slower_than_flat() {
+    let accel = Accelerator::edge();
+    let base = OperatorDataflow::baseline(Stationarity::Weight);
+    let flat = FusedDataflow::new(Granularity::Row(64));
+    for seq in [512u64, 1024, 2048] {
+        for batch in [16u64, 64] {
+            let block = Model::bert().block(batch, seq);
+            let opts = EventOptions::default();
+            let base_cycles = simulate_sequential_event(&accel, &block, &base, &base, opts)
+                .expect("wiring is sound")
+                .cycles;
+            let flat_cycles = simulate_fused_event(&accel, &block, &flat, opts)
+                .expect("wiring is sound")
+                .cycles;
+            assert!(
+                base_cycles > flat_cycles,
+                "seq={seq} batch={batch}: base {base_cycles} <= flat {flat_cycles}"
+            );
+        }
+    }
+}
+
+/// At long sequences on the cloud platform the event backend measures
+/// FLAT-R256 more than 2x faster than the sequential baseline.
+#[test]
+fn event_flat_speedup_exceeds_two_at_long_seq() {
+    let accel = Accelerator::cloud();
+    let block = Model::xlm().block(64, 16_384);
+    let base = OperatorDataflow::baseline(Stationarity::Weight);
+    let opts = EventOptions::default();
+    let base_cycles = simulate_sequential_event(&accel, &block, &base, &base, opts)
+        .expect("wiring is sound")
+        .cycles;
+    let flat_cycles = simulate_fused_event(
+        &accel,
+        &block,
+        &FusedDataflow::new(Granularity::Row(256)),
+        opts,
+    )
+    .expect("wiring is sound")
+    .cycles;
+    let speedup = base_cycles / flat_cycles;
+    assert!(speedup > 2.0, "base/FLAT-R256 speedup {speedup:.3}");
 }

@@ -30,7 +30,6 @@ cargo run -q --release -p flat-bench --bin ablation > results/ablation_edge.txt
 cargo run -q --release -p flat-bench --bin ablation -- --platform cloud --model xlm --seq 16384 > results/ablation_cloud.txt
 cargo run -q --release -p flat-bench --bin quantization > results/quantization.txt
 cargo run -q --release -p flat-bench --bin tasks > results/tasks_cloud_bert.txt
-cargo run -q --release -p flat-bench --bin sim_vs_model > results/sim_vs_model.txt
 cargo run -q --release -p flat-bench --bin area_provisioning > results/area_provisioning.txt
 cargo run -q --release -p flat-bench --bin sensitivity > results/sensitivity.txt
 

@@ -1,6 +1,6 @@
 //! Property-based cross-validation of the `flat-desim` event backend
-//! against the analytical cost model, through the `flat-sim` agreement
-//! harness — the whole-stack counterpart of the deterministic grid in
+//! against the analytical cost model, through its agreement harness —
+//! the whole-stack counterpart of the deterministic grid in
 //! `crates/desim/tests/agreement.rs`.
 //!
 //! The property: on *uncontended* configurations (staging buffers ≥ 2,
@@ -14,7 +14,7 @@ use flat::arch::Accelerator;
 use flat::core::{
     FusedDataflow, Granularity, LaExecution, ModelOptions, OperatorDataflow, Stationarity,
 };
-use flat::sim::{agreement, agreement_sweep, EventOptions};
+use flat::desim::{agreement, agreement_sweep, EventOptions};
 use flat::workloads::Model;
 use proptest::prelude::*;
 
