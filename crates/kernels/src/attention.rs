@@ -23,6 +23,16 @@ impl Mask {
             Mask::Causal => j <= i,
         }
     }
+
+    /// Key columns `0..n` that query rows `0..row_hi` may attend to, out of
+    /// `seq_kv`: a causal tile stops at its diagonal, and every column at
+    /// or past `n` is masked for all of its rows.
+    pub(crate) fn live_cols(self, row_hi: usize, seq_kv: usize) -> usize {
+        match self {
+            Mask::None => seq_kv,
+            Mask::Causal => row_hi.min(seq_kv),
+        }
+    }
 }
 
 /// The per-(batch, head) Q/K/V matrices of one attention layer.

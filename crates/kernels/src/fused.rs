@@ -1,6 +1,14 @@
 //! The FLAT fused execution, numerically: row-granularity tiles of the
 //! logit tensor are computed, softmaxed, and consumed without ever
 //! materializing the full `[N, N]` matrix.
+//!
+//! The f32 walk and the packed division-free walk run on the wide
+//! microkernels of `mat`: QKᵀ per element on `dot`'s reduction tree, PV
+//! with a register-held output block contracting in ascending order, so
+//! the f32 walk is bit-identical to the `matmul_transposed_rows` +
+//! `matmul_into` composition. The logit tile is allocated once per group.
+//! A causal tile stops at its diagonal: the key columns past it are never
+//! multiplied, only set to the `−∞` every softmax still sees.
 
 use crate::halfmat::{half_attend_into, half_logits_into, HalfMat};
 use crate::mat::{wide_attend_acc, wide_logits_into};
@@ -49,7 +57,7 @@ const KV_CHUNK: usize = 512;
 pub fn flat_attention(input: &MultiHeadInput, rows_per_tile: usize, mask: Mask) -> Vec<Mat> {
     assert!(rows_per_tile > 0, "row tile must be positive");
     (0..input.groups())
-        .map(|g| flat_attention_group(input, g, rows_per_tile, mask))
+        .map(|g| flat_attention_group(input, g, rows_per_tile, mask, SoftmaxKind::Exact))
         .collect()
 }
 
@@ -96,7 +104,7 @@ pub fn flat_attention_with(
     assert!(rows_per_tile > 0, "row tile must be positive");
     match precision {
         ComputePrecision::F32 => (0..input.groups())
-            .map(|g| flat_attention_group_kind(input, g, rows_per_tile, mask, kind))
+            .map(|g| flat_attention_group(input, g, rows_per_tile, mask, kind))
             .collect(),
         ComputePrecision::Bf16 | ComputePrecision::F16 => (0..input.groups())
             .map(|g| flat_attention_group_half(input, g, rows_per_tile, mask, precision, kind))
@@ -105,47 +113,6 @@ pub fn flat_attention_with(
             crate::quantized::quantized_flat_attention_with(input, rows_per_tile, mask, kind)
         }
     }
-}
-
-/// The f32 group walk with a selectable softmax kind (Exact delegates to
-/// the bit-exact legacy path).
-fn flat_attention_group_kind(
-    input: &MultiHeadInput,
-    g: usize,
-    rows_per_tile: usize,
-    mask: Mask,
-    kind: SoftmaxKind,
-) -> Mat {
-    if kind == SoftmaxKind::Exact {
-        return flat_attention_group(input, g, rows_per_tile, mask);
-    }
-    let scale = input.scale();
-    let q = &input.q[g];
-    let k = &input.k[g];
-    let v = &input.v[g];
-    let mut out = Mat::zeros(input.seq_q, input.dk);
-    let mut row_lo = 0;
-    while row_lo < input.seq_q {
-        let row_hi = (row_lo + rows_per_tile).min(input.seq_q);
-        let mut tile = q.matmul_transposed_rows(row_lo, row_hi, k);
-        mask_and_scale(
-            &mut tile,
-            row_hi - row_lo,
-            row_lo,
-            0,
-            input.seq_kv,
-            mask,
-            scale,
-        );
-        // Family softmax: the row comes back *normalized* in one absorb —
-        // no divide pass follows.
-        for i in 0..tile.rows() {
-            softmax_row_kind(tile.row_mut(i), kind);
-        }
-        tile.matmul_into(v, &mut out, row_lo);
-        row_lo = row_hi;
-    }
-    out
 }
 
 /// The packed 16-bit group walk: widening-load QK^T and PV, with either
@@ -183,13 +150,14 @@ fn flat_attention_group_half(
             let row_hi = (row_lo + rows_per_tile).min(seq_q);
             let nrows = row_hi - row_lo;
             let q_rows: Vec<&[f32]> = (row_lo..row_hi).map(|i| q.row(i)).collect();
+            let live = mask.live_cols(row_hi, seq_kv);
             let mut tile = Mat::zeros(nrows, seq_kv);
-            half_logits_into(&q_rows, &k, 0, seq_kv, &mut tile);
+            half_logits_into(&q_rows, &k, 0, live, &mut tile);
             mask_and_scale(&mut tile, nrows, row_lo, 0, seq_kv, mask, scale);
             for i in 0..nrows {
                 softmax_row(tile.row_mut(i));
             }
-            half_attend_into(&tile, seq_kv, &v, 0, &mut out, row_lo);
+            half_attend_into(&tile, live, &v, 0, &mut out, row_lo);
             row_lo = row_hi;
         }
         return out;
@@ -215,7 +183,12 @@ fn flat_attention_group_half(
         while row_lo < seq_q {
             let row_hi = (row_lo + rows_per_tile).min(seq_q);
             let nrows = row_hi - row_lo;
-            wide_logits_into(&q, row_lo, row_hi, &k_chunk, width, &mut tile);
+            // Key columns of this chunk the tile may attend to: none once
+            // the chunk starts past a causal tile's diagonal. Such a chunk
+            // still goes through `absorb`, whose carry `s · (1/s)` is not
+            // always exactly 1.0 in f32.
+            let live = mask.live_cols(row_hi, col_hi).saturating_sub(col_lo);
+            wide_logits_into(&q, row_lo, row_hi, &k_chunk, live, &mut tile);
             mask_and_scale(&mut tile, nrows, row_lo, col_lo, width, mask, scale);
             for r in 0..nrows {
                 let row = &mut tile.row_mut(r)[..width];
@@ -229,7 +202,7 @@ fn flat_attention_group_half(
                     }
                 }
             }
-            wide_attend_acc(&tile, nrows, width, &v_chunk, &mut out, row_lo);
+            wide_attend_acc(&tile, nrows, live, &v_chunk, &mut out, row_lo);
             row_lo = row_hi;
         }
         col_lo = col_hi;
@@ -261,42 +234,36 @@ fn mask_and_scale(
     }
 }
 
-/// The fused execution for one (batch, head) group — the unit the parallel
-/// kernel distributes across threads.
+/// The f32 fused execution for one (batch, head) group, with any softmax
+/// kind — the unit the parallel kernel distributes across threads.
 pub(crate) fn flat_attention_group(
     input: &MultiHeadInput,
     g: usize,
     rows_per_tile: usize,
     mask: Mask,
+    kind: SoftmaxKind,
 ) -> Mat {
     let scale = input.scale();
-    let q = &input.q[g];
-    let k = &input.k[g];
-    let v = &input.v[g];
-    let mut out = Mat::zeros(input.seq_q, input.dk);
+    let (q, k, v) = (&input.q[g], &input.k[g], &input.v[g]);
+    let (seq_q, seq_kv) = (input.seq_q, input.seq_kv);
+    let mut out = Mat::zeros(seq_q, input.dk);
+    let mut tile = Mat::zeros(rows_per_tile.min(seq_q), seq_kv);
     let mut row_lo = 0;
-    while row_lo < input.seq_q {
-        let row_hi = (row_lo + rows_per_tile).min(input.seq_q);
+    while row_lo < seq_q {
+        let row_hi = (row_lo + rows_per_tile).min(seq_q);
+        let nrows = row_hi - row_lo;
+        let live = mask.live_cols(row_hi, seq_kv);
         // Stage L: one FLAT-tile of logits, complete rows only, computed
-        // straight from Q's rows (no row_slice copy).
-        let mut tile = q.matmul_transposed_rows(row_lo, row_hi, k);
-        for i in 0..tile.rows() {
-            let qi = row_lo + i;
-            for (j, x) in tile.row_mut(i).iter_mut().enumerate() {
-                *x = if mask.allows(qi, j) {
-                    *x * scale
-                } else {
-                    f32::NEG_INFINITY
-                };
-            }
-        }
+        // straight from Q's rows; masked columns read −∞.
+        wide_logits_into(q, row_lo, row_hi, k, live, &mut tile);
+        mask_and_scale(&mut tile, nrows, row_lo, 0, seq_kv, mask, scale);
         // SFU: softmax inside the on-chip slice.
-        for i in 0..tile.rows() {
-            softmax_row(tile.row_mut(i));
+        for r in 0..nrows {
+            softmax_row_kind(tile.row_mut(r), kind);
         }
-        // Stage A: consume the slice immediately, writing the output rows
-        // this tile owns in place.
-        tile.matmul_into(v, &mut out, row_lo);
+        // Stage A: consume the slice immediately, accumulating into the
+        // (still zero) output rows this tile owns.
+        wide_attend_acc(&tile, nrows, live, v, &mut out, row_lo);
         row_lo = row_hi;
     }
     out

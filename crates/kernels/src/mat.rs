@@ -368,8 +368,7 @@ const ANR: usize = 16;
 /// `tile[r][j] = q[row_lo + r] · k[j]` for `j < k_rows` — the logit shape
 /// on a decoded key chunk, register-blocked wider than [`dot`]: `PMR`
 /// query rows stream each key row once, amortizing its loads eightfold.
-/// Used by the mixed-precision attention walk, where the key chunk was
-/// just widened out of packed storage and is cache-hot.
+/// Each element equals [`dot`] of its two rows, bit for bit.
 pub(crate) fn wide_logits_into(
     q: &Mat,
     row_lo: usize,
@@ -425,11 +424,12 @@ pub(crate) fn wide_logits_into(
 }
 
 /// `out[out_lo + r] += Σ_j w[r][j] · v[j]` for `r < nrows`, `j < width` —
-/// the Attend shape on a decoded value chunk, accumulating (the online
-/// softmax recurrences own the scaling of what is already in `out`).
-/// Unlike `gemm`'s outer-product walk, the `MR × ANR` output block is
-/// held in registers across the whole contraction: the hot loop reads one
-/// value-row slice and four broadcast weights per step and stores nothing.
+/// the Attend shape, accumulating (the online softmax recurrences own the
+/// scaling of what is already in `out`). Unlike `gemm`'s outer-product
+/// walk, the `MR × ANR` output block is held in registers across the whole
+/// contraction: the hot loop reads one value-row slice and four broadcast
+/// weights per step and stores nothing. The contraction is ascending, as
+/// in `gemm`, so over zeroed rows the result is `gemm`'s, bit for bit.
 pub(crate) fn wide_attend_acc(
     w: &Mat,
     nrows: usize,

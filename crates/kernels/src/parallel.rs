@@ -5,6 +5,7 @@
 //! threads.
 
 use crate::{flat_attention_group, Mask, Mat, MultiHeadInput};
+use flat_tensor::SoftmaxKind;
 use rayon::prelude::*;
 
 /// [`flat_attention`](crate::flat_attention) with the (batch, head)
@@ -43,7 +44,7 @@ pub fn parallel_flat_attention(
     assert!(threads > 0, "need at least one thread");
     (0..input.groups())
         .into_par_iter()
-        .map(|g| flat_attention_group(input, g, rows_per_tile, mask))
+        .map(|g| flat_attention_group(input, g, rows_per_tile, mask, SoftmaxKind::Exact))
         .collect()
 }
 

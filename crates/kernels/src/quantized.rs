@@ -4,6 +4,14 @@
 //! (per-tensor symmetric scales, i32 accumulation, fp32 softmax) and
 //! measures what the precision costs, proving the two techniques compose
 //! without interfering.
+//!
+//! Both GEMMs run on one integer microkernel, `int8_rowmul`: QKᵀ as
+//! `q_i · Kᵀ` (K is transposed once per group) and PV as `p_i · V`. A
+//! block of output columns stays in i32 registers across the contraction,
+//! int8 products are formed at i16 width, and the partial sums fold into
+//! i64 every 2¹⁷ steps, so no key length wraps them. Integer sums are exact
+//! in any order, so the walk matches the scalar loops it replaced bit for
+//! bit; a causal tile stops both GEMMs at its diagonal.
 
 use crate::softmax_family::softmax_row_kind;
 use crate::{softmax_row, Mask, Mat, MultiHeadInput};
@@ -57,26 +65,12 @@ impl QuantizedMat {
             f32::from(self.at(i, j)) * self.scale
         })
     }
-
-    /// Integer GEMM `self · otherᵀ` with i32 accumulation, dequantized to
-    /// f32 via the product of the two scales.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the contraction dimensions differ.
-    #[must_use]
-    pub fn matmul_transposed_dequant(&self, other: &QuantizedMat) -> Mat {
-        assert_eq!(self.cols, other.cols, "contraction dimensions must agree");
-        let s = self.scale * other.scale;
-        Mat::from_fn(self.rows, other.rows, |i, j| {
-            let mut acc: i32 = 0;
-            for k in 0..self.cols {
-                acc += i32::from(self.at(i, k)) * i32::from(other.at(j, k));
-            }
-            acc as f32 * s
-        })
-    }
 }
+
+/// Contraction steps one i32 partial of [`int8_rowmul`] absorbs before it
+/// folds into i64: `2¹⁷ · 127² < 2³¹`, so no partial wraps at any key
+/// length.
+const FOLD: usize = 1 << 17;
 
 /// FLAT row-tiled attention over int8-quantized Q/K/V: integer logit
 /// GEMM, fp32 softmax in the slice, integer attend GEMM (with the
@@ -104,60 +98,8 @@ pub fn quantized_flat_attention(
     mask: Mask,
 ) -> Vec<Mat> {
     assert!(rows_per_tile > 0, "row tile must be positive");
-    let scale = input.scale();
     (0..input.groups())
-        .map(|g| {
-            let q = QuantizedMat::quantize(&input.q[g]);
-            let k = QuantizedMat::quantize(&input.k[g]);
-            let v = QuantizedMat::quantize(&input.v[g]);
-            let mut out = Mat::zeros(input.seq_q, input.dk);
-            let mut row_lo = 0;
-            while row_lo < input.seq_q {
-                let row_hi = (row_lo + rows_per_tile).min(input.seq_q);
-                // Stage L: integer GEMM on the quantized slice.
-                let q_ref = &q;
-                let q_slice = QuantizedMat {
-                    rows: row_hi - row_lo,
-                    cols: input.dk,
-                    data: (row_lo..row_hi)
-                        .flat_map(|i| (0..input.dk).map(move |j| q_ref.at(i, j)))
-                        .collect(),
-                    scale: q.scale,
-                };
-                let mut tile = q_slice.matmul_transposed_dequant(&k);
-                for i in 0..tile.rows() {
-                    for j in 0..tile.cols() {
-                        let val = tile.at(i, j) * scale;
-                        tile.set(
-                            i,
-                            j,
-                            if mask.allows(row_lo + i, j) {
-                                val
-                            } else {
-                                f32::NEG_INFINITY
-                            },
-                        );
-                    }
-                }
-                // SFU: fp32 softmax (probabilities need the dynamic range).
-                for i in 0..tile.rows() {
-                    softmax_row(tile.row_mut(i));
-                }
-                // Stage A: requantize the probabilities, integer GEMM with V.
-                let p = QuantizedMat::quantize(&tile);
-                for i in 0..p.rows() {
-                    for d in 0..input.dk {
-                        let mut acc: i32 = 0;
-                        for j in 0..input.seq_kv {
-                            acc += i32::from(p.at(i, j)) * i32::from(v.at(j, d));
-                        }
-                        out.set(row_lo + i, d, acc as f32 * p.scale * v.scale);
-                    }
-                }
-                row_lo = row_hi;
-            }
-            out
-        })
+        .map(|g| quantized_group(input, g, rows_per_tile, mask, None))
         .collect()
 }
 
@@ -210,65 +152,137 @@ pub fn quantized_flat_attention_with(
     kind: SoftmaxKind,
 ) -> Vec<Mat> {
     assert!(rows_per_tile > 0, "row tile must be positive");
-    let scale = input.scale();
     (0..input.groups())
-        .map(|g| {
-            let q = QuantizedMat::quantize(&input.q[g]);
-            let k = QuantizedMat::quantize(&input.k[g]);
-            let v = QuantizedMat::quantize(&input.v[g]);
-            let mut out = Mat::zeros(input.seq_q, input.dk);
-            let mut row_lo = 0;
-            while row_lo < input.seq_q {
-                let row_hi = (row_lo + rows_per_tile).min(input.seq_q);
-                let q_ref = &q;
-                let q_slice = QuantizedMat {
-                    rows: row_hi - row_lo,
-                    cols: input.dk,
-                    data: (row_lo..row_hi)
-                        .flat_map(|i| (0..input.dk).map(move |j| q_ref.at(i, j)))
-                        .collect(),
-                    scale: q.scale,
-                };
-                let mut tile = q_slice.matmul_transposed_dequant(&k);
-                for i in 0..tile.rows() {
-                    for j in 0..tile.cols() {
-                        let val = tile.at(i, j) * scale;
-                        tile.set(
-                            i,
-                            j,
-                            if mask.allows(row_lo + i, j) {
-                                val
-                            } else {
-                                f32::NEG_INFINITY
-                            },
-                        );
-                    }
-                }
-                for i in 0..tile.rows() {
-                    let row = tile.row_mut(i);
-                    // The score matrix itself goes to the int8 grid here;
-                    // the softmax then runs as the selected family member.
-                    snap_logits_int8(row);
-                    match kind {
-                        SoftmaxKind::Exact => softmax_row(row),
-                        other => softmax_row_kind(row, other),
-                    }
-                }
-                let p = QuantizedMat::quantize(&tile);
-                for i in 0..p.rows() {
-                    for d in 0..input.dk {
-                        let mut acc: i32 = 0;
-                        for j in 0..input.seq_kv {
-                            acc += i32::from(p.at(i, j)) * i32::from(v.at(j, d));
-                        }
-                        out.set(row_lo + i, d, acc as f32 * p.scale * v.scale);
-                    }
-                }
-                row_lo = row_hi;
-            }
-            out
-        })
+        .map(|g| quantized_group(input, g, rows_per_tile, mask, Some(kind)))
         .collect()
+}
+
+/// One (batch, head) group of the int8 walk behind both entry points:
+/// `int8_scores` is `None` for fp32 scores under the exact softmax, or the
+/// softmax kind to run on scores snapped to the int8 grid. Q/K/V are
+/// quantized once and K is transposed once, so both GEMMs run on
+/// [`int8_rowmul`]. The logit tile, its int8 requantization and the
+/// integer accumulators are allocated once and reused by every row tile.
+fn quantized_group(
+    input: &MultiHeadInput,
+    g: usize,
+    rows_per_tile: usize,
+    mask: Mask,
+    int8_scores: Option<SoftmaxKind>,
+) -> Mat {
+    let (seq_q, seq_kv, dk) = (input.seq_q, input.seq_kv, input.dk);
+    let q = QuantizedMat::quantize(&input.q[g]);
+    let k = QuantizedMat::quantize(&input.k[g]);
+    let v = QuantizedMat::quantize(&input.v[g]);
+    let mut kt = vec![0i8; dk * seq_kv];
+    for (j, krow) in k.data.chunks_exact(dk).enumerate() {
+        for (d, &x) in krow.iter().enumerate() {
+            kt[d * seq_kv + j] = x;
+        }
+    }
+    let qk_scale = q.scale * k.scale;
+    let scale = input.scale();
+    let tile_rows = rows_per_tile.min(seq_q);
+    let mut tile = vec![0.0f32; tile_rows * seq_kv];
+    let mut p = vec![0i8; tile_rows * seq_kv];
+    let mut acc = vec![0i64; seq_kv.max(dk)];
+    let mut out = Mat::zeros(seq_q, dk);
+    let mut row_lo = 0;
+    while row_lo < seq_q {
+        let row_hi = (row_lo + rows_per_tile).min(seq_q);
+        let tile = &mut tile[..(row_hi - row_lo) * seq_kv];
+        // A causal tile stops at its diagonal: key columns from `live` on
+        // are masked for every row, so neither GEMM visits them.
+        let live = mask.live_cols(row_hi, seq_kv);
+        for (i, row) in tile.chunks_exact_mut(seq_kv).enumerate() {
+            let qi = row_lo + i;
+            // Stage L: integer logits, dequantized as `(acc · s_q s_k) / √dk`.
+            int8_rowmul(&q.data[qi * dk..(qi + 1) * dk], &kt, seq_kv, live, &mut acc);
+            for (j, (x, &a)) in row.iter_mut().zip(&acc[..live]).enumerate() {
+                *x = if mask.allows(qi, j) {
+                    (a as f32 * qk_scale) * scale
+                } else {
+                    f32::NEG_INFINITY
+                };
+            }
+            row[live..].fill(f32::NEG_INFINITY);
+            // SFU: fp32 softmax over the whole row (probabilities need the
+            // dynamic range), optionally over scores on the int8 grid.
+            match int8_scores {
+                None => softmax_row(row),
+                Some(kind) => {
+                    snap_logits_int8(row);
+                    softmax_row_kind(row, kind);
+                }
+            }
+        }
+        // Stage A: requantize the probabilities with one per-tile scale,
+        // then integer PV over the live columns (the rest are exactly 0).
+        let p_max = tile.iter().fold(0.0f32, |a, &x| a.max(x.abs()));
+        let p_scale = if p_max == 0.0 { 1.0 } else { p_max / 127.0 };
+        for (i, (prow, trow)) in p
+            .chunks_exact_mut(seq_kv)
+            .zip(tile.chunks_exact(seq_kv))
+            .enumerate()
+        {
+            for (pv, &x) in prow[..live].iter_mut().zip(&trow[..live]) {
+                *pv = (x / p_scale).round().clamp(-127.0, 127.0) as i8;
+            }
+            int8_rowmul(&prow[..live], &v.data, dk, dk, &mut acc);
+            for (o, &a) in out.row_mut(row_lo + i).iter_mut().zip(&acc[..dk]) {
+                *o = (a as f32 * p_scale) * v.scale;
+            }
+        }
+        row_lo = row_hi;
+    }
+    out
+}
+
+/// `out[c] = Σ_l a_l · b[l·ldb + c]` for `c < cols`, exact: the one
+/// integer microkernel of the int8 walk (QKᵀ as `q_i · Kᵀ`, PV as
+/// `p_i · V`). Each block of output columns stays in i32 registers while
+/// the contraction walks `b` row by row, widening and multiplying a whole
+/// block per step and skipping zero `a_l`; the i32 partials fold into
+/// `out` every [`FOLD`] steps, so they never wrap.
+fn int8_rowmul(a: &[i8], b: &[i8], ldb: usize, cols: usize, out: &mut [i64]) {
+    let out = &mut out[..cols];
+    out.fill(0);
+    for (f, af) in a.chunks(FOLD).enumerate() {
+        let bf = &b[f * FOLD * ldb..];
+        let mut c0 = 0;
+        while c0 < cols {
+            c0 += match cols - c0 {
+                64.. => int8_block::<64>(af, bf, ldb, c0, out),
+                16.. => int8_block::<16>(af, bf, ldb, c0, out),
+                _ => int8_block::<1>(af, bf, ldb, c0, out),
+            };
+        }
+    }
+}
+
+/// One `NR`-column block of [`int8_rowmul`]; returns `NR`. The product of
+/// two int8 values fits i16, which keeps the multiply narrow.
+#[inline(always)]
+fn int8_block<const NR: usize>(
+    a: &[i8],
+    b: &[i8],
+    ldb: usize,
+    c0: usize,
+    out: &mut [i64],
+) -> usize {
+    let mut acc = [0i32; NR];
+    for (l, &x) in a.iter().enumerate() {
+        if x != 0 {
+            let brow = &b[l * ldb + c0..l * ldb + c0 + NR];
+            for (s, &y) in acc.iter_mut().zip(brow) {
+                *s += i32::from(i16::from(x) * i16::from(y));
+            }
+        }
+    }
+    for (o, s) in out[c0..c0 + NR].iter_mut().zip(acc) {
+        *o += i64::from(s);
+    }
+    NR
 }
 
 #[cfg(test)]

@@ -152,3 +152,26 @@ proptest! {
 fn scale_of(input: &MultiHeadInput) -> f32 {
     input.scale()
 }
+
+/// Σ p·v over one row at 140,000 keys: every p requantizes to 127 and
+/// every v to 127, so the sum is past `i32::MAX` and must not wrap.
+#[test]
+fn int8_pv_accumulation_does_not_wrap_past_131072_keys() {
+    let (seq_kv, dk) = (140_000, 4);
+    let input = MultiHeadInput {
+        batch: 1,
+        heads: 1,
+        seq_q: 1,
+        seq_kv,
+        dk,
+        q: vec![Mat::from_fn(1, dk, |_, _| 0.5)],
+        k: vec![Mat::from_fn(seq_kv, dk, |_, _| 0.25)],
+        v: vec![Mat::from_fn(seq_kv, dk, |_, _| 1.0)],
+    };
+    let exact = naive_attention(&input, Mask::None);
+    for kind in [SoftmaxKind::Exact, SoftmaxKind::FlashD] {
+        let q8 = flat_attention_with(&input, 1, Mask::None, ComputePrecision::Int8, kind);
+        let d = q8[0].max_abs_diff(&exact[0]);
+        assert!(d < 6e-2, "{kind}: deviation {d}");
+    }
+}
