@@ -469,8 +469,15 @@ fn fleet_entries(quick: bool) -> Vec<Entry> {
         scale: vec![(20.0, 4), (120.0, 2)],
         ..flat_fleet::FleetConfig::default()
     };
-    let m = flat_fleet::run_fleet(&accel, &model, &fspec, &fcfg, 0xF1A7)
-        .expect("fleet benchmark must serve cleanly");
+    let m = flat_fleet::run_fleet(
+        &accel,
+        &model,
+        &fspec,
+        &fcfg,
+        0xF1A7,
+        &mut flat_telemetry::NoopSink,
+    )
+    .expect("fleet benchmark must serve cleanly");
     let trajectory: Vec<String> = m
         .dist
         .serve

@@ -7,6 +7,8 @@ use flat_dist::{
     best_joint, scaling_knee, series, CollectiveAlgo, Link, Partition, Sweep, Topology,
 };
 use flat_dse::{Dse, SpaceKind};
+use flat_serve::{serve_dist_elastic, DistServeConfig, ScalePlan};
+use flat_telemetry::{NoopSink, TraceSink};
 use flat_workloads::{Model, Scope};
 use serde_json::json;
 
@@ -44,7 +46,8 @@ USAGE:
              [--topology ring|mesh|torus|fc|tree|all] [--partition head|seq|kv|all]
              [--algo ring|hd|bucket|all] [--overlap] [--link-gbps N] [--link-us N]
              [--seed N] [--json]
-             [--requests N --trace FILE ...]   # serve a request stream on the cluster instead
+             [--requests N --trace FILE ...]   # serve a request stream on the cluster instead,
+                                               # with every engine flag flat serve takes
   flat insight attr TRACE.json [--json] [--metrics FILE]
              # critical-path attribution: decompose per-request latency into
              # queued/prefill/recompute/decode/collective-exposed/other phases
@@ -57,7 +60,7 @@ USAGE:
   flat run   --config experiments.json [--out results.json]
 
 COMMON OPTIONS:
-  --trace FILE        write a Chrome/Perfetto trace (serve, dist --requests, dse);
+  --trace FILE        write a Chrome/Perfetto trace (serve, dist --requests, fleet, dse);
                       open the file in https://ui.perfetto.dev
   --metrics FILE      write Prometheus text metrics (serve)
   --batch N           batch size (default 64)
@@ -93,6 +96,20 @@ fn close_trace(path: &str, sink: FileSink) -> Result<(), String> {
     sink.finish().map_err(|e| format!("{path}: {e}"))?;
     eprintln!("wrote Chrome trace to {path} (open in https://ui.perfetto.dev)");
     Ok(())
+}
+
+/// Runs `run` against the `--trace FILE` sink when the flag is present
+/// (a no-op sink otherwise), closing the file after a successful run.
+fn traced<T>(
+    args: &Args,
+    run: impl FnOnce(&mut dyn TraceSink) -> Result<T, flat_serve::ServeError>,
+) -> Result<T, String> {
+    let Some((path, mut sink)) = open_trace(args)? else {
+        return run(&mut NoopSink).map_err(|e| e.to_string());
+    };
+    let out = run(&mut sink).map_err(|e| e.to_string())?;
+    close_trace(&path, sink)?;
+    Ok(out)
 }
 
 /// `flat run` — execute a JSON experiment config: a list of jobs, each
@@ -833,56 +850,22 @@ fn sim_both(
 pub fn serve(args: &Args) -> Result<(), String> {
     let setup = parse::setup(args)?;
     let requests = parse::u64_arg(args, "requests", 256)? as usize;
-    let rate: f64 = args
-        .get("arrival-rate", "64")
-        .parse()
-        .map_err(|_| "--arrival-rate expects a number (requests/s)".to_owned())?;
-    if !(rate > 0.0 && rate.is_finite()) {
-        return Err("--arrival-rate must be positive".to_owned());
-    }
     let seed = parse::u64_arg(args, "seed", 0xF1A7)?;
-    let task = flat_serve::task_by_name(&args.get("task", "short-nlp"))?;
-    let mut spec = flat_serve::WorkloadSpec::from_task(task, requests, rate);
-    if let Some(prompt) = parse::opt_u64_arg(args, "prompt")? {
-        spec.prompt_mean = prompt as usize;
-    }
-    if let Some(output) = parse::opt_u64_arg(args, "output")? {
-        spec.output_mean = output as usize;
-    }
-    spec.slo_ms = parse::opt_f64_arg(args, "slo-ms")?;
-    let mut cfg = flat_serve::EngineConfig::for_platform(&setup.accel, &setup.model, seed);
-    cfg.block_tokens = parse::u64_arg(args, "block-tokens", cfg.block_tokens as u64)? as usize;
-    cfg.prefill_chunk = parse::u64_arg(args, "chunk", cfg.prefill_chunk as u64)? as usize;
-    cfg.max_batch = parse::u64_arg(args, "max-batch", cfg.max_batch as u64)? as usize;
-    if let Some(mib) = parse::opt_u64_arg(args, "kv-mib")? {
-        cfg.kv_budget = flat_tensor::Bytes::from_mib(mib);
-    }
-    cfg.precision = parse::precision(args)?;
-    cfg.softmax = parse::softmax_kind(args)?;
-    cfg.dedup = args.flag("dedup");
-    cfg.window_ms = parse::opt_f64_arg(args, "window-ms")?;
-    let faults = parse::opt_u64_arg(args, "chaos")?.map(flat_serve::FaultPlan::chaos);
-    let mut workload = spec.generate(seed).map_err(|e| e.to_string())?;
-    if let Some(plan) = &faults {
-        plan.corrupt_workload(&mut workload);
-    }
-    let metrics = match open_trace(args)? {
-        None => flat_serve::serve_with_faults(&setup.accel, &setup.model, &workload, &cfg, faults)
-            .map_err(|e| e.to_string())?,
-        Some((path, mut sink)) => {
-            let metrics = flat_serve::serve_with_faults_traced(
-                &setup.accel,
-                &setup.model,
-                &workload,
-                &cfg,
-                faults,
-                &mut sink,
-            )
-            .map_err(|e| e.to_string())?;
-            close_trace(&path, sink)?;
-            metrics
-        }
-    };
+    let (spec, workload, cfg, faults) = parse::serving(args, &setup, requests, seed)?;
+    let one_chip = DistServeConfig::new(1, Topology::FullyConnected);
+    let metrics = traced(args, |sink| {
+        serve_dist_elastic(
+            &setup.accel,
+            &setup.model,
+            &workload,
+            &cfg,
+            &one_chip,
+            &ScalePlan::default(),
+            faults,
+            sink,
+        )
+    })?
+    .serve;
     let metrics_path = args.get("metrics", "");
     if !metrics_path.is_empty() {
         std::fs::write(&metrics_path, metrics.registry().prometheus())
@@ -898,8 +881,11 @@ pub fn serve(args: &Args) -> Result<(), String> {
             setup.model, metrics.kv.bytes_per_token
         );
         println!(
-            "workload:    {requests} requests, {rate} req/s, task {task}, prompt≈{}, output≈{}",
-            spec.prompt_mean, spec.output_mean
+            "workload:    {requests} requests, {} req/s, task {}, prompt≈{}, output≈{}",
+            spec.arrival_rate_per_s,
+            args.get("task", "short-nlp"),
+            spec.prompt_mean,
+            spec.output_mean
         );
         println!();
         println!(
@@ -1000,23 +986,9 @@ pub fn fleet(args: &Args) -> Result<(), String> {
         scale: scale_arg(args)?,
         chaos_seed: parse::opt_u64_arg(args, "chaos")?,
     };
-    let m = match open_trace(args)? {
-        None => flat_fleet::run_fleet(&setup.accel, &setup.model, &spec, &cfg, seed)
-            .map_err(|e| e.to_string())?,
-        Some((path, mut sink)) => {
-            let m = flat_fleet::run_fleet_traced(
-                &setup.accel,
-                &setup.model,
-                &spec,
-                &cfg,
-                seed,
-                &mut sink,
-            )
-            .map_err(|e| e.to_string())?;
-            close_trace(&path, sink)?;
-            m
-        }
-    };
+    let m = traced(args, |sink| {
+        flat_fleet::run_fleet(&setup.accel, &setup.model, &spec, &cfg, seed, sink)
+    })?;
     if args.flag("json") {
         println!("{}", m.to_json());
         return Ok(());
@@ -1589,60 +1561,36 @@ fn dist_serve(
         return Err("serving mode takes a single --algo (not a list/all)".to_owned());
     }
     let overlap = args.flag("overlap");
-    let rate: f64 = args
-        .get("arrival-rate", "64")
-        .parse()
-        .map_err(|_| "--arrival-rate expects a number (requests/s)".to_owned())?;
-    if !(rate > 0.0 && rate.is_finite()) {
-        return Err("--arrival-rate must be positive".to_owned());
-    }
-    let task = flat_serve::task_by_name(&args.get("task", "short-nlp"))?;
-    let mut spec = flat_serve::WorkloadSpec::from_task(task, requests, rate);
-    if let Some(prompt) = parse::opt_u64_arg(args, "prompt")? {
-        spec.prompt_mean = prompt as usize;
-    }
-    if let Some(output) = parse::opt_u64_arg(args, "output")? {
-        spec.output_mean = output as usize;
-    }
-    let mut cfg = flat_serve::EngineConfig::for_platform(&setup.accel, &setup.model, seed);
-    if let Some(mib) = parse::opt_u64_arg(args, "kv-mib")? {
-        cfg.kv_budget = flat_tensor::Bytes::from_mib(mib);
-    }
-    let workload = spec.generate(seed).map_err(|e| e.to_string())?;
-    let mut trace = open_trace(args)?;
-    if trace.is_some() && chips.len() > 1 {
+    if !args.get("trace", "").is_empty() && chips.len() > 1 {
         return Err("--trace records one cluster: pass a single --chips value".to_owned());
     }
-
-    let mut runs = Vec::new();
-    for &p in chips {
-        let dcfg = flat_serve::DistServeConfig {
-            chips: p,
-            topology,
-            link,
-            partition,
-            algo,
-            overlap,
-        };
-        let metrics = match trace.take() {
-            None => flat_serve::serve_dist(&setup.accel, &setup.model, &workload, &cfg, &dcfg)
-                .map_err(|e| e.to_string())?,
-            Some((path, mut sink)) => {
-                let metrics = flat_serve::serve_dist_traced(
+    let (spec, workload, cfg, faults) = parse::serving(args, setup, requests, seed)?;
+    let fixed_size = ScalePlan::default();
+    let runs = traced(args, |sink| {
+        chips
+            .iter()
+            .map(|&p| {
+                let dcfg = DistServeConfig {
+                    chips: p,
+                    topology,
+                    link,
+                    partition,
+                    algo,
+                    overlap,
+                };
+                serve_dist_elastic(
                     &setup.accel,
                     &setup.model,
                     &workload,
                     &cfg,
                     &dcfg,
-                    &mut sink,
+                    &fixed_size,
+                    faults,
+                    &mut *sink,
                 )
-                .map_err(|e| e.to_string())?;
-                close_trace(&path, sink)?;
-                metrics
-            }
-        };
-        runs.push(metrics);
-    }
+            })
+            .collect::<Result<Vec<_>, _>>()
+    })?;
 
     if args.flag("json") {
         let v = json!({
@@ -1662,8 +1610,9 @@ fn dist_serve(
     } else {
         println!("accelerator: {}", setup.accel);
         println!(
-            "cluster:     {topology} [{algo}{}] × {partition}, link {link}, {requests} requests at {rate} req/s",
-            if overlap { ", overlapped" } else { "" }
+            "cluster:     {topology} [{algo}{}] × {partition}, link {link}, {requests} requests at {} req/s",
+            if overlap { ", overlapped" } else { "" },
+            spec.arrival_rate_per_s
         );
         println!();
         for m in &runs {

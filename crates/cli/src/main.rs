@@ -14,7 +14,7 @@
 //!            [--no-dedup] [--chaos SEED] [--json]   # sustained multi-tenant fleet load
 
 //! flat dist  --platform cloud --model bert --seq 65536 [--chips 1,2,4,8] [--topology all] [--partition head] [--json]
-//!            [--requests N --trace FILE]   # serve on the cluster, tracing collectives
+//!            [--requests N --trace FILE]   # serve on the cluster (takes serve's flags)
 //! flat insight attr TRACE.json [--json] [--metrics FILE]   # critical-path attribution
 //! flat insight diff A.json B.json [--json]                 # differential run analysis
 //! flat insight bench [--dir DIR] [--current FILE] [--check] [--json]

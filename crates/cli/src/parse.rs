@@ -4,6 +4,7 @@ use flat_arch::Accelerator;
 use flat_bench::args::Args;
 use flat_core::BlockDataflow;
 use flat_dse::Objective;
+use flat_serve::{EngineConfig, FaultPlan, RequestSpec, WorkloadSpec};
 use flat_tensor::Bytes;
 use flat_workloads::{AttentionBlock, Model, Scope};
 
@@ -181,11 +182,74 @@ pub fn softmax_kind(args: &Args) -> Result<flat_tensor::SoftmaxKind, String> {
 /// # Errors
 ///
 /// Lists the valid precisions when the value matches none.
-pub fn precision(args: &Args) -> Result<flat_serve::ComputePrecision, String> {
+fn precision(args: &Args) -> Result<flat_serve::ComputePrecision, String> {
     match optional(args, "precision") {
         None => Ok(flat_serve::ComputePrecision::F32),
         Some(s) => flat_serve::ComputePrecision::parse(&s),
     }
+}
+
+/// The serving flags `flat serve` and `flat dist --requests` share:
+///
+/// * the workload: `--arrival-rate`, `--task`, `--prompt`, `--output`,
+///   `--slo-ms`;
+/// * the engine: `--kv-mib`, `--block-tokens`, `--chunk`, `--max-batch`,
+///   `--precision`, `--softmax`, `--dedup`, `--window-ms`;
+/// * `--chaos SEED`, which also corrupts the generated workload.
+///
+/// Returns the workload spec, the generated (and, under chaos,
+/// corrupted) request stream, the engine config and the fault plan.
+///
+/// # Errors
+///
+/// A one-line diagnostic for any malformed value.
+pub fn serving(
+    args: &Args,
+    setup: &Setup,
+    requests: usize,
+    seed: u64,
+) -> Result<
+    (
+        WorkloadSpec,
+        Vec<RequestSpec>,
+        EngineConfig,
+        Option<FaultPlan>,
+    ),
+    String,
+> {
+    let rate: f64 = args
+        .get("arrival-rate", "64")
+        .parse()
+        .map_err(|_| "--arrival-rate expects a number (requests/s)".to_owned())?;
+    if !(rate > 0.0 && rate.is_finite()) {
+        return Err("--arrival-rate must be positive".to_owned());
+    }
+    let task = flat_serve::task_by_name(&args.get("task", "short-nlp"))?;
+    let mut spec = WorkloadSpec::from_task(task, requests, rate);
+    if let Some(prompt) = opt_u64_arg(args, "prompt")? {
+        spec.prompt_mean = prompt as usize;
+    }
+    if let Some(output) = opt_u64_arg(args, "output")? {
+        spec.output_mean = output as usize;
+    }
+    spec.slo_ms = opt_f64_arg(args, "slo-ms")?;
+    let mut cfg = EngineConfig::for_platform(&setup.accel, &setup.model, seed);
+    cfg.block_tokens = u64_arg(args, "block-tokens", cfg.block_tokens as u64)? as usize;
+    cfg.prefill_chunk = u64_arg(args, "chunk", cfg.prefill_chunk as u64)? as usize;
+    cfg.max_batch = u64_arg(args, "max-batch", cfg.max_batch as u64)? as usize;
+    if let Some(mib) = opt_u64_arg(args, "kv-mib")? {
+        cfg.kv_budget = Bytes::from_mib(mib);
+    }
+    cfg.precision = precision(args)?;
+    cfg.softmax = softmax_kind(args)?;
+    cfg.dedup = args.flag("dedup");
+    cfg.window_ms = opt_f64_arg(args, "window-ms")?;
+    let faults = opt_u64_arg(args, "chaos")?.map(FaultPlan::chaos);
+    let mut workload = spec.generate(seed).map_err(|e| e.to_string())?;
+    if let Some(plan) = &faults {
+        plan.corrupt_workload(&mut workload);
+    }
+    Ok((spec, workload, cfg, faults))
 }
 
 /// Parses a scope label.

@@ -177,6 +177,68 @@ fn dist_serve_mode_runs_and_reports_fabric_time() {
     );
 }
 
+/// `flat serve` and `flat dist --requests --chips 1` share one flag
+/// parser and one engine path: with the same seed and engine flags the
+/// serve metrics are `.runs[0].serve` of the dist report, and the traces
+/// are byte-identical.
+#[test]
+fn serve_matches_a_one_chip_dist_run_under_engine_flags() {
+    let dir = std::env::temp_dir();
+    let serve_trace = dir.join("flat_cli_test_entry_serve.json");
+    let dist_trace = dir.join("flat_cli_test_entry_dist.json");
+    let shared = [
+        "--platform",
+        "edge",
+        "--requests",
+        "24",
+        "--arrival-rate",
+        "300",
+        "--prompt",
+        "40",
+        "--output",
+        "6",
+        "--kv-mib",
+        "8",
+        "--max-batch",
+        "4",
+        "--chaos",
+        "3",
+        "--slo-ms",
+        "40",
+        "--dedup",
+        "--seed",
+        "7",
+        "--json",
+        "--trace",
+    ];
+    let mut serve = vec!["serve"];
+    serve.extend(shared);
+    serve.push(serve_trace.to_str().expect("utf-8 temp path"));
+    let mut dist = vec!["dist", "--chips", "1", "--topology", "ring"];
+    dist.extend(shared);
+    dist.push(dist_trace.to_str().expect("utf-8 temp path"));
+    let (s, d) = (flat(&serve), flat(&dist));
+    assert!(s.status.success(), "serve: {}", stderr(&s));
+    assert!(d.status.success(), "dist: {}", stderr(&d));
+    let s: serde_json::Value =
+        serde_json::from_str(&String::from_utf8_lossy(&s.stdout)).expect("serve JSON");
+    let d: serde_json::Value =
+        serde_json::from_str(&String::from_utf8_lossy(&d.stdout)).expect("dist JSON");
+    let runs = d["runs"].as_array().expect("runs array");
+    assert_eq!(runs.len(), 1);
+    assert!(
+        s["dropped"].as_u64() > Some(0),
+        "chaos and the SLO shed work"
+    );
+    assert_eq!(s, runs[0]["serve"], "serve must equal the 1-chip dist run");
+    let (a, b) = (
+        std::fs::read(&serve_trace).expect("serve trace written"),
+        std::fs::read(&dist_trace).expect("dist trace written"),
+    );
+    assert!(!a.is_empty());
+    assert!(a == b, "traces must be byte-identical");
+}
+
 #[test]
 fn bad_dist_flags_are_diagnostics() {
     for args in [

@@ -23,7 +23,8 @@
 //!   distributed serving engine with windowed trajectory sampling,
 //!   optional prefix dedup, optional seeded chaos, and an elastic
 //!   [`ScalePlan`](flat_serve::ScalePlan) that resizes the cluster
-//!   mid-run (KV re-striping priced over the `flat-dist` fabric);
+//!   mid-run (KV re-striping priced over the `flat-dist` fabric), every
+//!   engine event streamed into a trace sink;
 //! * [`FleetMetrics`] — the run report: the underlying
 //!   [`DistServeMetrics`] (per-tenant accounting, windowed
 //!   goodput/occupancy trajectory, scale-event log) plus fleet-level
@@ -39,6 +40,7 @@
 //! ```
 //! use flat_arch::Accelerator;
 //! use flat_fleet::{run_fleet, FleetConfig, FleetSpec};
+//! use flat_telemetry::NoopSink;
 //! use flat_workloads::Model;
 //!
 //! let model = Model::by_name("bert").unwrap();
@@ -46,7 +48,7 @@
 //! let mut spec = FleetSpec::sustained(64); // tiny for the doctest
 //! spec.curve.base_rate_per_s = 400.0;
 //! let cfg = FleetConfig::default();
-//! let m = run_fleet(&accel, &model, &spec, &cfg, 42).unwrap();
+//! let m = run_fleet(&accel, &model, &spec, &cfg, 42, &mut NoopSink).unwrap();
 //! assert_eq!(m.offered, 64);
 //! assert_eq!(
 //!     (m.dist.serve.finished + m.dist.serve.dropped),
@@ -69,7 +71,7 @@ use flat_serve::{
     merge_streams, serve_dist_elastic, DistServeConfig, DistServeMetrics, EngineConfig, FaultPlan,
     RequestSpec, ScalePlan, ServeError,
 };
-use flat_telemetry::{NoopSink, TraceSink};
+use flat_telemetry::TraceSink;
 use flat_workloads::Model;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::Serialize;
@@ -405,7 +407,8 @@ impl FleetMetrics {
 }
 
 /// Generates the fleet's request stream and drives it through the
-/// distributed serving engine.
+/// distributed serving engine, streaming every engine event into `sink`
+/// (pass [`flat_telemetry::NoopSink`] for an untraced run).
 ///
 /// The run is fully deterministic in `(spec, cfg, seed)`: workload
 /// generation, tenant assignment, scheduling, chaos, and elastic
@@ -417,22 +420,6 @@ impl FleetMetrics {
 /// Propagates spec validation, scale-plan validation, and any engine
 /// error.
 pub fn run_fleet(
-    accel: &Accelerator,
-    model: &Model,
-    spec: &FleetSpec,
-    cfg: &FleetConfig,
-    seed: u64,
-) -> Result<FleetMetrics, ServeError> {
-    let mut sink = NoopSink;
-    run_fleet_traced(accel, model, spec, cfg, seed, &mut sink)
-}
-
-/// [`run_fleet`] with every engine event streamed into `sink`.
-///
-/// # Errors
-///
-/// Same as [`run_fleet`].
-pub fn run_fleet_traced(
     accel: &Accelerator,
     model: &Model,
     spec: &FleetSpec,
@@ -479,6 +466,7 @@ pub fn run_fleet_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flat_telemetry::NoopSink;
 
     fn small_spec(requests: usize) -> FleetSpec {
         let mut spec = FleetSpec::sustained(requests);
@@ -600,7 +588,7 @@ mod tests {
         let accel = Accelerator::edge();
         let spec = small_spec(96);
         let cfg = FleetConfig::default();
-        let m = run_fleet(&accel, &model, &spec, &cfg, 21).unwrap();
+        let m = run_fleet(&accel, &model, &spec, &cfg, 21, &mut NoopSink).unwrap();
         assert_eq!(m.offered, 96);
         let s = &m.dist.serve;
         assert_eq!(s.finished + s.dropped, m.offered, "conservation");
@@ -621,8 +609,8 @@ mod tests {
             chaos_seed: Some(0xC4A05),
             ..FleetConfig::default()
         };
-        let a = run_fleet(&accel, &model, &spec, &cfg, 9).unwrap();
-        let b = run_fleet(&accel, &model, &spec, &cfg, 9).unwrap();
+        let a = run_fleet(&accel, &model, &spec, &cfg, 9, &mut NoopSink).unwrap();
+        let b = run_fleet(&accel, &model, &spec, &cfg, 9, &mut NoopSink).unwrap();
         assert_eq!(a.to_json(), b.to_json(), "same seed, same bytes");
         let s = &a.dist.serve;
         assert_eq!(s.finished + s.dropped, a.offered, "chaos conserves");
@@ -639,7 +627,7 @@ mod tests {
             scale: vec![(2.0, 4), (30.0, 2)],
             ..FleetConfig::default()
         };
-        let m = run_fleet(&accel, &model, &spec, &cfg, 5).unwrap();
+        let m = run_fleet(&accel, &model, &spec, &cfg, 5, &mut NoopSink).unwrap();
         assert_eq!(m.dist.chips, 2);
         assert!(!m.dist.scale_events.is_empty(), "resizes were applied");
         let up = &m.dist.scale_events[0];
@@ -670,7 +658,15 @@ mod tests {
         let model = Model::by_name("bert").unwrap();
         let accel = Accelerator::edge();
         let spec = small_spec(24);
-        let m = run_fleet(&accel, &model, &spec, &FleetConfig::default(), 2).unwrap();
+        let m = run_fleet(
+            &accel,
+            &model,
+            &spec,
+            &FleetConfig::default(),
+            2,
+            &mut NoopSink,
+        )
+        .unwrap();
         let json = m.to_json();
         for key in [
             "\"seed\"",

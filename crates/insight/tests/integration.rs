@@ -14,10 +14,28 @@
 use flat_arch::Accelerator;
 use flat_insight::{Attribution, DiffReport};
 use flat_serve::{
-    serve_dist_traced, serve_traced, DistServeConfig, EngineConfig, RequestSpec, WorkloadSpec,
+    serve_dist_elastic, DistServeConfig, DistServeMetrics, EngineConfig, RequestSpec, ScalePlan,
+    WorkloadSpec,
 };
 use flat_telemetry::MemorySink;
 use flat_workloads::{Model, Task};
+
+/// A fixed-size, fault-free cluster run traced into `sink`.
+fn serve_into(
+    accel: &Accelerator,
+    wl: &[RequestSpec],
+    cfg: &EngineConfig,
+    dist: &DistServeConfig,
+    sink: &mut MemorySink,
+) -> DistServeMetrics {
+    let model = Model::by_name("bert").unwrap();
+    let plan = ScalePlan::default();
+    serve_dist_elastic(accel, &model, wl, cfg, dist, &plan, None, sink).expect("run terminates")
+}
+
+fn one_chip() -> DistServeConfig {
+    DistServeConfig::new(1, flat_dist::Topology::FullyConnected)
+}
 
 fn workload(requests: usize, seed: u64) -> Vec<RequestSpec> {
     let mut spec = WorkloadSpec::from_task(Task::ShortNlp, requests, 400.0);
@@ -32,7 +50,7 @@ fn traced_run(seed: u64) -> MemorySink {
     let wl = workload(24, seed);
     let cfg = EngineConfig::for_platform(&accel, &model, seed);
     let mut sink = MemorySink::new();
-    serve_traced(&accel, &model, &wl, &cfg, &mut sink).expect("run terminates");
+    serve_into(&accel, &wl, &cfg, &one_chip(), &mut sink);
     sink
 }
 
@@ -44,7 +62,7 @@ fn traced_dist_run(seed: u64, overlap: bool) -> MemorySink {
     let mut dist = DistServeConfig::new(4, flat_dist::Topology::Ring);
     dist.overlap = overlap;
     let mut sink = MemorySink::new();
-    serve_dist_traced(&accel, &model, &wl, &cfg, &dist, &mut sink).expect("run terminates");
+    serve_into(&accel, &wl, &cfg, &dist, &mut sink);
     sink
 }
 
@@ -70,7 +88,7 @@ fn phase_books_balance_against_engine_metrics() {
     let mut cfg = EngineConfig::for_platform(&accel, &model, 0x77);
     cfg.kv_budget = flat_tensor::Bytes::from_mib(2); // force pressure
     let mut sink = MemorySink::new();
-    let m = serve_traced(&accel, &model, &wl, &cfg, &mut sink).expect("run terminates");
+    let m = serve_into(&accel, &wl, &cfg, &one_chip(), &mut sink).serve;
     let a = Attribution::of(&sink.events);
     assert_eq!(a.requests, m.requests, "every offered request observed");
     assert_eq!(a.finished, m.finished);

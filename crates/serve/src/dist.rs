@@ -1,9 +1,8 @@
-//! Distributed serving: the continuous-batching engine on a
+//! Cluster serving: the continuous-batching engine on a
 //! multi-accelerator cluster.
 //!
-//! [`serve_dist`] runs the same iteration-level scheduler as [`crate::serve`]
-//! against `chips` copies of the accelerator joined by a
-//! [`flat_dist::Fabric`]:
+//! [`serve_dist_elastic`] runs the iteration-level scheduler against
+//! `chips` copies of the accelerator joined by a [`flat_dist::Fabric`]:
 //!
 //! * **Capacity scales out** — every chip contributes its KV budget, so
 //!   the paged pool holds `chips ×` the single-chip block count, with
@@ -20,12 +19,12 @@
 //!   not) to the tick's duration. The accumulated fabric-busy time and
 //!   payload bytes surface in [`DistServeMetrics`].
 //!
-//! A 1-chip cluster is an exact identity with the single-chip engine:
-//! the fabric prices every collective at zero and the scaling factors
-//! are 1, so the metrics JSON matches [`crate::serve`] field for field —
-//! a test pins this.
+//! Single-chip serving is the 1-chip cluster: [`crate::serve`] is this
+//! entry point on one fully-connected chip. The fabric prices every
+//! collective at zero there and the scaling factors are 1, so the run
+//! is exactly the single-accelerator engine.
 
-use crate::engine::{run_dist_engine, EngineConfig};
+use crate::engine::{Engine, EngineConfig};
 use crate::error::ServeError;
 use crate::faults::FaultPlan;
 use crate::metrics::ServeMetrics;
@@ -35,8 +34,9 @@ use flat_dist::{CollectiveAlgo, Fabric, Link, Partition, Topology};
 use flat_telemetry::TraceSink;
 use flat_workloads::{AttentionConfig, Model};
 use serde::Serialize;
+use std::collections::BTreeMap;
 
-/// Cluster knobs for [`serve_dist`].
+/// Cluster knobs for [`serve_dist_elastic`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistServeConfig {
     /// Accelerators in the cluster.
@@ -160,7 +160,7 @@ pub struct ScaleEventRecord {
 
 /// Per-tick collective pricing, precomputed from the model's dimensions.
 ///
-/// Built by [`serve_dist`], consumed inside the engine loop: each tick
+/// Built by [`serve_dist_elastic`], consumed inside the engine loop: each tick
 /// reports its scheduled token count and gets back the fabric seconds to
 /// add to the virtual clock.
 #[derive(Debug, Clone)]
@@ -252,28 +252,32 @@ impl DistPlane {
         }
         let span = from.max(to);
         let pricing = Fabric::new(span, self.cfg.topology, self.cfg.link).with_algo(self.cfg.algo);
-        let mut moved = vec![0u64; span * span];
+        // Sparse (source, dest) move counts: at most `used_blocks` pairs
+        // are live, whatever the cluster sizes.
+        let mut moved: BTreeMap<(usize, usize), u64> = BTreeMap::new();
         for b in 0..used_blocks {
             let (s, d) = (b % from, b % to);
             if s != d {
-                moved[s * span + d] += 1;
+                *moved.entry((s, d)).or_insert(0) += 1;
             }
         }
         let mut blocks = 0u64;
         let mut stall_s = 0.0f64;
-        for s in 0..span {
-            let mut src_s = 0.0;
-            for d in 0..span {
-                let n = moved[s * span + d];
-                if n == 0 {
-                    continue;
-                }
-                blocks += n;
-                let bytes = (n as f64 * block_bytes).round() as u64;
-                src_s += pricing.p2p_s(bytes, s, d);
+        let mut src = None;
+        let mut src_s = 0.0;
+        // Keys iterate source-major, dests ascending: each source's sends
+        // sum in dest order, and the slowest source sets the stall.
+        for (&(s, d), &n) in &moved {
+            if src != Some(s) {
+                stall_s = stall_s.max(src_s);
+                src = Some(s);
+                src_s = 0.0;
             }
-            stall_s = stall_s.max(src_s);
+            blocks += n;
+            let bytes = (n as f64 * block_bytes).round() as u64;
+            src_s += pricing.p2p_s(bytes, s, d);
         }
+        stall_s = stall_s.max(src_s);
         (blocks, blocks as f64 * block_bytes, stall_s)
     }
 
@@ -372,7 +376,9 @@ pub(crate) struct CollectiveSlice {
     pub(crate) energy_pj: f64,
 }
 
-/// [`ServeMetrics`] plus the cluster-level view.
+/// [`ServeMetrics`] plus the cluster-level view: what
+/// [`serve_dist_elastic`] returns. [`crate::serve`] is the `serve` field
+/// of a 1-chip run.
 #[derive(Debug, Clone, Serialize)]
 pub struct DistServeMetrics {
     /// Chips in the cluster at the start of the run.
@@ -435,93 +441,33 @@ fn safe_fraction(num_ms: f64, den_ms: f64) -> f64 {
     }
 }
 
-/// Runs a request stream on a cluster and reports engine + fabric
-/// metrics. `chips = 1` reproduces [`crate::serve`] exactly.
+/// The one full-control serving entry point: runs a request stream on a
+/// `dist.chips`-wide cluster and reports engine + fabric metrics.
+///
+/// * `plan` resizes the cluster mid-run: each applied event rebuilds the
+///   fabric, rescales the modeled compute/bandwidth, re-stripes resident
+///   KV point-to-point over the fabric (priced and reported per event),
+///   and grows or shrinks the pooled KV capacity, evicting by priority
+///   when the resident set no longer fits. An empty plan is a fixed-size
+///   cluster.
+/// * `faults` injects a seeded [`FaultPlan`]'s mid-run failures.
+///   Conservation (`finished + dropped == offered`) holds under chaos;
+///   the chaos suite pins it.
+/// * `sink` records the run: per-request lifecycle spans (queued →
+///   prefill chunks → decode steps → finished/dropped/preempted),
+///   per-tick KV/queue counter tracks, and on clusters of more than one
+///   chip one process lane per chip with the tick's collective slices
+///   (operation, payload bytes, link energy). Every stamp comes from the
+///   deterministic virtual clock, so fixed seeds yield byte-identical
+///   traces. A [`flat_telemetry::NoopSink`] leaves the metrics untouched.
+///
+/// With `chips = 1`, an empty plan, no faults and a no-op sink this is
+/// [`crate::serve`], which returns the `.serve` part.
 ///
 /// # Errors
 ///
 /// Everything [`crate::serve`] returns, plus
-/// [`ServeError::InvalidConfig`] for a zero-chip cluster.
-pub fn serve_dist(
-    accel: &Accelerator,
-    model: &Model,
-    workload: &[RequestSpec],
-    cfg: &EngineConfig,
-    dist: &DistServeConfig,
-) -> Result<DistServeMetrics, ServeError> {
-    let mut sink = flat_telemetry::NoopSink;
-    serve_dist_traced(accel, model, workload, cfg, dist, &mut sink)
-}
-
-/// [`serve_dist`], recording the run into a [`TraceSink`]: everything
-/// the single-chip trace carries, plus one process lane per chip with
-/// the tick's collective slices (operation, payload bytes, link energy)
-/// on its fabric thread — stamped on the same deterministic virtual
-/// clock, so fixed seeds yield byte-identical traces.
-///
-/// # Errors
-///
-/// As [`serve_dist`].
-pub fn serve_dist_traced(
-    accel: &Accelerator,
-    model: &Model,
-    workload: &[RequestSpec],
-    cfg: &EngineConfig,
-    dist: &DistServeConfig,
-    sink: &mut dyn TraceSink,
-) -> Result<DistServeMetrics, ServeError> {
-    serve_dist_elastic(
-        accel,
-        model,
-        workload,
-        cfg,
-        dist,
-        &ScalePlan::default(),
-        None,
-        sink,
-    )
-}
-
-/// [`serve_dist`] with a seeded [`FaultPlan`] injecting mid-run failures —
-/// the cluster-scale chaos entry point. Conservation
-/// (`finished + dropped == offered`) holds exactly as it does for
-/// single-chip [`crate::serve_with_faults`]; the chaos suite pins it.
-///
-/// # Errors
-///
-/// As [`serve_dist`].
-pub fn serve_dist_with_faults(
-    accel: &Accelerator,
-    model: &Model,
-    workload: &[RequestSpec],
-    cfg: &EngineConfig,
-    dist: &DistServeConfig,
-    faults: Option<FaultPlan>,
-) -> Result<DistServeMetrics, ServeError> {
-    let mut sink = flat_telemetry::NoopSink;
-    serve_dist_elastic(
-        accel,
-        model,
-        workload,
-        cfg,
-        dist,
-        &ScalePlan::default(),
-        faults,
-        &mut sink,
-    )
-}
-
-/// The full-control cluster entry point: [`serve_dist`] plus an elastic
-/// [`ScalePlan`] (resize the cluster mid-run, with resident-KV migration
-/// priced point-to-point over the fabric and reported per event), an
-/// optional [`FaultPlan`], and a [`TraceSink`]. `dist.chips` is the
-/// starting size; each applied event rebuilds the fabric, rescales the
-/// modeled compute/bandwidth, and grows or shrinks the pooled KV capacity
-/// (evicting by priority when the resident set no longer fits).
-///
-/// # Errors
-///
-/// As [`serve_dist`], plus [`ServeError::InvalidConfig`] for a malformed
+/// [`ServeError::InvalidConfig`] for a zero-chip cluster or a malformed
 /// plan (non-finite time or zero-chip target).
 #[allow(clippy::too_many_arguments)]
 pub fn serve_dist_elastic(
@@ -541,16 +487,17 @@ pub fn serve_dist_elastic(
     }
     plan.validate()?;
     let plane = DistPlane::new(model, dist);
-    let (serve, plane) = run_dist_engine(
+    let (serve, plane) = Engine::new(
         accel,
         model,
         workload,
         cfg,
-        plane,
         faults,
+        plane,
         &plan.sorted(),
         sink,
-    )?;
+    )?
+    .run()?;
     let shard_capacity = (serve.kv.total_blocks / plane.chips().max(1)).max(1);
     let per_shard_kv_peak_occupancy = plane
         .per_shard_peak
@@ -581,6 +528,7 @@ mod tests {
     use super::*;
     use crate::engine::serve;
     use crate::workload::WorkloadSpec;
+    use flat_telemetry::NoopSink;
     use flat_workloads::Task;
 
     fn workload(n: usize) -> Vec<RequestSpec> {
@@ -596,8 +544,21 @@ mod tests {
         c
     }
 
-    /// The serving side of the acceptance criterion: one chip on a
-    /// fully-connected fabric is byte-identical to the plain engine.
+    /// A fixed-size, fault-free, untraced cluster run.
+    fn run_fixed(
+        accel: &Accelerator,
+        model: &Model,
+        wl: &[RequestSpec],
+        cfg: &EngineConfig,
+        dist: &DistServeConfig,
+    ) -> Result<DistServeMetrics, ServeError> {
+        let plan = ScalePlan::default();
+        serve_dist_elastic(accel, model, wl, cfg, dist, &plan, None, &mut NoopSink)
+    }
+
+    /// [`crate::serve`] is the 1-chip cluster, whatever the wiring: a
+    /// 1-chip ring with hd collectives and overlap pricing produces the
+    /// same engine metrics byte for byte.
     #[test]
     fn one_chip_cluster_reproduces_single_chip_serving() {
         let model = Model::by_name("bert").unwrap();
@@ -605,14 +566,10 @@ mod tests {
         let wl = workload(12);
         let c = cfg(&accel, &model);
         let plain = serve(&accel, &model, &wl, &c).unwrap();
-        let dist = serve_dist(
-            &accel,
-            &model,
-            &wl,
-            &c,
-            &DistServeConfig::new(1, Topology::FullyConnected),
-        )
-        .unwrap();
+        let mut one = DistServeConfig::new(1, Topology::Ring);
+        one.algo = CollectiveAlgo::HalvingDoubling;
+        one.overlap = true;
+        let dist = run_fixed(&accel, &model, &wl, &c, &one).unwrap();
         assert_eq!(
             dist.serve.to_json(),
             plain.to_json(),
@@ -638,8 +595,8 @@ mod tests {
         serial.algo = CollectiveAlgo::HalvingDoubling;
         let mut overlapped = serial;
         overlapped.overlap = true;
-        let s = serve_dist(&accel, &model, &wl, &c, &serial).unwrap();
-        let o = serve_dist(&accel, &model, &wl, &c, &overlapped).unwrap();
+        let s = run_fixed(&accel, &model, &wl, &c, &serial).unwrap();
+        let o = run_fixed(&accel, &model, &wl, &c, &overlapped).unwrap();
         assert_eq!(
             s.fabric_exposed_ms, s.fabric_busy_ms,
             "serial pricing exposes everything"
@@ -674,7 +631,7 @@ mod tests {
         let accel = Accelerator::edge();
         let wl = workload(16);
         let c = cfg(&accel, &model);
-        let one = serve_dist(
+        let one = run_fixed(
             &accel,
             &model,
             &wl,
@@ -682,7 +639,7 @@ mod tests {
             &DistServeConfig::new(1, Topology::Ring),
         )
         .unwrap();
-        let four = serve_dist(
+        let four = run_fixed(
             &accel,
             &model,
             &wl,
@@ -705,7 +662,7 @@ mod tests {
         let model = Model::by_name("bert").unwrap();
         let accel = Accelerator::edge();
         let wl = workload(16);
-        let m = serve_dist(
+        let m = run_fixed(
             &accel,
             &model,
             &wl,
@@ -734,8 +691,8 @@ mod tests {
         let wl = workload(8);
         let c = cfg(&accel, &model);
         let d = DistServeConfig::new(2, Topology::Ring);
-        let a = serve_dist(&accel, &model, &wl, &c, &d).unwrap();
-        let b = serve_dist(&accel, &model, &wl, &c, &d).unwrap();
+        let a = run_fixed(&accel, &model, &wl, &c, &d).unwrap();
+        let b = run_fixed(&accel, &model, &wl, &c, &d).unwrap();
         assert_eq!(a.to_json(), b.to_json());
         assert!(a.to_json().contains("fabric_busy_ms"));
     }
@@ -746,7 +703,66 @@ mod tests {
         let accel = Accelerator::edge();
         let mut d = DistServeConfig::new(1, Topology::Ring);
         d.chips = 0;
-        let err = serve_dist(&accel, &model, &workload(2), &cfg(&accel, &model), &d).unwrap_err();
+        let err = run_fixed(&accel, &model, &workload(2), &cfg(&accel, &model), &d).unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)));
+    }
+
+    /// Regression: resizing to a huge cluster used to allocate a dense
+    /// `span × span` move matrix (80 GB at 100k chips) and abort. Only
+    /// the blocks that change home are counted now.
+    #[test]
+    fn resize_to_a_huge_cluster_prices_only_the_moved_blocks() {
+        let model = Model::by_name("bert").unwrap();
+        let accel = Accelerator::cloud();
+        let mut spec = WorkloadSpec::from_task(Task::ShortNlp, 32, 800.0);
+        spec.prompt_mean = 48;
+        spec.output_mean = 8;
+        let wl = spec.generate(3).unwrap();
+        let mut c = EngineConfig::for_platform(&accel, &model, 3);
+        c.kv_budget = flat_tensor::Bytes::from_mib(4);
+        let m = serve_dist_elastic(
+            &accel,
+            &model,
+            &wl,
+            &c,
+            &DistServeConfig::new(2, Topology::Ring),
+            &ScalePlan::new(&[(5.0, 100_000)]),
+            None,
+            &mut NoopSink,
+        )
+        .unwrap();
+        assert_eq!(m.scale_events.len(), 1);
+        assert_eq!(m.scale_events[0].migrated_blocks, 3);
+        assert_eq!(m.chips_final, 100_000);
+    }
+
+    /// The sparse move count prices exactly what the dense matrix did:
+    /// per source, sends summed in ascending dest order; the stall is
+    /// the slowest source.
+    #[test]
+    fn migration_cost_matches_the_dense_reference() {
+        let model = Model::by_name("bert").unwrap();
+        for (from, to, used) in [(2, 4, 37), (4, 2, 37), (3, 8, 100), (8, 3, 5), (5, 5, 9)] {
+            let plane = DistPlane::new(&model, &DistServeConfig::new(from, Topology::Ring));
+            let (blocks, bytes, stall) = plane.migration_cost(used, 1024.0, to);
+            let span = from.max(to);
+            let pricing = Fabric::new(span, Topology::Ring, Link::cloud());
+            let (mut want_blocks, mut want_stall) = (0u64, 0.0f64);
+            for s in 0..span {
+                let mut src_s = 0.0;
+                for d in 0..span {
+                    let n = (0..used).filter(|b| b % from == s && b % to == d && s != d);
+                    let n = n.count() as u64;
+                    if n > 0 {
+                        want_blocks += n;
+                        src_s += pricing.p2p_s(n * 1024, s, d);
+                    }
+                }
+                want_stall = want_stall.max(src_s);
+            }
+            assert_eq!(blocks, want_blocks, "{from} -> {to}");
+            assert_eq!(bytes, want_blocks as f64 * 1024.0);
+            assert_eq!(stall.to_bits(), want_stall.to_bits(), "{from} -> {to}");
+        }
     }
 }

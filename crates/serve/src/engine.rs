@@ -27,13 +27,17 @@
 //! surface as [`ServeError`]s; and a scheduler that stops making progress
 //! trips a tick cap into [`ServeError::Livelock`] instead of hanging.
 
-use crate::dist::{CollectiveSlice, DistPlane, ScaleEvent, ScaleEventRecord};
+use crate::dist::{
+    serve_dist_elastic, CollectiveSlice, DistPlane, DistServeConfig, ScaleEvent, ScaleEventRecord,
+    ScalePlan,
+};
 use crate::error::{DropReason, ServeError};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::kv::{KvLayout, KvPool};
 use crate::metrics::{KvPoolStats, ServeMetrics, WindowSample};
 use crate::request::{Phase, Request, RequestSpec};
 use flat_arch::Accelerator;
+use flat_dist::Topology;
 use flat_kernels::{decode_attention_with, ComputePrecision};
 use flat_telemetry::{Event, NoopSink, TraceSink};
 use flat_tensor::{Bytes, SoftmaxKind};
@@ -134,7 +138,14 @@ fn model_params(model: &Model) -> f64 {
     model.blocks() as f64 * (4.0 * h * h + 2.0 * h * ffn)
 }
 
-/// Runs a request stream to completion and reports the metrics.
+/// Runs a request stream to completion on one accelerator and reports
+/// the metrics.
+///
+/// Single-chip serving is the degenerate cluster: this is
+/// [`serve_dist_elastic`] on a 1-chip fully-connected fabric with no
+/// resizes, no faults and no trace, returning the engine metrics. One
+/// chip owes no collectives and scales nothing, so this is exactly the
+/// single-accelerator engine.
 ///
 /// Every request in `workload` is accounted for exactly once: it either
 /// finishes, or is dropped with a typed [`DropReason`] (infeasible
@@ -154,107 +165,22 @@ pub fn serve(
     workload: &[RequestSpec],
     cfg: &EngineConfig,
 ) -> Result<ServeMetrics, ServeError> {
-    serve_with_faults(accel, model, workload, cfg, None)
-}
-
-/// [`serve`], recording the run into a [`TraceSink`]: per-request
-/// lifecycle spans (queued → prefill chunks → decode steps →
-/// finished/dropped/preempted) and per-tick KV/queue counter tracks, all
-/// stamped on the deterministic virtual clock — so for a fixed workload
-/// and seed the trace is byte-reproducible. With a
-/// [`NoopSink`] this is exactly [`serve`]: the sink is
-/// consulted before any event is built, and the metrics are untouched
-/// either way (a test diffs the JSON).
-///
-/// # Errors
-///
-/// As [`serve`].
-pub fn serve_traced(
-    accel: &Accelerator,
-    model: &Model,
-    workload: &[RequestSpec],
-    cfg: &EngineConfig,
-    sink: &mut dyn TraceSink,
-) -> Result<ServeMetrics, ServeError> {
-    serve_with_faults_traced(accel, model, workload, cfg, None, sink)
-}
-
-/// [`serve_with_faults`] with a [`TraceSink`] attached — chaos runs are
-/// traceable too (fault-injected clock skew lands in the trace exactly
-/// as it lands in the metrics).
-///
-/// # Errors
-///
-/// As [`serve`].
-pub fn serve_with_faults_traced(
-    accel: &Accelerator,
-    model: &Model,
-    workload: &[RequestSpec],
-    cfg: &EngineConfig,
-    faults: Option<FaultPlan>,
-    sink: &mut dyn TraceSink,
-) -> Result<ServeMetrics, ServeError> {
-    Ok(
-        Engine::new(accel, model, workload, cfg, faults, None, &[], sink)?
-            .run()?
-            .0,
-    )
-}
-
-/// [`serve`], with a seeded [`FaultPlan`] injecting mid-run failures —
-/// the chaos-testing entry point. `faults: None` is exactly [`serve`].
-///
-/// # Errors
-///
-/// As [`serve`]. Injected faults never produce an error by themselves:
-/// the engine sheds what the faults make unservable and reports it in the
-/// metrics' drop counters.
-pub fn serve_with_faults(
-    accel: &Accelerator,
-    model: &Model,
-    workload: &[RequestSpec],
-    cfg: &EngineConfig,
-    faults: Option<FaultPlan>,
-) -> Result<ServeMetrics, ServeError> {
-    let mut sink = NoopSink;
-    serve_with_faults_traced(accel, model, workload, cfg, faults, &mut sink)
-}
-
-/// Runs the engine with a distributed plane attached: the cluster's
-/// pooled KV capacity, scaled-out compute, and per-tick collective time
-/// on the virtual clock. Returns the metrics plus the plane with its
-/// accumulated fabric totals. Called by [`crate::dist::serve_dist`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_dist_engine(
-    accel: &Accelerator,
-    model: &Model,
-    workload: &[RequestSpec],
-    cfg: &EngineConfig,
-    plane: DistPlane,
-    faults: Option<FaultPlan>,
-    scale: &[ScaleEvent],
-    sink: &mut dyn TraceSink,
-) -> Result<(ServeMetrics, DistPlane), ServeError> {
-    let (metrics, plane) = Engine::new(
+    serve_dist_elastic(
         accel,
         model,
         workload,
         cfg,
-        faults,
-        Some(plane),
-        scale,
-        sink,
-    )?
-    .run()?;
-    match plane {
-        Some(p) => Ok((metrics, p)),
-        None => Err(ServeError::Internal(
-            "distributed plane lost during the run",
-        )),
-    }
+        &DistServeConfig::new(1, Topology::FullyConnected),
+        &ScalePlan::default(),
+        None,
+        &mut NoopSink,
+    )
+    .map(|m| m.serve)
 }
 
-struct Engine<'t> {
+/// One serving run: the request queues, the KV pool, and the cluster
+/// plane the ticks are priced on (one chip for [`serve`]).
+pub(crate) struct Engine<'t> {
     cfg: EngineConfig,
     layout: KvLayout,
     pool: KvPool,
@@ -269,8 +195,8 @@ struct Engine<'t> {
     /// Requests shed with a typed reason.
     dropped: Vec<Request>,
     injector: Option<FaultInjector>,
-    /// Distributed plane: collective pricing + per-shard accounting.
-    dist: Option<DistPlane>,
+    /// Cluster plane: collective pricing + per-shard accounting.
+    plane: DistPlane,
     now_ms: f64,
     ticks: u64,
     prefill_tokens: u64,
@@ -397,13 +323,13 @@ fn victim_index(running: &[Request]) -> Option<usize> {
 
 impl<'t> Engine<'t> {
     #[allow(clippy::too_many_arguments)]
-    fn new(
+    pub(crate) fn new(
         accel: &Accelerator,
         model: &Model,
         workload: &[RequestSpec],
         cfg: &EngineConfig,
         faults: Option<FaultPlan>,
-        dist: Option<DistPlane>,
+        plane: DistPlane,
         scale: &[ScaleEvent],
         sink: &'t mut dyn TraceSink,
     ) -> Result<Self, ServeError> {
@@ -415,7 +341,7 @@ impl<'t> Engine<'t> {
         // A cluster pools every chip's KV budget (pages striped across
         // shards) and executes tensor-parallel, so compute and bandwidth
         // scale with the chip count. One chip leaves everything exact.
-        let chips = dist.as_ref().map_or(1, DistPlane::chips);
+        let chips = plane.chips();
         let blocks_per_chip = layout.blocks_in_budget(cfg.kv_budget);
         let total_blocks = blocks_per_chip * chips;
         // Malformed specs (non-finite arrival, zero lengths) can never be
@@ -441,7 +367,6 @@ impl<'t> Engine<'t> {
         if sink.enabled() {
             sink.record(Event::process_name(TRACE_PID_ENGINE, "flat-serve engine"));
             sink.record(Event::thread_name(TRACE_PID_ENGINE, 0, "scheduler"));
-            let chips = dist.as_ref().map_or(1, DistPlane::chips);
             if chips > 1 {
                 for c in 0..chips {
                     let pid = 1 + c as u32;
@@ -476,7 +401,7 @@ impl<'t> Engine<'t> {
             finished: Vec::new(),
             dropped,
             injector: faults.map(|plan| FaultInjector::new(plan, total_blocks)),
-            dist,
+            plane,
             now_ms: 0.0,
             ticks: 0,
             prefill_tokens: 0,
@@ -508,7 +433,9 @@ impl<'t> Engine<'t> {
         })
     }
 
-    fn run(mut self) -> Result<(ServeMetrics, Option<DistPlane>), ServeError> {
+    /// Runs the stream to completion; returns the engine metrics and the
+    /// plane with its accumulated fabric totals.
+    pub(crate) fn run(mut self) -> Result<(ServeMetrics, DistPlane), ServeError> {
         let total = self.incoming.len() + self.dropped.len();
         while self.finished.len() + self.dropped.len() < total {
             self.ticks += 1;
@@ -532,31 +459,29 @@ impl<'t> Engine<'t> {
             self.admit_waiting();
             let work = self.execute_tick();
             let mut cost_s = self.tick_cost_s(&work);
-            let mut coll_slices: Vec<CollectiveSlice> = Vec::new();
-            let mut tick_exposed_ms = 0.0;
-            if let Some(plane) = self.dist.as_mut() {
-                // Collective time rides the same virtual clock as
-                // compute: the tick is not done until the fabric is.
-                // Under overlap pricing only the part compute cannot
-                // hide extends the tick — `max(compute, collective)`
-                // instead of their sum.
-                let tokens = work.prefill_tokens + work.decode_steps;
-                let coll_s = plane.collective_s(tokens);
-                let payload = plane.tick_payload_bytes(tokens);
-                let exposed_s = if plane.overlap() {
-                    (coll_s - cost_s).max(0.0)
-                } else {
-                    coll_s
-                };
-                plane.fabric_busy_ms += coll_s * 1e3;
-                plane.exposed_ms += exposed_s * 1e3;
-                plane.payload_bytes += payload;
-                cost_s += exposed_s;
-                tick_exposed_ms = exposed_s * 1e3;
-                if self.sink.enabled() {
-                    coll_slices = plane.collective_slices(tokens);
-                }
-            }
+            // Collective time rides the same virtual clock as compute: the
+            // tick is not done until the fabric is. Under overlap pricing
+            // only the part compute cannot hide extends the tick —
+            // `max(compute, collective)` instead of their sum. One chip
+            // owes no collectives, so its ticks are pure compute.
+            let tokens = work.prefill_tokens + work.decode_steps;
+            let plane = &mut self.plane;
+            let coll_s = plane.collective_s(tokens);
+            let exposed_s = if plane.overlap() {
+                (coll_s - cost_s).max(0.0)
+            } else {
+                coll_s
+            };
+            plane.fabric_busy_ms += coll_s * 1e3;
+            plane.exposed_ms += exposed_s * 1e3;
+            plane.payload_bytes += plane.tick_payload_bytes(tokens);
+            cost_s += exposed_s;
+            let tick_exposed_ms = exposed_s * 1e3;
+            let coll_slices: Vec<CollectiveSlice> = if self.sink.enabled() {
+                plane.collective_slices(tokens)
+            } else {
+                Vec::new()
+            };
             let skew = self
                 .injector
                 .as_mut()
@@ -576,9 +501,7 @@ impl<'t> Engine<'t> {
                     }
                 }
             }
-            if let Some(plane) = self.dist.as_mut() {
-                plane.observe_used_blocks(self.pool.used_blocks());
-            }
+            self.plane.observe_used_blocks(self.pool.used_blocks());
             if self.sink.enabled() {
                 self.flush_tick_events(
                     tick_start_ms,
@@ -631,7 +554,7 @@ impl<'t> Engine<'t> {
                 &tenant_block_ms,
                 std::mem::take(&mut self.windows),
             ),
-            self.dist,
+            self.plane,
         ))
     }
 
@@ -676,7 +599,7 @@ impl<'t> Engine<'t> {
             } else {
                 0.0
             },
-            chips: self.dist.as_ref().map_or(1, DistPlane::chips),
+            chips: self.plane.chips(),
             // The sampler parks `next_window_end` at infinity when it
             // hits MAX_WINDOWS; any close after that is the collapsed
             // tail, not a nominal-width window.
@@ -706,11 +629,7 @@ impl<'t> Engine<'t> {
             let Some(ev) = self.scale_plan.pop_front() else {
                 break;
             };
-            let Some(from) = self.dist.as_ref().map(DistPlane::chips) else {
-                // No distributed plane: elastic events have nothing to
-                // resize (single-chip entry points pass an empty plan).
-                continue;
-            };
+            let from = self.plane.chips();
             let to = ev.chips.max(1);
             if to == from {
                 continue;
@@ -720,10 +639,8 @@ impl<'t> Engine<'t> {
             // resident *now* is what moves.
             let block_bytes = self.kv_bytes_per_token * self.cfg.block_tokens as f64;
             let used = self.pool.used_blocks();
-            let (migrated_blocks, migrated_bytes, stall_s) = match self.dist.as_ref() {
-                Some(p) => p.migration_cost(used, block_bytes, to),
-                None => (0, 0.0, 0.0),
-            };
+            let (migrated_blocks, migrated_bytes, stall_s) =
+                self.plane.migration_cost(used, block_bytes, to);
             // Capacity follows the chip count.
             let new_total = self.blocks_per_chip * to;
             let mut preempted = 0u64;
@@ -748,9 +665,7 @@ impl<'t> Engine<'t> {
                     }
                 }
             }
-            if let Some(plane) = self.dist.as_mut() {
-                plane.rescale(to);
-            }
+            self.plane.rescale(to);
             self.peak_flops = self.base_peak_flops * to as f64;
             self.offchip_bytes_per_s = self.base_offchip_bytes_per_s * to as f64;
             let migration_ms = stall_s * 1e3;
@@ -769,18 +684,16 @@ impl<'t> Engine<'t> {
                     .arg("migrated_blocks", migrated_blocks),
                 );
             }
-            if let Some(plane) = self.dist.as_mut() {
-                plane.scale_log.push(ScaleEventRecord {
-                    at_ms: ev.at_ms,
-                    applied_ms,
-                    from_chips: from,
-                    to_chips: to,
-                    migrated_blocks,
-                    migrated_bytes,
-                    migration_ms,
-                    preempted,
-                });
-            }
+            self.plane.scale_log.push(ScaleEventRecord {
+                at_ms: ev.at_ms,
+                applied_ms,
+                from_chips: from,
+                to_chips: to,
+                migrated_blocks,
+                migrated_bytes,
+                migration_ms,
+                preempted,
+            });
         }
     }
 
@@ -830,15 +743,12 @@ impl<'t> Engine<'t> {
                     TRACE_PID_ENGINE,
                     0,
                 )
-                .arg(
-                    "overlap",
-                    u64::from(self.dist.as_ref().is_some_and(DistPlane::overlap)),
-                ),
+                .arg("overlap", u64::from(self.plane.overlap())),
             );
         }
         // Collectives close flush with the tick: stack the slices (skew
         // scales them exactly as it scaled the tick) back from `stamp`.
-        let chips = self.dist.as_ref().map_or(0, DistPlane::chips);
+        let chips = self.plane.chips();
         let total_us: f64 = coll.iter().map(|s| s.dur_s * 1e3 * US_PER_MS * skew).sum();
         let mut t0 = stamp_ms * US_PER_MS - total_us;
         for s in coll {

@@ -159,9 +159,10 @@ struct Block {
     v: Vec<f32>,
 }
 
-/// The physical pool: every block pre-allocated, recycled through a free
-/// list. Blocks are handed to requests via their [`BlockTable`]s and
-/// returned wholesale on release or preemption.
+/// The physical pool: the initial blocks pre-allocated, recycled through a
+/// free list. Blocks are handed to requests via their [`BlockTable`]s and
+/// returned wholesale on release or preemption. Blocks [`grow`](Self::grow)
+/// adds are allocated only when a request first takes one.
 ///
 /// # Example
 ///
@@ -185,6 +186,9 @@ pub struct KvPool {
     dk: usize,
     blocks: Vec<Block>,
     free: Vec<usize>,
+    /// Grown blocks no request has taken yet: ids from `blocks.len()` up,
+    /// free and unallocated.
+    fresh: usize,
     /// Blocks confiscated by the fault injector: permanently removed from
     /// circulation (ids stay valid so live tables are unaffected).
     quarantined: usize,
@@ -232,6 +236,7 @@ impl KvPool {
             dk,
             blocks,
             free,
+            fresh: 0,
             quarantined: 0,
             peak_used: 0,
             refs: vec![0; total_blocks],
@@ -246,13 +251,13 @@ impl KvPool {
     /// Total blocks in the pool (quarantined blocks excluded).
     #[must_use]
     pub fn total_blocks(&self) -> usize {
-        self.blocks.len() - self.quarantined
+        self.blocks.len() + self.fresh - self.quarantined
     }
 
-    /// Blocks on the free list.
+    /// Blocks free to take.
     #[must_use]
     pub fn free_blocks(&self) -> usize {
-        self.free.len()
+        self.free.len() + self.fresh
     }
 
     /// Blocks currently held by block tables.
@@ -266,7 +271,9 @@ impl KvPool {
     /// are never touched, and at least one block always survives so a
     /// pool keeps existing. Returns how many blocks were taken.
     pub fn confiscate(&mut self, n: usize) -> usize {
-        let mut taken = 0;
+        // Never-taken grown blocks go first: they hold no storage.
+        let mut taken = n.min(self.fresh).min(self.total_blocks().saturating_sub(1));
+        self.fresh -= taken;
         while taken < n && self.total_blocks() > 1 && !self.free.is_empty() {
             self.free.pop();
             self.quarantined += 1;
@@ -301,8 +308,19 @@ impl KvPool {
         assert_eq!(v.len(), self.dk, "value row width must match the pool");
         let slot = table.tokens % self.block_tokens;
         if slot == 0 {
-            let Some(id) = self.free.pop() else {
-                return false;
+            let id = match self.free.pop() {
+                Some(id) => id,
+                None if self.fresh > 0 => {
+                    self.fresh -= 1;
+                    self.blocks.push(Block {
+                        k: vec![0.0; self.block_tokens * self.dk],
+                        v: vec![0.0; self.block_tokens * self.dk],
+                    });
+                    self.refs.push(0);
+                    self.seal_hash.push(None);
+                    self.blocks.len() - 1
+                }
+                None => return false,
             };
             self.refs[id] = 1;
             table.blocks.push(id);
@@ -402,19 +420,12 @@ impl KvPool {
         false
     }
 
-    /// Adds `n` fresh zeroed blocks to the pool — the elastic scale-up
-    /// path. New ids extend the id space; existing tables are unaffected.
+    /// Adds `n` free blocks to the pool — the elastic scale-up path. New
+    /// ids extend the id space; existing tables are unaffected. A block
+    /// is allocated when a request first takes it, so growing to a huge
+    /// cluster costs nothing up front.
     pub fn grow(&mut self, n: usize) {
-        for _ in 0..n {
-            let id = self.blocks.len();
-            self.blocks.push(Block {
-                k: vec![0.0; self.block_tokens * self.dk],
-                v: vec![0.0; self.block_tokens * self.dk],
-            });
-            self.refs.push(0);
-            self.seal_hash.push(None);
-            self.free.push(id);
-        }
+        self.fresh += n;
     }
 
     /// Seal operations that attached to an already-resident shared block.
@@ -655,8 +666,11 @@ mod tests {
         assert!(!pool.try_append(&mut b, &[2.0], &[2.0]));
         pool.grow(2);
         assert_eq!(pool.total_blocks(), 3);
+        assert_eq!(pool.free_blocks(), 2);
         assert!(pool.try_append(&mut b, &[2.0], &[2.0]));
         assert_eq!(pool.rows(&a).next().map(|(k, _)| k[0]), Some(1.0));
+        assert_eq!(pool.rows(&b).next().map(|(k, _)| k[0]), Some(2.0));
+        assert_eq!((pool.used_blocks(), pool.free_blocks()), (2, 1));
     }
 
     use proptest::prelude::*;
@@ -664,17 +678,17 @@ mod tests {
     proptest! {
         /// Free-list hardening (the invariant COW refcounting depends on):
         /// any interleaving of appends, prefix seals, releases (preempt-by-
-        /// recompute uses this exact path), and confiscations keeps the
+        /// recompute uses this exact path), confiscations and grows keeps the
         /// accounting exact — no double-free, no leaked blocks, and the
         /// occupancy gauge returns to baseline once every table releases.
         #[test]
         fn pool_conserves_blocks_under_churn(
-            ops in proptest::collection::vec((0u8..4, 0usize..6, 0usize..40), 1..120),
+            ops in proptest::collection::vec((0u8..5, 0usize..6, 0usize..40), 1..120),
         ) {
             let (blocks, bt, dk) = (12, 2, 2);
             let mut pool = KvPool::new(blocks, bt, dk);
             let mut tables: Vec<BlockTable> = (0..6).map(|_| BlockTable::new()).collect();
-            let mut confiscated = 0;
+            let (mut confiscated, mut grown) = (0, 0);
             for (op, who, n) in ops {
                 let t = &mut tables[who];
                 match op {
@@ -687,13 +701,17 @@ mod tests {
                     },
                     // Preempt-by-recompute: release, then later re-append.
                     2 => pool.release(t),
-                    _ => confiscated += pool.confiscate(n % 3),
+                    3 => confiscated += pool.confiscate(n % 3),
+                    _ => {
+                        pool.grow(n % 3);
+                        grown += n % 3;
+                    }
                 }
                 // Conservation at every step: free + used + quarantined
                 // covers the id space exactly.
                 prop_assert_eq!(
                     pool.free_blocks() + pool.used_blocks(),
-                    blocks - confiscated
+                    blocks + grown - confiscated
                 );
                 // Logical never undercounts physical.
                 prop_assert!(pool.logical_used_blocks() >= pool.used_blocks());
@@ -707,7 +725,7 @@ mod tests {
             }
             prop_assert_eq!(pool.used_blocks(), 0);
             prop_assert_eq!(pool.logical_used_blocks(), 0);
-            prop_assert_eq!(pool.free_blocks(), blocks - confiscated);
+            prop_assert_eq!(pool.free_blocks(), blocks + grown - confiscated);
         }
 
         /// Every table always reads back exactly the rows it appended,

@@ -21,26 +21,29 @@
 //! * [`ServeError`] / [`DropReason`] — the robustness layer: typed errors
 //!   instead of panics, admission-time rejection of provably unservable
 //!   requests, and deadline (SLO) shedding with per-reason drop counters;
-//! * [`FaultPlan`] / [`serve_with_faults`] — seeded fault injection
-//!   (mid-run KV-pool shrinkage, corrupted specs, NaN latencies, clock
-//!   skew) backing the chaos test suite;
 //! * [`WorkloadSpec`] — synthetic Poisson traffic with prompt/output
 //!   lengths drawn from the paper's long-sequence `Task` presets, plus an
 //!   optional per-request SLO;
 //! * [`ServeMetrics`] — per-request TTFT/TPOT/E2E percentiles,
 //!   throughput *and* goodput, drop-reason counters, and KV-pool
 //!   occupancy, serialized to JSON for the bench snapshots;
-//! * [`serve_dist`] / [`DistServeConfig`] — the same engine on a
-//!   multi-accelerator cluster: pooled KV capacity striped across
-//!   shards, tensor-parallel tick pricing, and `flat-dist` collective
-//!   time paid on the virtual clock, reported via
-//!   [`DistServeMetrics`];
-//! * [`serve_traced`] / [`serve_dist_traced`] — the observability layer:
-//!   every run can stream per-request lifecycle spans (queued → prefill
-//!   → decode → finished/dropped/preempted), KV/queue/scheduler counter
-//!   tracks, and per-chip collective slices into a
-//!   [`flat_telemetry::TraceSink`], stamped on the deterministic virtual
-//!   clock so fixed seeds give byte-identical Perfetto traces.
+//! * [`serve_dist_elastic`] / [`DistServeConfig`] — the one full-control
+//!   entry point. It runs the same engine on a multi-accelerator cluster
+//!   (pooled KV capacity striped across shards, tensor-parallel tick
+//!   pricing, `flat-dist` collective time paid on the virtual clock,
+//!   reported via [`DistServeMetrics`]) and takes three more inputs:
+//!   - an elastic [`ScalePlan`] that resizes the cluster mid-run;
+//!   - a seeded [`FaultPlan`] (mid-run KV-pool shrinkage, corrupted
+//!     specs, NaN latencies, clock skew) backing the chaos test suite;
+//!   - a [`flat_telemetry::TraceSink`] that records per-request
+//!     lifecycle spans (queued → prefill → decode →
+//!     finished/dropped/preempted), KV/queue/scheduler counter tracks,
+//!     and per-chip collective slices, stamped on the deterministic
+//!     virtual clock so fixed seeds give byte-identical Perfetto traces.
+//!
+//! [`serve`] is [`serve_dist_elastic`] on a 1-chip cluster with no
+//! resizes, no faults and no trace: single-chip serving is the
+//! degenerate cluster, and both share one engine path.
 //!
 //! # Example
 //!
@@ -78,10 +81,9 @@ mod request;
 mod workload;
 
 pub use dist::{
-    serve_dist, serve_dist_elastic, serve_dist_traced, serve_dist_with_faults, DistServeConfig,
-    DistServeMetrics, ScaleEvent, ScaleEventRecord, ScalePlan,
+    serve_dist_elastic, DistServeConfig, DistServeMetrics, ScaleEvent, ScaleEventRecord, ScalePlan,
 };
-pub use engine::{serve, serve_traced, serve_with_faults, serve_with_faults_traced, EngineConfig};
+pub use engine::{serve, EngineConfig};
 pub use error::{DropReason, ServeError};
 pub use faults::{FaultInjector, FaultPlan};
 pub use flat_kernels::ComputePrecision;

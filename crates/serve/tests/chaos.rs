@@ -12,11 +12,31 @@
 //!   fatal, and no rate is ever `inf`.
 
 use flat_arch::Accelerator;
-use flat_serve::{serve_with_faults, EngineConfig, FaultPlan, ServeMetrics, WorkloadSpec};
+use flat_dist::Topology;
+use flat_serve::{
+    serve_dist_elastic, DistServeConfig, DistServeMetrics, EngineConfig, FaultPlan, RequestSpec,
+    ScalePlan, ServeError, ServeMetrics, WorkloadSpec,
+};
+use flat_telemetry::NoopSink;
 use flat_tensor::Bytes;
 use flat_workloads::{Model, Task};
 
-fn workload(requests: usize, seed: u64, slo_ms: Option<f64>) -> Vec<flat_serve::RequestSpec> {
+/// A fixed-size ring of `chips` with `faults` injected; one chip is
+/// single-chip serving.
+fn serve_faulted(
+    accel: &Accelerator,
+    model: &Model,
+    wl: &[RequestSpec],
+    cfg: &EngineConfig,
+    chips: usize,
+    faults: Option<FaultPlan>,
+) -> Result<DistServeMetrics, ServeError> {
+    let dist = DistServeConfig::new(chips, Topology::Ring);
+    let plan = ScalePlan::default();
+    serve_dist_elastic(accel, model, wl, cfg, &dist, &plan, faults, &mut NoopSink)
+}
+
+fn workload(requests: usize, seed: u64, slo_ms: Option<f64>) -> Vec<RequestSpec> {
     let mut spec = WorkloadSpec::from_task(Task::ShortNlp, requests, 400.0);
     spec.prompt_mean = 40; // scaled down so the suite stays fast
     spec.output_mean = 6;
@@ -33,8 +53,9 @@ fn run_chaos(name: &str, plan: FaultPlan, slo_ms: Option<f64>, kv_mib: u64) -> S
     let mut cfg = EngineConfig::for_platform(&accel, &model, plan.seed);
     cfg.kv_budget = Bytes::from_mib(kv_mib);
     cfg.max_batch = 6;
-    let m = serve_with_faults(&accel, &model, &wl, &cfg, Some(plan))
-        .unwrap_or_else(|e| panic!("{name}: engine must terminate cleanly, got {e}"));
+    let m = serve_faulted(&accel, &model, &wl, &cfg, 1, Some(plan))
+        .unwrap_or_else(|e| panic!("{name}: engine must terminate cleanly, got {e}"))
+        .serve;
     // Conservation: offered = finished + dropped, with drop reasons that
     // add up to the drop count.
     assert_eq!(m.requests, wl.len(), "{name}: offered count");
@@ -172,8 +193,8 @@ fn chaos_faulted_runs_are_deterministic_in_seed() {
     plan.corrupt_workload(&mut wl);
     let mut cfg = EngineConfig::for_platform(&accel, &model, plan.seed);
     cfg.kv_budget = Bytes::from_mib(8);
-    let a = serve_with_faults(&accel, &model, &wl, &cfg, Some(plan)).unwrap();
-    let b = serve_with_faults(&accel, &model, &wl, &cfg, Some(plan)).unwrap();
+    let a = serve_faulted(&accel, &model, &wl, &cfg, 1, Some(plan)).unwrap();
+    let b = serve_faulted(&accel, &model, &wl, &cfg, 1, Some(plan)).unwrap();
     assert_eq!(
         a.to_json(),
         b.to_json(),
@@ -197,12 +218,8 @@ fn chaos_distributed_conserves_requests() {
             let mut cfg = EngineConfig::for_platform(&accel, &model, seed);
             cfg.kv_budget = Bytes::from_mib(8);
             cfg.max_batch = 6;
-            let dist = flat_serve::DistServeConfig::new(chips, flat_dist::Topology::Ring);
-            let m =
-                flat_serve::serve_dist_with_faults(&accel, &model, &wl, &cfg, &dist, Some(plan))
-                    .unwrap_or_else(|e| {
-                        panic!("chips={chips} seed={seed}: must terminate, got {e}")
-                    });
+            let m = serve_faulted(&accel, &model, &wl, &cfg, chips, Some(plan))
+                .unwrap_or_else(|e| panic!("chips={chips} seed={seed}: must terminate, got {e}"));
             let s = &m.serve;
             assert_eq!(s.requests, wl.len(), "chips={chips} seed={seed}: offered");
             assert_eq!(
@@ -319,12 +336,12 @@ fn faults_disabled_matches_plain_serve() {
     let wl = workload(16, 9, None);
     let cfg = EngineConfig::for_platform(&accel, &model, 9);
     let plain = flat_serve::serve(&accel, &model, &wl, &cfg).unwrap();
-    let quiet = serve_with_faults(&accel, &model, &wl, &cfg, Some(FaultPlan::quiet(123))).unwrap();
-    let none = serve_with_faults(&accel, &model, &wl, &cfg, None).unwrap();
-    assert_eq!(plain.to_json(), none.to_json());
+    let quiet = serve_faulted(&accel, &model, &wl, &cfg, 1, Some(FaultPlan::quiet(123))).unwrap();
+    let none = serve_faulted(&accel, &model, &wl, &cfg, 1, None).unwrap();
+    assert_eq!(plain.to_json(), none.serve.to_json());
     assert_eq!(
         plain.to_json(),
-        quiet.to_json(),
+        quiet.serve.to_json(),
         "a quiet plan must not perturb the run"
     );
 }

@@ -10,20 +10,20 @@
 //!   byte-identical across runs, chaos or not, because every timestamp
 //!   comes from the engine's virtual clock;
 //! * **zero overhead when off** — serving through a [`NoopSink`]
-//!   produces metrics JSON byte-identical to the untraced entry point.
+//!   produces metrics JSON byte-identical to a traced run.
 
 use flat_arch::Accelerator;
 use flat_dist::{Link, Topology};
 use flat_serve::{
-    serve, serve_dist, serve_dist_traced, serve_traced, serve_with_faults,
-    serve_with_faults_traced, DistServeConfig, EngineConfig, FaultPlan, WorkloadSpec,
+    serve, serve_dist_elastic, DistServeConfig, DistServeMetrics, EngineConfig, FaultPlan,
+    RequestSpec, ScalePlan, WorkloadSpec,
 };
-use flat_telemetry::{EventPhase, MemorySink, NoopSink};
+use flat_telemetry::{EventPhase, MemorySink, NoopSink, TraceSink};
 use flat_tensor::Bytes;
 use flat_workloads::{Model, Task};
 use std::collections::HashMap;
 
-fn workload(requests: usize, seed: u64) -> Vec<flat_serve::RequestSpec> {
+fn workload(requests: usize, seed: u64) -> Vec<RequestSpec> {
     let mut spec = WorkloadSpec::from_task(Task::ShortNlp, requests, 400.0);
     spec.prompt_mean = 40; // scaled down so the suite stays fast
     spec.output_mean = 6;
@@ -37,6 +37,34 @@ fn config(accel: &Accelerator, model: &Model, seed: u64) -> EngineConfig {
     cfg
 }
 
+/// A fixed-size cluster run; `DistServeConfig::new(1, ..)` is
+/// single-chip serving.
+fn run(
+    wl: &[RequestSpec],
+    cfg: &EngineConfig,
+    dist: &DistServeConfig,
+    faults: Option<FaultPlan>,
+    sink: &mut dyn TraceSink,
+) -> DistServeMetrics {
+    let model = Model::by_name("bert").expect("bert exists");
+    let plan = ScalePlan::default();
+    serve_dist_elastic(
+        &Accelerator::edge(),
+        &model,
+        wl,
+        cfg,
+        dist,
+        &plan,
+        faults,
+        sink,
+    )
+    .expect("engine terminates")
+}
+
+fn one_chip() -> DistServeConfig {
+    DistServeConfig::new(1, Topology::FullyConnected)
+}
+
 /// Every event has the required Chrome trace-event fields, and spans
 /// balance per `(pid, tid)` lane.
 #[test]
@@ -46,7 +74,7 @@ fn trace_schema_is_well_formed_and_spans_balance() {
     let wl = workload(24, 11);
     let cfg = config(&accel, &model, 11);
     let mut sink = MemorySink::new();
-    let metrics = serve_traced(&accel, &model, &wl, &cfg, &mut sink).expect("engine terminates");
+    let metrics = run(&wl, &cfg, &one_chip(), None, &mut sink).serve;
     assert!(metrics.finished > 0, "some requests must finish");
     assert!(!sink.events.is_empty(), "tracing must record events");
 
@@ -106,8 +134,7 @@ fn trace_is_byte_deterministic_for_fixed_seed() {
             }
             let cfg = config(&accel, &model, 42);
             let mut sink = MemorySink::new();
-            serve_with_faults_traced(&accel, &model, &wl, &cfg, plan, &mut sink)
-                .expect("engine terminates");
+            run(&wl, &cfg, &one_chip(), plan, &mut sink);
             docs.push(sink.to_chrome_trace());
         }
         assert_eq!(
@@ -121,8 +148,7 @@ fn trace_is_byte_deterministic_for_fixed_seed() {
 }
 
 /// Serving through the disabled sink yields metrics byte-identical to
-/// the untraced entry points: tracing observes the run, never perturbs
-/// it.
+/// a traced run: tracing observes the run, never perturbs it.
 #[test]
 fn noop_sink_run_matches_untraced_metrics_byte_for_byte() {
     let model = Model::by_name("bert").expect("bert exists");
@@ -131,17 +157,14 @@ fn noop_sink_run_matches_untraced_metrics_byte_for_byte() {
     let cfg = config(&accel, &model, 9);
 
     let plain = serve(&accel, &model, &wl, &cfg).expect("untraced run");
-    let mut noop = NoopSink;
-    let traced = serve_traced(&accel, &model, &wl, &cfg, &mut noop).expect("noop-traced run");
+    let traced = run(&wl, &cfg, &one_chip(), None, &mut MemorySink::new()).serve;
     assert_eq!(plain.to_json(), traced.to_json());
 
     let plan = Some(FaultPlan::chaos(3));
     let mut wl = workload(24, 9);
     plan.as_ref().expect("plan set").corrupt_workload(&mut wl);
-    let plain = serve_with_faults(&accel, &model, &wl, &cfg, plan).expect("untraced");
-    let mut noop = NoopSink;
-    let traced =
-        serve_with_faults_traced(&accel, &model, &wl, &cfg, plan, &mut noop).expect("noop-traced");
+    let plain = run(&wl, &cfg, &one_chip(), plan, &mut NoopSink);
+    let traced = run(&wl, &cfg, &one_chip(), plan, &mut MemorySink::new());
     assert_eq!(plain.to_json(), traced.to_json());
 }
 
@@ -160,8 +183,7 @@ fn dist_trace_carries_collective_spans_per_chip() {
             ..DistServeConfig::new(chips, Topology::Ring)
         };
         let mut sink = MemorySink::new();
-        let traced = serve_dist_traced(&accel, &model, &wl, &cfg, &dcfg, &mut sink)
-            .expect("dist engine terminates");
+        let traced = run(&wl, &cfg, &dcfg, None, &mut sink);
         let coll: Vec<_> = sink
             .events
             .iter()
@@ -185,7 +207,7 @@ fn dist_trace_carries_collective_spans_per_chip() {
             );
         }
         // Tracing the dist run does not change its metrics either.
-        let plain = serve_dist(&accel, &model, &wl, &cfg, &dcfg).expect("untraced dist run");
+        let plain = run(&wl, &cfg, &dcfg, None, &mut NoopSink);
         assert_eq!(plain.serve.to_json(), traced.serve.to_json());
     }
 }

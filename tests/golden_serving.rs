@@ -1,0 +1,245 @@
+//! Golden serving corpus: fixed-seed runs of every serving entry point,
+//! byte-diffed against committed output.
+//!
+//! Each case runs traced into a [`MemorySink`] and pins two files under
+//! `tests/golden/serving/`: `<case>.json` (the metrics document) and
+//! `<case>.trace` (the FNV-1a hash and event count of the exported
+//! Chrome trace). Set `FLAT_BLESS=1` to rewrite them after an
+//! intentional change.
+
+use flat::arch::Accelerator;
+use flat::dist::{CollectiveAlgo, Topology};
+use flat::fleet::{run_fleet, FleetConfig, FleetSpec};
+use flat::serve::{
+    serve, serve_dist_elastic, ComputePrecision, DistServeConfig, DistServeMetrics, EngineConfig,
+    FaultPlan, RequestSpec, ScalePlan, WorkloadSpec,
+};
+use flat::telemetry::{MemorySink, NoopSink, TraceSink};
+use flat::tensor::{Bytes, SoftmaxKind};
+use flat::workloads::{Model, Task};
+use std::path::PathBuf;
+
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serving")
+}
+
+/// 64-bit FNV-1a over the trace document.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Compares (or, under `FLAT_BLESS=1`, rewrites) one case's pinned files.
+fn check(case: &str, json: &str, sink: &MemorySink) {
+    let trace = format!(
+        "fnv1a64 {:016x}\nevents {}\n",
+        fnv1a(&sink.to_chrome_trace()),
+        sink.events.len()
+    );
+    let dir = golden_dir();
+    let files = [
+        (dir.join(format!("{case}.json")), format!("{json}\n")),
+        (dir.join(format!("{case}.trace")), trace),
+    ];
+    if std::env::var_os("FLAT_BLESS").is_some() {
+        std::fs::create_dir_all(&dir).expect("create golden dir");
+        for (path, text) in &files {
+            std::fs::write(path, text).expect("write golden file");
+        }
+        return;
+    }
+    for (path, text) in &files {
+        let want = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("{}: {e} (run with FLAT_BLESS=1)", path.display()));
+        assert!(
+            *text == want,
+            "{case}: output drifted from {}",
+            path.display()
+        );
+    }
+}
+
+fn bert() -> Model {
+    Model::by_name("bert").expect("bert is in the zoo")
+}
+
+fn workload(requests: usize, seed: u64, slo_ms: Option<f64>) -> Vec<RequestSpec> {
+    let mut spec = WorkloadSpec::from_task(Task::ShortNlp, requests, 400.0);
+    spec.prompt_mean = 40;
+    spec.output_mean = 6;
+    spec.slo_ms = slo_ms;
+    spec.generate(seed).expect("spec is valid")
+}
+
+fn config(accel: &Accelerator, seed: u64) -> EngineConfig {
+    let mut cfg = EngineConfig::for_platform(accel, &bert(), seed);
+    cfg.kv_budget = Bytes::from_mib(8);
+    cfg.max_batch = 6;
+    cfg
+}
+
+/// Single-chip serving: a 1-chip cluster with no resizes.
+fn one_chip(
+    wl: &[RequestSpec],
+    cfg: &EngineConfig,
+    faults: Option<FaultPlan>,
+    sink: &mut dyn TraceSink,
+) -> DistServeMetrics {
+    let one = DistServeConfig::new(1, Topology::FullyConnected);
+    let plan = ScalePlan::default();
+    serve_dist_elastic(
+        &Accelerator::edge(),
+        &bert(),
+        wl,
+        cfg,
+        &one,
+        &plan,
+        faults,
+        sink,
+    )
+    .expect("run terminates")
+}
+
+/// One single-chip case: the traced run is pinned, and the untraced
+/// run (through `serve` when there are no faults) must produce the
+/// same metrics.
+fn serve_case(case: &str, wl: &[RequestSpec], cfg: &EngineConfig, faults: Option<FaultPlan>) {
+    let mut sink = MemorySink::new();
+    let traced = one_chip(wl, cfg, faults, &mut sink).serve;
+    let plain = match faults {
+        None => serve(&Accelerator::edge(), &bert(), wl, cfg).expect("run terminates"),
+        Some(_) => one_chip(wl, cfg, faults, &mut NoopSink).serve,
+    };
+    assert_eq!(
+        traced.to_json(),
+        plain.to_json(),
+        "{case}: tracing perturbed the run"
+    );
+    check(case, &traced.to_json(), &sink);
+}
+
+#[test]
+fn serve_plain() {
+    let accel = Accelerator::edge();
+    serve_case(
+        "serve_plain",
+        &workload(16, 11, None),
+        &config(&accel, 11),
+        None,
+    );
+}
+
+#[test]
+fn serve_chaos() {
+    let accel = Accelerator::edge();
+    let plan = FaultPlan::chaos(11);
+    let mut wl = workload(24, 11, Some(50.0));
+    plan.corrupt_workload(&mut wl);
+    serve_case("serve_chaos", &wl, &config(&accel, 11), Some(plan));
+}
+
+#[test]
+fn serve_dedup_window() {
+    let accel = Accelerator::edge();
+    let mut spec = WorkloadSpec::from_task(Task::ShortNlp, 16, 400.0);
+    spec.prompt_mean = 48;
+    spec.output_mean = 6;
+    spec.prefix_template = Some(7);
+    spec.prefix_tokens = 32;
+    let wl = spec.generate(5).expect("spec is valid");
+    let mut cfg = config(&accel, 5);
+    cfg.dedup = true;
+    cfg.window_ms = Some(5.0);
+    serve_case("serve_dedup_window", &wl, &cfg, None);
+}
+
+#[test]
+fn serve_bf16_flash_d() {
+    let accel = Accelerator::edge();
+    let mut cfg = config(&accel, 3);
+    cfg.precision = ComputePrecision::Bf16;
+    cfg.softmax = SoftmaxKind::FlashD;
+    serve_case("serve_bf16_flash_d", &workload(16, 3, None), &cfg, None);
+}
+
+fn dist_case(case: &str, dist: &DistServeConfig, plan: &ScalePlan, faults: Option<FaultPlan>) {
+    let accel = Accelerator::edge();
+    let model = bert();
+    let mut wl = workload(24, 13, None);
+    if let Some(p) = &faults {
+        p.corrupt_workload(&mut wl);
+    }
+    let mut sink = MemorySink::new();
+    let m = serve_dist_elastic(
+        &accel,
+        &model,
+        &wl,
+        &config(&accel, 13),
+        dist,
+        plan,
+        faults,
+        &mut sink,
+    )
+    .expect("run terminates");
+    check(case, &m.to_json(), &sink);
+}
+
+#[test]
+fn dist_ring_kv_shard_1_2_4_chips() {
+    for chips in [1, 2, 4] {
+        dist_case(
+            &format!("dist_ring_{chips}chip"),
+            &DistServeConfig::new(chips, Topology::Ring),
+            &ScalePlan::default(),
+            None,
+        );
+    }
+}
+
+#[test]
+fn dist_hd_overlap() {
+    let mut dist = DistServeConfig::new(4, Topology::Torus2d);
+    dist.algo = CollectiveAlgo::HalvingDoubling;
+    dist.overlap = true;
+    dist_case("dist_hd_overlap", &dist, &ScalePlan::default(), None);
+}
+
+#[test]
+fn dist_elastic_with_faults() {
+    dist_case(
+        "dist_elastic_chaos",
+        &DistServeConfig::new(2, Topology::Ring),
+        &ScalePlan::new(&[(2.0, 4), (30.0, 1)]),
+        Some(FaultPlan::chaos(17)),
+    );
+}
+
+#[test]
+fn fleet_chaos_with_resizes() {
+    let accel = Accelerator::edge();
+    let model = bert();
+    let mut spec = FleetSpec::sustained(48);
+    spec.curve.base_rate_per_s = 800.0;
+    spec.curve.period_ms = 200.0;
+    for t in &mut spec.tenants {
+        t.prompt_mean = t.prompt_mean.min(48);
+        t.output_mean = t.output_mean.min(6);
+    }
+    let cfg = FleetConfig {
+        chips: 2,
+        window_ms: 10.0,
+        scale: vec![(5.0, 4), (40.0, 2)],
+        chaos_seed: Some(11),
+        ..FleetConfig::default()
+    };
+    let mut sink = MemorySink::new();
+    let m = run_fleet(&accel, &model, &spec, &cfg, 7, &mut sink).expect("run terminates");
+    let plain = run_fleet(&accel, &model, &spec, &cfg, 7, &mut NoopSink).expect("run terminates");
+    assert_eq!(
+        m.to_json(),
+        plain.to_json(),
+        "tracing perturbed the fleet run"
+    );
+    check("fleet_chaos_resize", &m.to_json(), &sink);
+}
