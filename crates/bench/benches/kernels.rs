@@ -33,7 +33,7 @@ fn bench_attention(c: &mut Criterion) {
             BenchmarkId::new("flat-R16-4threads", seq),
             &input,
             |b, inp| {
-                b.iter(|| black_box(parallel_flat_attention(inp, 16, Mask::None, 4)));
+                b.iter(|| black_box(parallel_flat_attention(inp, 16, Mask::None)));
             },
         );
     }

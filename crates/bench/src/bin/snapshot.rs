@@ -156,7 +156,7 @@ fn kernel_entries(args: &Args, quick: bool) -> Vec<Entry> {
             "parallel_flat_attention",
             &format!("{config} rows_per_tile={tile}"),
             reps,
-            || parallel_flat_attention(&input, tile, Mask::None, rayon::current_num_threads()),
+            || parallel_flat_attention(&input, tile, Mask::None),
         ),
     ];
     with_speedups(entries)

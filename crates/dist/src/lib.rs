@@ -39,8 +39,5 @@ pub mod sweep;
 pub use cost::{DistModel, DistReport};
 pub use fabric::{CollectiveAlgo, Fabric, Link, Topology};
 pub use partition::{CollectiveCall, CollectiveOp, Partition};
-pub use sharded::{
-    head_parallel_attention, kv_shards, merge_into, sequence_parallel_attention, shard_partial_row,
-    PartialRow,
-};
+pub use sharded::{head_parallel_attention, kv_shards, sequence_parallel_attention};
 pub use sweep::{best_joint, scaling_knee, series, Sweep, SweepPoint, KNEE_RATIO};

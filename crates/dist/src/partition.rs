@@ -16,8 +16,8 @@
 //! holds a `seq_kv / p` slice of K/V and produces, per query row and
 //! head, a *partial* online-softmax state — the running max `m`, running
 //! sum `s`, and the `dk`-wide weighted accumulator. Merging those states
-//! is exactly the [`flat_kernels::OnlineSoftmax`] fold run across chips
-//! (numerically witnessed in [`crate::sharded`]), and its payload is the
+//! is [`flat_kernels::RowFold::merge`], the online-softmax fold run across
+//! chips (numerically witnessed in [`crate::sharded`]), and its payload is the
 //! `B·H·Nq·(dk + 2)` floats the all-reduce below prices.
 
 use crate::fabric::Fabric;

@@ -3,11 +3,12 @@
 //!
 //! The analytical model in [`crate::cost`] *prices* the sequence-parallel
 //! all-reduce; this module proves the math it prices is sound. Each chip
-//! holds a contiguous `seq_kv / p` slice of K/V and produces, per query
-//! row, a [`PartialRow`] — running max `m`, running sum `s`, and the
-//! un-normalized `dk`-wide accumulator, built with the very
-//! [`OnlineSoftmax`] fold the single-chip streaming kernel uses. The
-//! merge rescales every partial into the global max's frame and sums:
+//! holds a contiguous `seq_kv / p` slice of K/V and folds, per query row,
+//! its shard through the kernels' [`RowFold`] — the very fold the
+//! single-chip streaming and decode kernels run. The exact fold's partial
+//! is the running max `m`, running sum `s`, and the un-normalized
+//! `dk`-wide accumulator; [`RowFold::merge`] rescales every partial into
+//! the global max's frame and sums:
 //!
 //! ```text
 //! m  = max_i m_i
@@ -15,97 +16,14 @@
 //! o  = Σ_i acc_i · exp(m_i − m)  /  s
 //! ```
 //!
-//! — the same rescale-and-accumulate step `OnlineSoftmax::absorb`
-//! performs within a chip, lifted to chip granularity. The property
-//! tests pin [`sequence_parallel_attention`] numerically equal to
-//! [`flat_kernels::streaming_attention`] for every shard count and
-//! shard-boundary split, which is exactly the acceptance criterion.
+//! — the same rescale-and-accumulate step the fold performs within a
+//! chip, lifted to chip granularity. The property tests pin
+//! [`sequence_parallel_attention`] bit-identical to
+//! [`flat_kernels::streaming_attention`] on one chip and numerically equal
+//! to it for every shard count and shard-boundary split.
 
-use flat_kernels::{streaming_attention, Mask, Mat, MultiHeadInput, OnlineSoftmax};
-
-/// The per-query-row state one chip contributes to the cross-chip
-/// softmax merge: `(m, s, acc)` — `dk + 2` floats, the payload the
-/// sequence-parallel all-reduce in [`crate::partition`] prices.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialRow {
-    /// Running maximum over this shard's logits.
-    pub max: f32,
-    /// Running sum of `exp(x − max)` over this shard.
-    pub sum: f32,
-    /// Un-normalized weighted value accumulator (`dk` wide).
-    pub acc: Vec<f32>,
-}
-
-impl PartialRow {
-    /// The empty state: no logits absorbed yet. Identity for
-    /// [`merge_into`] — merging it changes nothing, so chips whose KV
-    /// shard is empty (more chips than KV rows) drop out naturally.
-    #[must_use]
-    pub fn empty(dk: usize) -> Self {
-        PartialRow {
-            max: f32::NEG_INFINITY,
-            sum: 0.0,
-            acc: vec![0.0; dk],
-        }
-    }
-}
-
-/// Folds `other` into `into` — the cross-chip reduction operator. It is
-/// commutative and associative up to float rounding (the property tests
-/// check order-independence within tolerance), so any all-reduce
-/// schedule computes it.
-pub fn merge_into(into: &mut PartialRow, other: &PartialRow) {
-    if other.sum == 0.0 {
-        return;
-    }
-    if into.sum == 0.0 {
-        into.max = other.max;
-        into.sum = other.sum;
-        into.acc.copy_from_slice(&other.acc);
-        return;
-    }
-    let m = into.max.max(other.max);
-    let scale_into = (into.max - m).exp();
-    let scale_other = (other.max - m).exp();
-    into.sum = into.sum * scale_into + other.sum * scale_other;
-    for (a, &b) in into.acc.iter_mut().zip(&other.acc) {
-        *a = *a * scale_into + b * scale_other;
-    }
-    into.max = m;
-}
-
-/// One chip's partial attention for one query row against its KV shard
-/// `[kv_lo, kv_hi)` of group `g`: the [`OnlineSoftmax`] fold over the
-/// shard's logits, keeping the accumulator un-normalized.
-#[must_use]
-pub fn shard_partial_row(
-    input: &MultiHeadInput,
-    g: usize,
-    row: usize,
-    kv_lo: usize,
-    kv_hi: usize,
-) -> PartialRow {
-    let q = input.q[g].row(row);
-    let scale = input.scale();
-    let mut state = OnlineSoftmax::new();
-    let mut acc = vec![0.0f32; input.dk];
-    for j in kv_lo..kv_hi {
-        let k = input.k[g].row(j);
-        let x: f32 = q.iter().zip(k).map(|(&a, &b)| a * b).sum::<f32>() * scale;
-        // absorb returns the factor that rescales history into the new
-        // max's frame — the same contract streaming_attention relies on.
-        let rescale = state.absorb(&[x]);
-        let w = state.weight(x);
-        for (a, &v) in acc.iter_mut().zip(input.v[g].row(j)) {
-            *a = *a * rescale + w * v;
-        }
-    }
-    PartialRow {
-        max: state.running_max(),
-        sum: state.normalizer(),
-        acc,
-    }
-}
+use flat_kernels::{streaming_attention, Mask, Mat, MultiHeadInput, RowFold};
+use flat_tensor::SoftmaxKind;
 
 /// Splits `seq_kv` into `chips` contiguous shards, ceiling-sized like
 /// [`crate::Partition::SequenceParallel`]'s cost model: `[lo, hi)` pairs,
@@ -122,10 +40,11 @@ pub fn kv_shards(seq_kv: usize, chips: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Full sequence-parallel attention: every chip computes partial rows
-/// over its KV shard, the partials are all-reduced with [`merge_into`],
-/// and the merged state normalizes into the final output — numerically
-/// the same attention [`streaming_attention`] computes on one chip.
+/// Full sequence-parallel attention: every chip folds its KV shard into
+/// a partial per query row, the partials are all-reduced with
+/// [`RowFold::merge`], and the merged fold normalizes into the final
+/// output — numerically the same attention [`streaming_attention`]
+/// computes on one chip.
 ///
 /// No mask: splitting the KV side is a long-context *encoder* technique
 /// (the paper's Table 1 setting); causal decode shards through
@@ -137,15 +56,13 @@ pub fn sequence_parallel_attention(input: &MultiHeadInput, chips: usize) -> Vec<
         .map(|g| {
             let mut out = Mat::zeros(input.seq_q, input.dk);
             for row in 0..input.seq_q {
-                let mut merged = PartialRow::empty(input.dk);
+                let mut merged = RowFold::new(SoftmaxKind::Exact, input.dk);
                 for &(lo, hi) in &shards {
-                    let partial = shard_partial_row(input, g, row, lo, hi);
-                    merge_into(&mut merged, &partial);
+                    let mut partial = RowFold::new(SoftmaxKind::Exact, input.dk);
+                    partial.absorb_keys(input, g, row, lo..hi, Mask::None);
+                    merged.merge(&partial);
                 }
-                let norm = merged.sum;
-                for (j, &a) in merged.acc.iter().enumerate() {
-                    out.set(row, j, a / norm);
-                }
+                out.row_mut(row).copy_from_slice(&merged.finish());
             }
             out
         })
@@ -215,39 +132,6 @@ mod tests {
             shards[3..].iter().all(|&(lo, hi)| lo == hi),
             "trailing shards empty"
         );
-    }
-
-    #[test]
-    fn merge_is_order_insensitive() {
-        let input = MultiHeadInput::random(1, 1, 1, 30, 6, 3);
-        let parts: Vec<PartialRow> = kv_shards(30, 3)
-            .iter()
-            .map(|&(lo, hi)| shard_partial_row(&input, 0, 0, lo, hi))
-            .collect();
-        let fold = |order: &[usize]| {
-            let mut m = PartialRow::empty(6);
-            for &i in order {
-                merge_into(&mut m, &parts[i]);
-            }
-            m
-        };
-        let a = fold(&[0, 1, 2]);
-        let b = fold(&[2, 0, 1]);
-        assert!((a.sum - b.sum).abs() < 1e-4 * a.sum.abs());
-        for (x, y) in a.acc.iter().zip(&b.acc) {
-            assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn empty_partial_is_the_merge_identity() {
-        let input = MultiHeadInput::random(1, 1, 1, 10, 4, 5);
-        let full = shard_partial_row(&input, 0, 0, 0, 10);
-        let mut merged = PartialRow::empty(4);
-        merge_into(&mut merged, &PartialRow::empty(4));
-        merge_into(&mut merged, &full);
-        merge_into(&mut merged, &PartialRow::empty(4));
-        assert_eq!(merged, full);
     }
 
     #[test]

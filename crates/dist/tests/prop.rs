@@ -20,7 +20,8 @@
 //! 3. **Sharded numerics** — sequence-parallel partial attention merged
 //!    with the cross-chip online-softmax fold equals single-chip
 //!    streaming attention for every shard count and every tile split
-//!    straddling the shard boundaries (the acceptance criterion).
+//!    straddling the shard boundaries (the acceptance criterion), and on
+//!    one chip it is the streaming kernel's fold bit for bit.
 
 use flat_dist::{sequence_parallel_attention, CollectiveAlgo, Fabric, Link, Partition, Topology};
 use flat_kernels::{streaming_attention, Mask, MultiHeadInput};
@@ -296,6 +297,27 @@ proptest! {
             };
             prop_assert_eq!(payload(p_small), payload(p_large), "{}", part);
         }
+    }
+
+    /// One chip folds its whole KV range as one chunk and merges it into
+    /// the empty fold, which is the identity: the result is the streaming
+    /// kernel with one row per tile and one KV chunk, in every bit.
+    #[test]
+    fn one_chip_is_the_streaming_fold_bit_for_bit(
+        batch in 1usize..3,
+        heads in 1usize..4,
+        seq_q in 1usize..12,
+        seq_kv in 1usize..48,
+        dk in 1usize..12,
+        seed in any::<u64>(),
+    ) {
+        let input = MultiHeadInput::random(batch, heads, seq_q, seq_kv, dk, seed);
+        let reference = streaming_attention(&input, 1, seq_kv, Mask::None);
+        let sharded = sequence_parallel_attention(&input, 1);
+        let bits = |ms: &[flat_kernels::Mat]| -> Vec<u32> {
+            ms.iter().flat_map(|m| m.as_slice().iter().map(|x| x.to_bits())).collect()
+        };
+        prop_assert_eq!(bits(&sharded), bits(&reference));
     }
 
     /// The acceptance criterion: sequence-parallel sharded attention —

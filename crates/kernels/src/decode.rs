@@ -3,14 +3,14 @@
 //! Autoregressive serving attends one query row against the whole cached
 //! prefix at every generated token. Materializing the prefix logits and
 //! running the two-pass softmax would touch the row twice; folding each
-//! cached K/V row through [`OnlineSoftmax`](crate::OnlineSoftmax) instead
-//! makes a decode step a single `O(N·dk)` pass, the same rescaling trick
-//! `streaming_attention` uses along the key dimension. This is the kernel
-//! the `flat-serve` engine calls once per scheduled decode token, with the
+//! cached K/V row through a [`RowFold`] instead makes a decode step a
+//! single `O(N·dk)` pass — the fold `streaming_attention` runs along the
+//! key dimension, with a chunk of one logit. This is the kernel the
+//! `flat-serve` engine calls once per scheduled decode token, with the
 //! K/V rows streamed straight out of its paged cache blocks.
 
-use crate::softmax_family::{FlashDSoftmax, LogLutSoftmax};
-use crate::{mat::dot, ComputePrecision, OnlineSoftmax};
+use crate::quantized::snap_logits_int8;
+use crate::{mat::dot, ComputePrecision, RowFold};
 use flat_tensor::half::round_to;
 use flat_tensor::SoftmaxKind;
 
@@ -46,47 +46,22 @@ pub fn decode_attention<'a, I>(q: &[f32], kv: I, scale: f32) -> Vec<f32>
 where
     I: IntoIterator<Item = (&'a [f32], &'a [f32])>,
 {
-    let mut state = OnlineSoftmax::new();
-    let mut acc: Vec<f32> = Vec::new();
-    let mut seen = false;
-    for (k, v) in kv {
-        assert_eq!(k.len(), q.len(), "key row length must match the query");
-        if !seen {
-            acc = vec![0.0f32; v.len()];
-            seen = true;
-        }
-        let logit = dot(q, k) * scale;
-        let rescale = state.absorb(&[logit]);
-        if rescale != 1.0 {
-            for a in &mut acc {
-                *a *= rescale;
-            }
-        }
-        let w = state.weight(logit);
-        for (a, &vv) in acc.iter_mut().zip(v) {
-            *a = w.mul_add(vv, *a);
-        }
-    }
-    assert!(seen, "decode_attention needs at least one cached K/V row");
-    let inv = 1.0 / state.normalizer();
-    for a in &mut acc {
-        *a *= inv;
-    }
-    acc
+    decode_attention_with(q, kv, scale, ComputePrecision::F32, SoftmaxKind::Exact)
 }
 
-/// Rounds one row through the storage grid of `precision`.
-fn snap_row(row: &[f32], precision: ComputePrecision) -> Vec<f32> {
+/// Rounds one row through the storage grid of `precision` into `out`,
+/// reusing its allocation. The int8 grid is the row's own, not the
+/// per-matrix grid of the prefill kernels.
+fn snap_into(row: &[f32], precision: ComputePrecision, out: &mut Vec<f32>) {
+    out.clear();
     match precision {
-        ComputePrecision::F32 => row.to_vec(),
-        ComputePrecision::Bf16 | ComputePrecision::F16 => row
-            .iter()
-            .map(|&x| round_to(precision.dtype(), x))
-            .collect(),
+        ComputePrecision::F32 => out.extend_from_slice(row),
+        ComputePrecision::Bf16 | ComputePrecision::F16 => {
+            out.extend(row.iter().map(|&x| round_to(precision.dtype(), x)));
+        }
         ComputePrecision::Int8 => {
-            let mut v = row.to_vec();
-            crate::quantized::snap_logits_int8(&mut v);
-            v
+            out.extend_from_slice(row);
+            snap_logits_int8(out);
         }
     }
 }
@@ -95,12 +70,12 @@ fn snap_row(row: &[f32], precision: ComputePrecision) -> Vec<f32> {
 /// kernel `flat-serve` calls when the engine is configured off the f32
 /// reference.
 ///
-/// `F32` + `Exact` delegates to [`decode_attention`] byte-identically.
-/// Other precisions snap the query and each streamed K/V row through the
-/// storage grid first. The FLASH-D and log-LUT kinds run the fold as
-/// `acc ← acc·carry + w̃·v`: the accumulator is normalized after every
-/// cached row and the final divide disappears (the single-element FLASH-D
-/// form is exactly the incremental average `o ← o + μ(v − o)`).
+/// `F32` reads the rows in place. Other precisions snap the query once and
+/// each streamed K/V row into a reused scratch row. The FLASH-D and
+/// log-LUT kinds run the fold as `acc ← acc·carry + w̃·v`: the accumulator
+/// is normalized after every cached row and the final divide disappears
+/// (the single-element FLASH-D form is exactly the incremental average
+/// `o ← o + μ(v − o)`).
 ///
 /// # Panics
 ///
@@ -117,61 +92,29 @@ pub fn decode_attention_with<'a, I>(
 where
     I: IntoIterator<Item = (&'a [f32], &'a [f32])>,
 {
-    if precision == ComputePrecision::F32 && kind == SoftmaxKind::Exact {
-        return decode_attention(q, kv, scale);
-    }
-    let qs = snap_row(q, precision);
-    let mut online = OnlineSoftmax::new();
-    let mut flash = FlashDSoftmax::new();
-    let mut loglut = LogLutSoftmax::new();
-    let mut acc: Vec<f32> = Vec::new();
-    let mut seen = false;
+    let snap = precision != ComputePrecision::F32;
+    let (mut qs, mut ks, mut vs) = (Vec::new(), Vec::new(), Vec::new());
+    let q = if snap {
+        snap_into(q, precision, &mut qs);
+        &qs[..]
+    } else {
+        q
+    };
+    let mut fold = None;
     for (k, v) in kv {
         assert_eq!(k.len(), q.len(), "key row length must match the query");
-        let krow = snap_row(k, precision);
-        let vrow = snap_row(v, precision);
-        if !seen {
-            acc = vec![0.0f32; vrow.len()];
-            seen = true;
-        }
-        let logit = dot(&qs, &krow) * scale;
-        let w = match kind {
-            SoftmaxKind::Exact => {
-                let rescale = online.absorb(&[logit]);
-                if rescale != 1.0 {
-                    for a in &mut acc {
-                        *a *= rescale;
-                    }
-                }
-                online.weight(logit)
-            }
-            family => {
-                let mut chunk = [logit];
-                let carry = if family == SoftmaxKind::FlashD {
-                    flash.absorb(&mut chunk)
-                } else {
-                    loglut.absorb(&mut chunk)
-                };
-                if carry != 1.0 {
-                    for a in &mut acc {
-                        *a *= carry;
-                    }
-                }
-                chunk[0]
-            }
+        let (k, v) = if snap {
+            snap_into(k, precision, &mut ks);
+            snap_into(v, precision, &mut vs);
+            (&ks[..], &vs[..])
+        } else {
+            (k, v)
         };
-        for (a, &vv) in acc.iter_mut().zip(&vrow) {
-            *a = w.mul_add(vv, *a);
-        }
+        let fold = fold.get_or_insert_with(|| RowFold::new(kind, v.len()));
+        fold.absorb(&mut [dot(q, k) * scale], |_| v);
     }
-    assert!(seen, "decode_attention needs at least one cached K/V row");
-    if kind == SoftmaxKind::Exact {
-        let inv = 1.0 / online.normalizer();
-        for a in &mut acc {
-            *a *= inv;
-        }
-    }
-    acc
+    fold.expect("decode_attention needs at least one cached K/V row")
+        .finish()
 }
 
 #[cfg(test)]
@@ -264,7 +207,8 @@ mod tests {
             for kind in [SoftmaxKind::Exact, SoftmaxKind::FlashD, SoftmaxKind::LogLut] {
                 let out =
                     decode_attention_with(q.row(0), [(k.row(0), v.row(0))], input.scale(), p, kind);
-                let snapped = snap_row(v.row(0), p);
+                let mut snapped = Vec::new();
+                snap_into(v.row(0), p, &mut snapped);
                 for (o, &vv) in out.iter().zip(&snapped) {
                     assert!((o - vv).abs() < 1e-5, "{p}/{kind}: {o} vs {vv}");
                 }

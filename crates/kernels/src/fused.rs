@@ -13,7 +13,7 @@
 use crate::halfmat::{half_attend_into, half_logits_into, HalfMat};
 use crate::mat::{wide_attend_acc, wide_logits_into};
 use crate::softmax_family::{softmax_row_kind, FlashDSoftmax, LogLutSoftmax};
-use crate::{softmax_row, ComputePrecision, Mask, Mat, MultiHeadInput};
+use crate::{softmax_row, ComputePrecision, ExecutionStats, Mask, Mat, MultiHeadInput};
 use flat_tensor::SoftmaxKind;
 
 /// Key-dimension chunk of the packed FLASH-D/LogLut walk: one `R × C`
@@ -57,7 +57,7 @@ const KV_CHUNK: usize = 512;
 pub fn flat_attention(input: &MultiHeadInput, rows_per_tile: usize, mask: Mask) -> Vec<Mat> {
     assert!(rows_per_tile > 0, "row tile must be positive");
     (0..input.groups())
-        .map(|g| flat_attention_group(input, g, rows_per_tile, mask, SoftmaxKind::Exact))
+        .map(|g| flat_attention_group(input, g, rows_per_tile, mask, SoftmaxKind::Exact, None))
         .collect()
 }
 
@@ -104,7 +104,7 @@ pub fn flat_attention_with(
     assert!(rows_per_tile > 0, "row tile must be positive");
     match precision {
         ComputePrecision::F32 => (0..input.groups())
-            .map(|g| flat_attention_group(input, g, rows_per_tile, mask, kind))
+            .map(|g| flat_attention_group(input, g, rows_per_tile, mask, kind, None))
             .collect(),
         ComputePrecision::Bf16 | ComputePrecision::F16 => (0..input.groups())
             .map(|g| flat_attention_group_half(input, g, rows_per_tile, mask, precision, kind))
@@ -235,17 +235,22 @@ fn mask_and_scale(
 }
 
 /// The f32 fused execution for one (batch, head) group, with any softmax
-/// kind — the unit the parallel kernel distributes across threads.
+/// kind — the unit the parallel kernel distributes across threads. With
+/// `stats`, every tile it executes is counted there.
 pub(crate) fn flat_attention_group(
     input: &MultiHeadInput,
     g: usize,
     rows_per_tile: usize,
     mask: Mask,
     kind: SoftmaxKind,
+    mut stats: Option<&mut ExecutionStats>,
 ) -> Mat {
     let scale = input.scale();
     let (q, k, v) = (&input.q[g], &input.k[g], &input.v[g]);
     let (seq_q, seq_kv) = (input.seq_q, input.seq_kv);
+    if let Some(s) = stats.as_deref_mut() {
+        s.stage_kv(seq_kv, input.dk);
+    }
     let mut out = Mat::zeros(seq_q, input.dk);
     let mut tile = Mat::zeros(rows_per_tile.min(seq_q), seq_kv);
     let mut row_lo = 0;
@@ -264,6 +269,9 @@ pub(crate) fn flat_attention_group(
         // Stage A: consume the slice immediately, accumulating into the
         // (still zero) output rows this tile owns.
         wide_attend_acc(&tile, nrows, live, v, &mut out, row_lo);
+        if let Some(s) = stats.as_deref_mut() {
+            s.count_tile(nrows, live, seq_kv, input.dk);
+        }
         row_lo = row_hi;
     }
     out

@@ -1,10 +1,11 @@
-//! Instrumented fused execution: the same FLAT row-tiled attention as
-//! [`flat_attention`](crate::flat_attention), but counting every buffer
-//! touch — so the cost model's traffic accounting can be validated against
-//! what a real execution actually does.
+//! Instrumented fused execution: the FLAT walk of
+//! [`flat_attention`](crate::flat_attention) with a counter attached, so
+//! the cost model's traffic accounting is validated against the tiles the
+//! real walk executes — not against a copy of it.
 
-use crate::{softmax_row, Mask, Mat, MultiHeadInput};
+use crate::{flat_attention_group, Mask, Mat, MultiHeadInput};
 use flat_telemetry::{Event, TraceSink};
+use flat_tensor::SoftmaxKind;
 
 /// Memory-touch counters for one execution, in elements.
 ///
@@ -57,10 +58,34 @@ impl ExecutionStats {
     pub fn scratchpad_elements(&self) -> u64 {
         self.logit_writes + self.logit_reads
     }
+
+    /// Counts one group's K and V staging: `seq_kv × dk` elements each,
+    /// read once and reused across the group's tiles.
+    pub(crate) fn stage_kv(&mut self, seq_kv: usize, dk: usize) {
+        self.k_reads += (seq_kv * dk) as u64;
+        self.v_reads += (seq_kv * dk) as u64;
+    }
+
+    /// Counts one executed FLAT tile: `rows` query rows against a
+    /// `width`-column logit slice whose first `live` columns were computed
+    /// (all of them unless a causal tile stopped at its diagonal).
+    pub(crate) fn count_tile(&mut self, rows: usize, live: usize, width: usize, dk: usize) {
+        let (rows, live, width, dk) = (rows as u64, live as u64, width as u64, dk as u64);
+        self.iterations += 1;
+        self.q_reads += rows * dk;
+        self.peak_live_logits = self.peak_live_logits.max(rows * width);
+        // Stage L writes the live logits; the SFU pass reads and rewrites
+        // the whole slice (masked columns hold −∞); stage A reads the live
+        // logits once more.
+        self.logit_writes += rows * live + rows * width;
+        self.logit_reads += rows * width + rows * live;
+        self.o_writes += rows * dk;
+    }
 }
 
 /// [`flat_attention`](crate::flat_attention) with touch counting. Returns
-/// the identical output plus the [`ExecutionStats`].
+/// the identical output plus the [`ExecutionStats`] of the tiles the walk
+/// executed.
 ///
 /// K and V are modeled as staged: read from backing store once per
 /// (batch, head) group and reused across that group's row iterations —
@@ -76,55 +101,11 @@ pub fn instrumented_flat_attention(
     mask: Mask,
 ) -> (Vec<Mat>, ExecutionStats) {
     assert!(rows_per_tile > 0, "row tile must be positive");
-    let scale = input.scale();
     let mut stats = ExecutionStats::default();
     let outs = (0..input.groups())
         .map(|g| {
-            let q = &input.q[g];
-            // Stage K and V once per group (the K/V FLAT-tiles).
-            let k = &input.k[g];
-            let v = &input.v[g];
-            stats.k_reads += (input.seq_kv * input.dk) as u64;
-            stats.v_reads += (input.seq_kv * input.dk) as u64;
-
-            let mut out = Mat::zeros(input.seq_q, input.dk);
-            let mut row_lo = 0;
-            while row_lo < input.seq_q {
-                let row_hi = (row_lo + rows_per_tile).min(input.seq_q);
-                stats.iterations += 1;
-                let rows = row_hi - row_lo;
-                stats.q_reads += (rows * input.dk) as u64;
-
-                // Same no-copy tile primitive as the uninstrumented path:
-                // the outputs must stay bit-identical.
-                let mut tile = q.matmul_transposed_rows(row_lo, row_hi, k);
-                let live = (rows * input.seq_kv) as u64;
-                stats.logit_writes += live;
-                stats.peak_live_logits = stats.peak_live_logits.max(live);
-
-                for i in 0..tile.rows() {
-                    let qi = row_lo + i;
-                    for (j, x) in tile.row_mut(i).iter_mut().enumerate() {
-                        *x = if mask.allows(qi, j) {
-                            *x * scale
-                        } else {
-                            f32::NEG_INFINITY
-                        };
-                    }
-                }
-                // SFU pass reads and rewrites the slice in place.
-                stats.logit_reads += live;
-                stats.logit_writes += live;
-                for i in 0..tile.rows() {
-                    softmax_row(tile.row_mut(i));
-                }
-                // Stage A reads the slice once more.
-                stats.logit_reads += live;
-                tile.matmul_into(v, &mut out, row_lo);
-                stats.o_writes += (rows * input.dk) as u64;
-                row_lo = row_hi;
-            }
-            out
+            let kind = SoftmaxKind::Exact;
+            flat_attention_group(input, g, rows_per_tile, mask, kind, Some(&mut stats))
         })
         .collect();
     (outs, stats)
@@ -221,6 +202,29 @@ mod tests {
         let input = MultiHeadInput::random(2, 2, 37, 37, 4, 13);
         let (_, s) = instrumented_flat_attention(&input, 8, Mask::None);
         assert_eq!(s.iterations, 4 * 37u64.div_ceil(8));
+    }
+
+    #[test]
+    fn causal_tiles_stop_at_the_diagonal() {
+        let input = MultiHeadInput::random(1, 2, 32, 32, 8, 15);
+        let (_, full) = instrumented_flat_attention(&input, 8, Mask::None);
+        let (_, causal) = instrumented_flat_attention(&input, 8, Mask::Causal);
+        // Stage L and stage A touch only the live columns; the SFU still
+        // sweeps the whole slice.
+        assert!(causal.logit_writes < full.logit_writes);
+        assert!(causal.logit_reads < full.logit_reads);
+        // Per group, tile rows 0..8 see 8 live keys, 8..16 see 16, and so on.
+        let live = 2 * [8u64, 16, 24, 32].iter().map(|c| 8 * c).sum::<u64>();
+        let slice = 2 * 32 * 32u64;
+        assert_eq!(causal.logit_writes, live + slice);
+        assert_eq!(causal.logit_reads, slice + live);
+        // The slice, the tile count and the compulsory traffic are the same.
+        assert_eq!(causal.peak_live_logits, full.peak_live_logits);
+        assert_eq!(causal.iterations, full.iterations);
+        assert_eq!(
+            causal.backing_store_elements(),
+            full.backing_store_elements()
+        );
     }
 
     #[test]

@@ -15,9 +15,15 @@
 //!   row folded against a growing KV set in a single online-softmax pass
 //!   (`O(N)` per generated token), consumed by the `flat-serve` runtime,
 //!
-//! and proves, by unit and property tests, that all three agree to f32
+//! and proves, by unit and property tests, that all four agree to f32
 //! rounding for every shape, tile size, and mask — including
 //! cross-attention (`seq_q ≠ seq_kv`) and causal decoding.
+//!
+//! Streaming, decode and `flat-dist`'s sequence-parallel shards run one
+//! online-softmax loop, [`RowFold`]: a per-row softmax state of any kind
+//! plus the `dk`-wide accumulator, whose exact partials merge across KV
+//! ranges. [`instrumented_flat_attention`] is the FLAT walk itself with
+//! an [`ExecutionStats`] counter attached.
 //!
 //! On top of the f32 reference sits the **mixed-precision kernel family**:
 //! every execution has a `_with` variant taking a [`ComputePrecision`]
@@ -46,6 +52,7 @@
 
 mod attention;
 mod decode;
+mod fold;
 mod fused;
 mod halfmat;
 mod instrumented;
@@ -61,6 +68,7 @@ pub(crate) use fused::flat_attention_group;
 
 pub use attention::{naive_attention, Mask, MultiHeadInput};
 pub use decode::{decode_attention, decode_attention_with};
+pub use fold::RowFold;
 pub use fused::{flat_attention, flat_attention_with};
 pub use halfmat::HalfMat;
 pub use instrumented::{

@@ -9,17 +9,15 @@ use flat_tensor::SoftmaxKind;
 use rayon::prelude::*;
 
 /// [`flat_attention`](crate::flat_attention) with the (batch, head)
-/// groups fanned out over the process-wide worker pool. Produces
-/// bit-identical results to the single-threaded kernel (each group's
-/// arithmetic is untouched, and groups land in their serial order).
-///
-/// `threads` is a concurrency *hint* kept for API stability: it is
-/// validated, but scheduling is owned by the shared pool, which sizes
+/// groups fanned out over the process-wide worker pool, which sizes
 /// itself to the host once instead of spawning OS threads per call.
+/// Produces bit-identical results to the single-threaded kernel (each
+/// group's arithmetic is untouched, and groups land in their serial
+/// order).
 ///
 /// # Panics
 ///
-/// Panics if `rows_per_tile` or `threads` is zero.
+/// Panics if `rows_per_tile` is zero.
 ///
 /// # Example
 ///
@@ -28,7 +26,7 @@ use rayon::prelude::*;
 ///
 /// let input = MultiHeadInput::random(2, 8, 64, 64, 16, 9);
 /// let serial = flat_attention(&input, 8, Mask::None);
-/// let parallel = parallel_flat_attention(&input, 8, Mask::None, 4);
+/// let parallel = parallel_flat_attention(&input, 8, Mask::None);
 /// for (s, p) in serial.iter().zip(&parallel) {
 ///     assert_eq!(s.max_abs_diff(p), 0.0);
 /// }
@@ -38,13 +36,11 @@ pub fn parallel_flat_attention(
     input: &MultiHeadInput,
     rows_per_tile: usize,
     mask: Mask,
-    threads: usize,
 ) -> Vec<Mat> {
     assert!(rows_per_tile > 0, "row tile must be positive");
-    assert!(threads > 0, "need at least one thread");
     (0..input.groups())
         .into_par_iter()
-        .map(|g| flat_attention_group(input, g, rows_per_tile, mask, SoftmaxKind::Exact))
+        .map(|g| flat_attention_group(input, g, rows_per_tile, mask, SoftmaxKind::Exact, None))
         .collect()
 }
 
@@ -54,14 +50,12 @@ mod tests {
     use crate::{flat_attention, naive_attention};
 
     #[test]
-    fn identical_to_serial_for_any_thread_count() {
+    fn identical_to_serial() {
         let input = MultiHeadInput::random(2, 3, 32, 32, 8, 21);
         let serial = flat_attention(&input, 8, Mask::None);
-        for threads in [1usize, 2, 3, 6, 16] {
-            let par = parallel_flat_attention(&input, 8, Mask::None, threads);
-            for (s, p) in serial.iter().zip(&par) {
-                assert_eq!(s.max_abs_diff(p), 0.0, "threads = {threads}");
-            }
+        let par = parallel_flat_attention(&input, 8, Mask::None);
+        for (s, p) in serial.iter().zip(&par) {
+            assert_eq!(s.max_abs_diff(p), 0.0);
         }
     }
 
@@ -69,22 +63,15 @@ mod tests {
     fn correct_under_masks_and_cross_attention() {
         let input = MultiHeadInput::random(1, 4, 16, 40, 8, 23);
         let exact = naive_attention(&input, Mask::None);
-        let par = parallel_flat_attention(&input, 4, Mask::None, 3);
+        let par = parallel_flat_attention(&input, 4, Mask::None);
         for (e, p) in exact.iter().zip(&par) {
             assert!(e.max_abs_diff(p) < 1e-4);
         }
         let causal_in = MultiHeadInput::random(2, 2, 20, 20, 4, 27);
         let exact = naive_attention(&causal_in, Mask::Causal);
-        let par = parallel_flat_attention(&causal_in, 8, Mask::Causal, 2);
+        let par = parallel_flat_attention(&causal_in, 8, Mask::Causal);
         for (e, p) in exact.iter().zip(&par) {
             assert!(e.max_abs_diff(p) < 1e-4);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_rejected() {
-        let input = MultiHeadInput::random(1, 1, 4, 4, 2, 1);
-        let _ = parallel_flat_attention(&input, 2, Mask::None, 0);
     }
 }

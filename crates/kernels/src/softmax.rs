@@ -89,9 +89,10 @@ pub(crate) fn lane_sum(row: &[f32]) -> f32 {
 /// let mut online = OnlineSoftmax::new();
 /// let mut weights = Vec::new();
 /// for chunk in row.chunks(2) {
-///     let scale = online.absorb(chunk);
+///     let mut chunk = chunk.to_vec();
+///     let scale = online.absorb(&mut chunk);
 ///     for w in weights.iter_mut() { *w *= scale; }
-///     weights.extend(chunk.iter().map(|&x| online.weight(x)));
+///     weights.extend(chunk);
 /// }
 /// let norm = online.normalizer();
 /// for (w, r) in weights.iter().zip(&reference) {
@@ -100,8 +101,8 @@ pub(crate) fn lane_sum(row: &[f32]) -> f32 {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineSoftmax {
-    max: f32,
-    sum: f32,
+    pub(crate) max: f32,
+    pub(crate) sum: f32,
 }
 
 impl OnlineSoftmax {
@@ -114,14 +115,19 @@ impl OnlineSoftmax {
         }
     }
 
-    /// Absorbs a chunk of logits and returns the factor by which all
+    /// Absorbs a chunk of logits, replacing each with its unnormalized
+    /// weight `exp(x − max)` under the new running max (0 while every
+    /// logit so far is masked), and returns the factor by which all
     /// *previously produced* weights (and weighted accumulators) must be
     /// rescaled: `exp(old_max − new_max)`, 1.0 when the max is unchanged.
-    #[must_use]
-    pub fn absorb(&mut self, chunk: &[f32]) -> f32 {
+    /// Same chunked contract as [`FlashDSoftmax::absorb`](crate::FlashDSoftmax::absorb),
+    /// minus the normalization.
+    #[inline]
+    pub fn absorb(&mut self, chunk: &mut [f32]) -> f32 {
         let chunk_max = chunk.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let new_max = self.max.max(chunk_max);
         if new_max == f32::NEG_INFINITY {
+            chunk.fill(0.0);
             return 1.0;
         }
         let scale = if self.max == f32::NEG_INFINITY {
@@ -131,16 +137,11 @@ impl OnlineSoftmax {
         };
         self.sum *= scale;
         self.max = new_max;
-        for &x in chunk {
-            self.sum += (x - self.max).exp();
+        for x in chunk.iter_mut() {
+            *x = (*x - new_max).exp();
+            self.sum += *x;
         }
         scale
-    }
-
-    /// Unnormalized weight of a logit under the current max.
-    #[must_use]
-    pub fn weight(&self, x: f32) -> f32 {
-        (x - self.max).exp()
     }
 
     /// Current normalizer (sum of unnormalized weights absorbed so far).
@@ -209,11 +210,12 @@ mod tests {
             let mut st = OnlineSoftmax::new();
             let mut weights: Vec<f32> = Vec::new();
             for chunk in row.chunks(chunk_size) {
-                let scale = st.absorb(chunk);
+                let mut chunk = chunk.to_vec();
+                let scale = st.absorb(&mut chunk);
                 for w in &mut weights {
                     *w *= scale;
                 }
-                weights.extend(chunk.iter().map(|&x| st.weight(x)));
+                weights.extend(chunk);
             }
             for (w, r) in weights.iter().zip(&reference) {
                 assert!((w / st.normalizer() - r).abs() < 1e-5, "chunk {chunk_size}");
@@ -224,10 +226,14 @@ mod tests {
     #[test]
     fn absorb_returns_rescale_factor_on_new_max() {
         let mut st = OnlineSoftmax::new();
-        assert_eq!(st.absorb(&[0.0]), 1.0);
-        let scale = st.absorb(&[2.0]);
+        assert_eq!(st.absorb(&mut [0.0]), 1.0);
+        let scale = st.absorb(&mut [2.0]);
         assert!((scale - (-2.0f32).exp()).abs() < 1e-7);
         // No rescale when max unchanged.
-        assert_eq!(st.absorb(&[1.0]), 1.0);
+        assert_eq!(st.absorb(&mut [1.0]), 1.0);
+        // Nothing live yet: every weight is 0 and there is nothing to rescale.
+        let mut masked = [f32::NEG_INFINITY; 2];
+        assert_eq!(OnlineSoftmax::new().absorb(&mut masked), 1.0);
+        assert_eq!(masked, [0.0, 0.0]);
     }
 }

@@ -18,8 +18,10 @@
 //!   weights come from a 64-entry `2^frac` table with linear
 //!   interpolation — no `exp` call and no divider anywhere.
 //!
-//! Both expose the same chunked `absorb` contract so the fused, streaming,
-//! and decode kernels can select a member with [`SoftmaxKind`] at runtime.
+//! Both expose [`OnlineSoftmax`](crate::OnlineSoftmax)'s chunked `absorb`
+//! contract (weights written in place, carry returned), so the fused walk
+//! and [`RowFold`](crate::RowFold) select a member with [`SoftmaxKind`] at
+//! runtime.
 //! [`ComputePrecision`] selects the storage/arithmetic width the kernels
 //! pair with the softmax kind.
 

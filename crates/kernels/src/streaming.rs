@@ -9,8 +9,8 @@
 //! future-work direction (it is the algorithmic core FlashAttention later
 //! built on), and the tests prove it equivalent to the exact computation.
 
-use crate::softmax_family::{storage_snap, FlashDSoftmax, LogLutSoftmax};
-use crate::{ComputePrecision, Mask, Mat, MultiHeadInput, OnlineSoftmax};
+use crate::softmax_family::storage_snap;
+use crate::{ComputePrecision, Mask, Mat, MultiHeadInput, RowFold};
 use flat_tensor::SoftmaxKind;
 
 /// Streaming attention: tiles of `rows_per_tile × kv_tile` logits are
@@ -38,78 +38,17 @@ pub fn streaming_attention(
     kv_tile: usize,
     mask: Mask,
 ) -> Vec<Mat> {
-    assert!(
-        rows_per_tile > 0 && kv_tile > 0,
-        "tile extents must be positive"
-    );
-    let scale = input.scale();
-    (0..input.groups())
-        .map(|g| {
-            let q = &input.q[g];
-            let k = &input.k[g];
-            let v = &input.v[g];
-            let mut out = Mat::zeros(input.seq_q, input.dk);
-            let mut row_lo = 0;
-            while row_lo < input.seq_q {
-                let row_hi = (row_lo + rows_per_tile).min(input.seq_q);
-                // Per-row online state and unnormalized accumulators.
-                let mut states = vec![OnlineSoftmax::new(); row_hi - row_lo];
-                let mut acc = Mat::zeros(row_hi - row_lo, input.dk);
-                let mut col_lo = 0;
-                while col_lo < input.seq_kv {
-                    let col_hi = (col_lo + kv_tile).min(input.seq_kv);
-                    for (r, state) in states.iter_mut().enumerate() {
-                        let qi = row_lo + r;
-                        let qrow = q.row(qi);
-                        // Chunk of this row's logits, through the same
-                        // lane-split dot kernel as the tiled paths.
-                        let chunk: Vec<f32> = (col_lo..col_hi)
-                            .map(|j| {
-                                if mask.allows(qi, j) {
-                                    crate::mat::dot(qrow, k.row(j)) * scale
-                                } else {
-                                    f32::NEG_INFINITY
-                                }
-                            })
-                            .collect();
-                        let rescale = state.absorb(&chunk);
-                        let accrow = acc.row_mut(r);
-                        for a in accrow.iter_mut() {
-                            *a *= rescale;
-                        }
-                        for (off, &x) in chunk.iter().enumerate() {
-                            let w = state.weight(x);
-                            if w > 0.0 {
-                                let vrow = v.row(col_lo + off);
-                                for (a, &vv) in accrow.iter_mut().zip(vrow) {
-                                    *a = w.mul_add(vv, *a);
-                                }
-                            }
-                        }
-                    }
-                    col_lo = col_hi;
-                }
-                for (r, state) in states.iter().enumerate() {
-                    let inv = 1.0 / state.normalizer();
-                    for (o, &a) in out.row_mut(row_lo + r).iter_mut().zip(acc.row(r)) {
-                        *o = a * inv;
-                    }
-                }
-                row_lo = row_hi;
-            }
-            out
-        })
-        .collect()
+    let (precision, kind) = (ComputePrecision::F32, SoftmaxKind::Exact);
+    streaming_attention_with(input, rows_per_tile, kv_tile, mask, precision, kind)
 }
 
 /// Streaming attention with an explicit precision and softmax kind.
 ///
-/// `F32` + `Exact` delegates to [`streaming_attention`] unchanged. Other
-/// precisions first snap Q/K/V through the storage grid (bf16/f16
-/// rounding, or the int8 quantization grid). The FLASH-D and log-LUT
-/// kinds replace the online-softmax fold with the division-free
-/// recurrence: the output rows stay normalized after every chunk and the
-/// final per-row divide pass disappears.
+/// Precisions other than `F32` first snap Q/K/V through the storage grid
+/// (bf16/f16 rounding, or the int8 quantization grid). Every kind runs
+/// the same [`RowFold`] per query row: the exact fold divides once per
+/// row at the end, while the FLASH-D and log-LUT kinds keep the output
+/// rows normalized after every chunk, so no divide pass runs.
 ///
 /// # Panics
 ///
@@ -144,73 +83,32 @@ pub fn streaming_attention_with(
     let input = if precision == ComputePrecision::F32 {
         input
     } else {
+        let snap = |ms: &[Mat]| ms.iter().map(|m| storage_snap(m, precision)).collect();
         snapped = MultiHeadInput {
-            batch: input.batch,
-            heads: input.heads,
-            seq_q: input.seq_q,
-            seq_kv: input.seq_kv,
-            dk: input.dk,
-            q: input.q.iter().map(|m| storage_snap(m, precision)).collect(),
-            k: input.k.iter().map(|m| storage_snap(m, precision)).collect(),
-            v: input.v.iter().map(|m| storage_snap(m, precision)).collect(),
+            q: snap(&input.q),
+            k: snap(&input.k),
+            v: snap(&input.v),
+            ..*input
         };
         &snapped
     };
-    if kind == SoftmaxKind::Exact {
-        return streaming_attention(input, rows_per_tile, kv_tile, mask);
-    }
-    let scale = input.scale();
+    let (seq_q, seq_kv) = (input.seq_q, input.seq_kv);
     (0..input.groups())
         .map(|g| {
-            let q = &input.q[g];
-            let k = &input.k[g];
-            let v = &input.v[g];
-            let mut out = Mat::zeros(input.seq_q, input.dk);
-            let mut row_lo = 0;
-            while row_lo < input.seq_q {
-                let row_hi = (row_lo + rows_per_tile).min(input.seq_q);
-                let nrows = row_hi - row_lo;
-                let mut flash = vec![FlashDSoftmax::new(); nrows];
-                let mut loglut = vec![LogLutSoftmax::new(); nrows];
-                let mut col_lo = 0;
-                while col_lo < input.seq_kv {
-                    let col_hi = (col_lo + kv_tile).min(input.seq_kv);
-                    for r in 0..nrows {
-                        let qi = row_lo + r;
-                        let qrow = q.row(qi);
-                        let mut chunk: Vec<f32> = (col_lo..col_hi)
-                            .map(|j| {
-                                if mask.allows(qi, j) {
-                                    crate::mat::dot(qrow, k.row(j)) * scale
-                                } else {
-                                    f32::NEG_INFINITY
-                                }
-                            })
-                            .collect();
-                        // The family absorb returns *normalized* weights
-                        // and a carry: no divide pass ever runs.
-                        let carry = match kind {
-                            SoftmaxKind::FlashD => flash[r].absorb(&mut chunk),
-                            _ => loglut[r].absorb(&mut chunk),
-                        };
-                        let orow = out.row_mut(qi);
-                        if carry != 1.0 {
-                            for a in orow.iter_mut() {
-                                *a *= carry;
-                            }
-                        }
-                        for (off, &w) in chunk.iter().enumerate() {
-                            if w != 0.0 {
-                                let vrow = v.row(col_lo + off);
-                                for (a, &vv) in orow.iter_mut().zip(vrow) {
-                                    *a = w.mul_add(vv, *a);
-                                }
-                            }
-                        }
+            let mut out = Mat::zeros(seq_q, input.dk);
+            for row_lo in (0..seq_q).step_by(rows_per_tile) {
+                let rows = row_lo..(row_lo + rows_per_tile).min(seq_q);
+                let mut folds: Vec<RowFold> =
+                    rows.clone().map(|_| RowFold::new(kind, input.dk)).collect();
+                for col_lo in (0..seq_kv).step_by(kv_tile) {
+                    let cols = col_lo..(col_lo + kv_tile).min(seq_kv);
+                    for (qi, fold) in rows.clone().zip(&mut folds) {
+                        fold.absorb_keys(input, g, qi, cols.clone(), mask);
                     }
-                    col_lo = col_hi;
                 }
-                row_lo = row_hi;
+                for (qi, fold) in rows.zip(folds) {
+                    out.row_mut(qi).copy_from_slice(&fold.finish());
+                }
             }
             out
         })

@@ -184,10 +184,13 @@ struct Block {
 pub struct KvPool {
     block_tokens: usize,
     dk: usize,
+    /// Allocated blocks, one per id handed out so far.
     blocks: Vec<Block>,
+    /// Released allocated blocks, popped most recently released first.
     free: Vec<usize>,
-    /// Grown blocks no request has taken yet: ids from `blocks.len()` up,
-    /// free and unallocated.
+    /// Blocks no request has taken yet: ids from `blocks.len()` up, free
+    /// and unallocated. A block is allocated when first taken, so a pool
+    /// costs nothing up front.
     fresh: usize,
     /// Blocks confiscated by the fault injector: permanently removed from
     /// circulation (ids stay valid so live tables are unaffected).
@@ -223,29 +226,23 @@ impl KvPool {
             total_blocks > 0 && block_tokens > 0 && dk > 0,
             "pool dimensions must be positive"
         );
-        let blocks = (0..total_blocks)
-            .map(|_| Block {
-                k: vec![0.0; block_tokens * dk],
-                v: vec![0.0; block_tokens * dk],
-            })
-            .collect();
-        // Pop order: lowest id first (purely cosmetic; any order works).
-        let free = (0..total_blocks).rev().collect();
-        KvPool {
+        let mut pool = KvPool {
             block_tokens,
             dk,
-            blocks,
-            free,
+            blocks: Vec::new(),
+            free: Vec::new(),
             fresh: 0,
             quarantined: 0,
             peak_used: 0,
-            refs: vec![0; total_blocks],
-            seal_hash: vec![None; total_blocks],
+            refs: Vec::new(),
+            seal_hash: Vec::new(),
             prefix_index: HashMap::new(),
             dedup_hits: 0,
             logical_used: 0,
             peak_logical: 0,
-        }
+        };
+        pool.grow(total_blocks);
+        pool
     }
 
     /// Total blocks in the pool (quarantined blocks excluded).
@@ -271,7 +268,7 @@ impl KvPool {
     /// are never touched, and at least one block always survives so a
     /// pool keeps existing. Returns how many blocks were taken.
     pub fn confiscate(&mut self, n: usize) -> usize {
-        // Never-taken grown blocks go first: they hold no storage.
+        // Never-taken blocks go first: they hold no storage.
         let mut taken = n.min(self.fresh).min(self.total_blocks().saturating_sub(1));
         self.fresh -= taken;
         while taken < n && self.total_blocks() > 1 && !self.free.is_empty() {
@@ -420,10 +417,10 @@ impl KvPool {
         false
     }
 
-    /// Adds `n` free blocks to the pool — the elastic scale-up path. New
-    /// ids extend the id space; existing tables are unaffected. A block
-    /// is allocated when a request first takes it, so growing to a huge
-    /// cluster costs nothing up front.
+    /// Adds `n` free blocks to the pool — how a pool starts, and the
+    /// elastic scale-up path. New ids extend the id space; existing tables
+    /// are unaffected. A block is allocated when a request first takes
+    /// it, so growing to a huge cluster costs nothing up front.
     pub fn grow(&mut self, n: usize) {
         self.fresh += n;
     }
