@@ -1,5 +1,5 @@
 //! Long Range Arena (cited by the paper as *the* long-sequence benchmark
-//! [71]): for each LRA task's sequence length, the best sequential and
+//! \[71\]): for each LRA task's sequence length, the best sequential and
 //! FLAT dataflows on the edge part — which tasks a small accelerator can
 //! actually serve.
 //!

@@ -163,7 +163,7 @@ fn kernel_entries(args: &Args, quick: bool) -> Vec<Entry> {
 }
 
 /// The mixed-precision kernel family at the paper's 4K evaluation point:
-/// packed bf16/f16 storage with widening loads and the exp/div-free
+/// bf16/f16 storage rounding ahead of the f32 walk and the exp/div-free
 /// softmax variants, against the naive f32 baseline. Each reduced
 /// precision entry also records its numeric deviation from that baseline
 /// (`max_rel_error`), so the speedup and the accuracy cost are one

@@ -22,9 +22,9 @@
 //! * [`run_fleet`] / [`FleetConfig`] — drives the stream through the
 //!   distributed serving engine with windowed trajectory sampling,
 //!   optional prefix dedup, optional seeded chaos, and an elastic
-//!   [`ScalePlan`](flat_serve::ScalePlan) that resizes the cluster
-//!   mid-run (KV re-striping priced over the `flat-dist` fabric), every
-//!   engine event streamed into a trace sink;
+//!   [`ScalePlan`] that resizes the cluster mid-run (KV re-striping
+//!   priced over the `flat-dist` fabric), every engine event streamed
+//!   into a trace sink;
 //! * [`FleetMetrics`] — the run report: the underlying
 //!   [`DistServeMetrics`] (per-tenant accounting, windowed
 //!   goodput/occupancy trajectory, scale-event log) plus fleet-level

@@ -85,7 +85,7 @@ pub struct DiffReport {
     /// Drop-reason count shifts (reasons present in either run with
     /// differing counts, plus all reasons when any shift exists).
     pub drop_shifts: Vec<DropShift>,
-    /// The [`TOP_REQUESTS`] most-moved matched requests, by |delta|.
+    /// The `TOP_REQUESTS` (five) most-moved matched requests, by |delta|.
     pub top_request_deltas: Vec<RequestDelta>,
     /// Whether the two runs are attribution-identical: every id matched,
     /// every phase of every pair exactly equal, no drop shifts.

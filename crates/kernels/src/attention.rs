@@ -122,6 +122,11 @@ impl MultiHeadInput {
     pub fn scale(&self) -> f32 {
         1.0 / (self.dk as f32).sqrt()
     }
+
+    /// Group `g`'s `[q, k, v]`.
+    pub(crate) fn group(&self, g: usize) -> [&Mat; 3] {
+        [&self.q[g], &self.k[g], &self.v[g]]
+    }
 }
 
 /// The baseline execution: for each group, materialize the **entire**

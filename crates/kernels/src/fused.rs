@@ -2,22 +2,23 @@
 //! logit tensor are computed, softmaxed, and consumed without ever
 //! materializing the full `[N, N]` matrix.
 //!
-//! The f32 walk and the packed division-free walk run on the wide
-//! microkernels of `mat`: QKᵀ per element on `dot`'s reduction tree, PV
-//! with a register-held output block contracting in ascending order, so
-//! the f32 walk is bit-identical to the `matmul_transposed_rows` +
-//! `matmul_into` composition. The logit tile is allocated once per group.
-//! A causal tile stops at its diagonal: the key columns past it are never
-//! multiplied, only set to the `−∞` every softmax still sees.
+//! One walk serves f32, bf16 and f16: the 16-bit precisions round Q/K/V
+//! through their storage grid once per group and run the f32 walk on the
+//! rounded values. The walk runs on the wide microkernels of `mat`: QKᵀ
+//! per element on `dot`'s reduction tree, PV with a register-held output
+//! block contracting in ascending order, so the f32 walk is bit-identical
+//! to the `matmul_transposed_rows` + `matmul_into` composition. The logit
+//! tile is allocated once per group. A causal tile stops at its diagonal:
+//! the key columns past it are never multiplied, only set to the `−∞`
+//! every softmax still sees.
 
-use crate::halfmat::{half_attend_into, half_logits_into, HalfMat};
 use crate::mat::{wide_attend_acc, wide_logits_into};
-use crate::softmax_family::{softmax_row_kind, FlashDSoftmax, LogLutSoftmax};
+use crate::softmax_family::{storage_snap, FlashDSoftmax, LogLutSoftmax};
 use crate::{softmax_row, ComputePrecision, ExecutionStats, Mask, Mat, MultiHeadInput};
 use flat_tensor::SoftmaxKind;
 
-/// Key-dimension chunk of the packed FLASH-D/LogLut walk: one `R × C`
-/// logit slice plus the packed K/V chunk rows stay cache-resident while
+/// Key-dimension chunk of the bf16/f16 FLASH-D and log-LUT walks: one
+/// `R × C` logit slice plus the K/V chunk rows stay cache-resident while
 /// the division-free recurrence folds them into the output.
 const KV_CHUNK: usize = 512;
 
@@ -55,10 +56,13 @@ const KV_CHUNK: usize = 512;
 /// ```
 #[must_use]
 pub fn flat_attention(input: &MultiHeadInput, rows_per_tile: usize, mask: Mask) -> Vec<Mat> {
-    assert!(rows_per_tile > 0, "row tile must be positive");
-    (0..input.groups())
-        .map(|g| flat_attention_group(input, g, rows_per_tile, mask, SoftmaxKind::Exact, None))
-        .collect()
+    flat_attention_with(
+        input,
+        rows_per_tile,
+        mask,
+        ComputePrecision::F32,
+        SoftmaxKind::Exact,
+    )
 }
 
 /// FLAT fused attention with an explicit precision and softmax-kind
@@ -66,14 +70,16 @@ pub fn flat_attention(input: &MultiHeadInput, rows_per_tile: usize, mask: Mask) 
 ///
 /// * [`ComputePrecision::F32`] + [`SoftmaxKind::Exact`] is bit-identical
 ///   to [`flat_attention`].
-/// * `Bf16`/`F16` pack Q/K/V at 16 bits ([`HalfMat`]) and run the widening
-///   microkernels: QK^T and PV stream packed panels at half the bytes.
+/// * `Bf16`/`F16` round Q/K/V through 16-bit storage
+///   ([`HalfMat`](crate::HalfMat)) once per group, then run the f32 walk
+///   on the rounded values.
 /// * [`ComputePrecision::Int8`] routes to the quantized path with an int8
 ///   score matrix
 ///   ([`quantized_flat_attention_with`](crate::quantized_flat_attention_with)).
-/// * [`SoftmaxKind::FlashD`]/[`SoftmaxKind::LogLut`] run the key dimension
-///   in chunks with the division-free recurrence: the output rows stay
-///   normalized at every step and no per-row normalize pass ever runs.
+/// * [`SoftmaxKind::FlashD`]/[`SoftmaxKind::LogLut`] fold each row through
+///   the division-free recurrence, at bf16/f16 in 512-column KV chunks:
+///   the output rows stay normalized at every step and no per-row
+///   normalize pass ever runs.
 ///
 /// # Panics
 ///
@@ -102,112 +108,36 @@ pub fn flat_attention_with(
     kind: SoftmaxKind,
 ) -> Vec<Mat> {
     assert!(rows_per_tile > 0, "row tile must be positive");
+    // The 16-bit division-free walks keep the 512-column chunk their
+    // outputs are pinned at; chunking f32 FLASH-D changes its bits, so one
+    // chunk for every precision waits for oracle-derived error bounds.
+    let kv_chunk = match (precision, kind) {
+        (ComputePrecision::F32, _) | (_, SoftmaxKind::Exact) => input.seq_kv,
+        _ => KV_CHUNK,
+    };
+    let walk = |qkv: [&Mat; 3]| {
+        flat_attention_group(
+            qkv,
+            input.scale(),
+            rows_per_tile,
+            mask,
+            kind,
+            kv_chunk,
+            None,
+        )
+    };
     match precision {
-        ComputePrecision::F32 => (0..input.groups())
-            .map(|g| flat_attention_group(input, g, rows_per_tile, mask, kind, None))
-            .collect(),
+        ComputePrecision::F32 => (0..input.groups()).map(|g| walk(input.group(g))).collect(),
         ComputePrecision::Bf16 | ComputePrecision::F16 => (0..input.groups())
-            .map(|g| flat_attention_group_half(input, g, rows_per_tile, mask, precision, kind))
+            .map(|g| {
+                let [q, k, v] = input.group(g).map(|m| storage_snap(m, precision));
+                walk([&q, &k, &v])
+            })
             .collect(),
         ComputePrecision::Int8 => {
             crate::quantized::quantized_flat_attention_with(input, rows_per_tile, mask, kind)
         }
     }
-}
-
-/// The packed 16-bit group walk: widening-load QK^T and PV, with either
-/// the exact full-row softmax or the chunked division-free recurrences.
-///
-/// The division-free kinds walk the key dimension *outermost*: each packed
-/// K/V chunk is widened to f32 scratch exactly once, then every query-row
-/// tile folds it through the wide microkernels. The per-row recurrence
-/// state ([`FlashDSoftmax`]/[`LogLutSoftmax`]) persists across chunks, so
-/// the loop order is free — and the packed rows never get re-decoded per
-/// tile.
-fn flat_attention_group_half(
-    input: &MultiHeadInput,
-    g: usize,
-    rows_per_tile: usize,
-    mask: Mask,
-    precision: ComputePrecision,
-    kind: SoftmaxKind,
-) -> Mat {
-    let dtype = precision.dtype();
-    let scale = input.scale();
-    let k = HalfMat::from_mat(&input.k[g], dtype);
-    let v = HalfMat::from_mat(&input.v[g], dtype);
-    // Q rounds through the same storage; decoded once, the panel then
-    // reads f32 rows while K/V stream packed.
-    let q = HalfMat::from_mat(&input.q[g], dtype).to_mat();
-    let (seq_q, seq_kv) = (input.seq_q, input.seq_kv);
-    let mut out = Mat::zeros(seq_q, input.dk);
-    if kind == SoftmaxKind::Exact {
-        // Row granularity: each tile holds complete rows, softmax is the
-        // two-pass reference, and K/V stream packed through the widening
-        // kernels.
-        let mut row_lo = 0;
-        while row_lo < seq_q {
-            let row_hi = (row_lo + rows_per_tile).min(seq_q);
-            let nrows = row_hi - row_lo;
-            let q_rows: Vec<&[f32]> = (row_lo..row_hi).map(|i| q.row(i)).collect();
-            let live = mask.live_cols(row_hi, seq_kv);
-            let mut tile = Mat::zeros(nrows, seq_kv);
-            half_logits_into(&q_rows, &k, 0, live, &mut tile);
-            mask_and_scale(&mut tile, nrows, row_lo, 0, seq_kv, mask, scale);
-            for i in 0..nrows {
-                softmax_row(tile.row_mut(i));
-            }
-            half_attend_into(&tile, live, &v, 0, &mut out, row_lo);
-            row_lo = row_hi;
-        }
-        return out;
-    }
-    // Division-free kinds, chunk-outer. Scratch: one widened K chunk, one
-    // widened V chunk, one logit tile — all sized for the chunk, all
-    // cache-resident across the inner row walk.
-    let mut flash: Vec<FlashDSoftmax> = vec![FlashDSoftmax::new(); seq_q];
-    let mut loglut: Vec<LogLutSoftmax> = vec![LogLutSoftmax::new(); seq_q];
-    let chunk = KV_CHUNK.min(seq_kv);
-    let mut k_chunk = Mat::zeros(chunk, input.dk);
-    let mut v_chunk = Mat::zeros(chunk, input.dk);
-    let mut tile = Mat::zeros(rows_per_tile.min(seq_q), chunk);
-    let mut col_lo = 0;
-    while col_lo < seq_kv {
-        let col_hi = (col_lo + KV_CHUNK).min(seq_kv);
-        let width = col_hi - col_lo;
-        for j in 0..width {
-            k.decode_row_into(col_lo + j, k_chunk.row_mut(j));
-            v.decode_row_into(col_lo + j, v_chunk.row_mut(j));
-        }
-        let mut row_lo = 0;
-        while row_lo < seq_q {
-            let row_hi = (row_lo + rows_per_tile).min(seq_q);
-            let nrows = row_hi - row_lo;
-            // Key columns of this chunk the tile may attend to: none once
-            // the chunk starts past a causal tile's diagonal. Such a chunk
-            // still goes through `absorb`, whose carry `s · (1/s)` is not
-            // always exactly 1.0 in f32.
-            let live = mask.live_cols(row_hi, col_hi).saturating_sub(col_lo);
-            wide_logits_into(&q, row_lo, row_hi, &k_chunk, live, &mut tile);
-            mask_and_scale(&mut tile, nrows, row_lo, col_lo, width, mask, scale);
-            for r in 0..nrows {
-                let row = &mut tile.row_mut(r)[..width];
-                let carry = match kind {
-                    SoftmaxKind::FlashD => flash[row_lo + r].absorb(row),
-                    _ => loglut[row_lo + r].absorb(row),
-                };
-                if carry != 1.0 {
-                    for a in out.row_mut(row_lo + r) {
-                        *a *= carry;
-                    }
-                }
-            }
-            wide_attend_acc(&tile, nrows, live, &v_chunk, &mut out, row_lo);
-            row_lo = row_hi;
-        }
-        col_lo = col_hi;
-    }
-    out
 }
 
 /// Masks and scales the first `nrows` rows of a logit tile in place:
@@ -234,47 +164,95 @@ fn mask_and_scale(
     }
 }
 
-/// The f32 fused execution for one (batch, head) group, with any softmax
-/// kind — the unit the parallel kernel distributes across threads. With
-/// `stats`, every tile it executes is counted there.
-pub(crate) fn flat_attention_group(
+/// The fused execution for one (batch, head) group's `[q, k, v]`, with
+/// any softmax kind. With `stats`, every tile it executes is counted
+/// there.
+///
+/// The key dimension is walked in `kv_chunk`-column chunks, outermost,
+/// with the query-row tiles inside. The exact softmax needs complete rows,
+/// so it runs with one chunk of `seq_kv`. The division-free kinds keep one
+/// recurrence state per query row across chunks and rescale the row's
+/// output by the carry each chunk returns.
+fn flat_attention_group(
+    [q, k, v]: [&Mat; 3],
+    scale: f32,
+    rows_per_tile: usize,
+    mask: Mask,
+    kind: SoftmaxKind,
+    kv_chunk: usize,
+    mut stats: Option<&mut ExecutionStats>,
+) -> Mat {
+    let (seq_q, seq_kv, dk) = (q.rows(), k.rows(), q.cols());
+    debug_assert!(kind != SoftmaxKind::Exact || kv_chunk >= seq_kv);
+    if let Some(s) = stats.as_deref_mut() {
+        s.stage_kv(seq_kv, dk);
+    }
+    let mut out = Mat::zeros(seq_q, v.cols());
+    let mut flash = vec![FlashDSoftmax::new(); seq_q];
+    let mut loglut = vec![LogLutSoftmax::new(); seq_q];
+    let mut tile = Mat::zeros(rows_per_tile.min(seq_q), kv_chunk.min(seq_kv));
+    for col_lo in (0..seq_kv).step_by(kv_chunk) {
+        let col_hi = (col_lo + kv_chunk).min(seq_kv);
+        let width = col_hi - col_lo;
+        for row_lo in (0..seq_q).step_by(rows_per_tile) {
+            let row_hi = (row_lo + rows_per_tile).min(seq_q);
+            let nrows = row_hi - row_lo;
+            // Key columns of this chunk the tile may attend to: none once
+            // the chunk starts past a causal tile's diagonal. Such a chunk
+            // still goes through `absorb`, whose carry `s · (1/s)` is not
+            // always exactly 1.0 in f32.
+            let live = mask.live_cols(row_hi, col_hi).saturating_sub(col_lo);
+            // Stage L: one FLAT-tile of logits, computed straight from Q's
+            // rows and the chunk's K rows; masked columns read −∞.
+            wide_logits_into(q, row_lo, row_hi, k, col_lo, live, &mut tile);
+            mask_and_scale(&mut tile, nrows, row_lo, col_lo, width, mask, scale);
+            // SFU: softmax inside the on-chip slice.
+            for r in 0..nrows {
+                let row = &mut tile.row_mut(r)[..width];
+                let carry = match kind {
+                    SoftmaxKind::Exact => {
+                        softmax_row(row);
+                        1.0
+                    }
+                    SoftmaxKind::FlashD => flash[row_lo + r].absorb(row),
+                    SoftmaxKind::LogLut => loglut[row_lo + r].absorb(row),
+                };
+                if carry != 1.0 {
+                    for a in out.row_mut(row_lo + r) {
+                        *a *= carry;
+                    }
+                }
+            }
+            // Stage A: consume the slice immediately, accumulating into
+            // the output rows this tile owns.
+            wide_attend_acc(&tile, nrows, live, v, col_lo, &mut out, row_lo);
+            if let Some(s) = stats.as_deref_mut() {
+                s.count_tile(nrows, live, width, dk);
+            }
+        }
+    }
+    out
+}
+
+/// The f32 exact walk of group `g` — the unit the parallel kernel
+/// distributes across threads and the instrumented kernel counts.
+pub(crate) fn exact_group(
     input: &MultiHeadInput,
     g: usize,
     rows_per_tile: usize,
     mask: Mask,
-    kind: SoftmaxKind,
-    mut stats: Option<&mut ExecutionStats>,
+    stats: Option<&mut ExecutionStats>,
 ) -> Mat {
-    let scale = input.scale();
-    let (q, k, v) = (&input.q[g], &input.k[g], &input.v[g]);
-    let (seq_q, seq_kv) = (input.seq_q, input.seq_kv);
-    if let Some(s) = stats.as_deref_mut() {
-        s.stage_kv(seq_kv, input.dk);
-    }
-    let mut out = Mat::zeros(seq_q, input.dk);
-    let mut tile = Mat::zeros(rows_per_tile.min(seq_q), seq_kv);
-    let mut row_lo = 0;
-    while row_lo < seq_q {
-        let row_hi = (row_lo + rows_per_tile).min(seq_q);
-        let nrows = row_hi - row_lo;
-        let live = mask.live_cols(row_hi, seq_kv);
-        // Stage L: one FLAT-tile of logits, complete rows only, computed
-        // straight from Q's rows; masked columns read −∞.
-        wide_logits_into(q, row_lo, row_hi, k, live, &mut tile);
-        mask_and_scale(&mut tile, nrows, row_lo, 0, seq_kv, mask, scale);
-        // SFU: softmax inside the on-chip slice.
-        for r in 0..nrows {
-            softmax_row_kind(tile.row_mut(r), kind);
-        }
-        // Stage A: consume the slice immediately, accumulating into the
-        // (still zero) output rows this tile owns.
-        wide_attend_acc(&tile, nrows, live, v, &mut out, row_lo);
-        if let Some(s) = stats.as_deref_mut() {
-            s.count_tile(nrows, live, seq_kv, input.dk);
-        }
-        row_lo = row_hi;
-    }
-    out
+    let (scale, kind, kv_chunk) = (input.scale(), SoftmaxKind::Exact, input.seq_kv);
+    flat_attention_group(
+        input.group(g),
+        scale,
+        rows_per_tile,
+        mask,
+        kind,
+        kv_chunk,
+        stats,
+    )
 }
 
 #[cfg(test)]

@@ -3,9 +3,8 @@
 //! the cost model's traffic accounting is validated against the tiles the
 //! real walk executes — not against a copy of it.
 
-use crate::{flat_attention_group, Mask, Mat, MultiHeadInput};
+use crate::{exact_group, Mask, Mat, MultiHeadInput};
 use flat_telemetry::{Event, TraceSink};
-use flat_tensor::SoftmaxKind;
 
 /// Memory-touch counters for one execution, in elements.
 ///
@@ -103,10 +102,7 @@ pub fn instrumented_flat_attention(
     assert!(rows_per_tile > 0, "row tile must be positive");
     let mut stats = ExecutionStats::default();
     let outs = (0..input.groups())
-        .map(|g| {
-            let kind = SoftmaxKind::Exact;
-            flat_attention_group(input, g, rows_per_tile, mask, kind, Some(&mut stats))
-        })
+        .map(|g| exact_group(input, g, rows_per_tile, mask, Some(&mut stats)))
         .collect();
     (outs, stats)
 }

@@ -27,8 +27,8 @@
 //!
 //! On top of the f32 reference sits the **mixed-precision kernel family**:
 //! every execution has a `_with` variant taking a [`ComputePrecision`]
-//! (f32, bf16/f16 packed storage with widening loads via [`HalfMat`], or
-//! int8 with an int8 score matrix) and a
+//! (f32, bf16/f16 storage rounding via [`HalfMat`] ahead of the f32 walk,
+//! or int8 with an int8 score matrix) and a
 //! [`SoftmaxKind`](flat_tensor::SoftmaxKind) selecting the softmax
 //! algorithm — exact two-pass, [`FlashDSoftmax`] (division folded into the
 //! accumulation recurrence, no normalize pass), or [`LogLutSoftmax`]
@@ -64,7 +64,7 @@ mod softmax;
 mod softmax_family;
 mod streaming;
 
-pub(crate) use fused::flat_attention_group;
+pub(crate) use fused::exact_group;
 
 pub use attention::{naive_attention, Mask, MultiHeadInput};
 pub use decode::{decode_attention, decode_attention_with};

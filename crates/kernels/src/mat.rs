@@ -365,8 +365,8 @@ const PMR: usize = 8;
 /// loop stores nothing.
 const ANR: usize = 16;
 
-/// `tile[r][j] = q[row_lo + r] · k[j]` for `j < k_rows` — the logit shape
-/// on a decoded key chunk, register-blocked wider than [`dot`]: `PMR`
+/// `tile[r][j] = q[row_lo + r] · k[k_lo + j]` for `j < k_rows` — the
+/// logit shape on a key chunk, register-blocked wider than [`dot`]: `PMR`
 /// query rows stream each key row once, amortizing its loads eightfold.
 /// Each element equals [`dot`] of its two rows, bit for bit.
 pub(crate) fn wide_logits_into(
@@ -374,13 +374,15 @@ pub(crate) fn wide_logits_into(
     row_lo: usize,
     row_hi: usize,
     k: &Mat,
+    k_lo: usize,
     k_rows: usize,
     tile: &mut Mat,
 ) {
     debug_assert_eq!(q.cols, k.cols, "contraction dimensions must agree");
     debug_assert!(row_lo < row_hi && row_hi <= q.rows);
-    debug_assert!(k_rows <= k.rows && k_rows <= tile.cols);
+    debug_assert!(k_lo + k_rows <= k.rows && k_rows <= tile.cols);
     let kd = q.cols;
+    let kc = &k.data[k_lo * kd..(k_lo + k_rows) * kd];
     let nrows = row_hi - row_lo;
     let panels = nrows / PMR;
     for p in 0..panels {
@@ -388,7 +390,7 @@ pub(crate) fn wide_logits_into(
         let rows: [&[f32]; PMR] =
             std::array::from_fn(|r| &q.data[(r0 + r) * kd..(r0 + r + 1) * kd]);
         for j in 0..k_rows {
-            let b = &k.data[j * kd..(j + 1) * kd];
+            let b = &kc[j * kd..(j + 1) * kd];
             let mut acc = [[0.0f32; LANES]; PMR];
             let chunks = kd / LANES;
             for ci in 0..chunks {
@@ -418,31 +420,34 @@ pub(crate) fn wide_logits_into(
     for r in panels * PMR..nrows {
         let qrow = &q.data[(row_lo + r) * kd..(row_lo + r + 1) * kd];
         for j in 0..k_rows {
-            tile.set(r, j, dot(qrow, &k.data[j * kd..(j + 1) * kd]));
+            tile.set(r, j, dot(qrow, &kc[j * kd..(j + 1) * kd]));
         }
     }
 }
 
-/// `out[out_lo + r] += Σ_j w[r][j] · v[j]` for `r < nrows`, `j < width` —
-/// the Attend shape, accumulating (the online softmax recurrences own the
-/// scaling of what is already in `out`). Unlike `gemm`'s outer-product
-/// walk, the `MR × ANR` output block is held in registers across the whole
-/// contraction: the hot loop reads one value-row slice and four broadcast
-/// weights per step and stores nothing. The contraction is ascending, as
-/// in `gemm`, so over zeroed rows the result is `gemm`'s, bit for bit.
+/// `out[out_lo + r] += Σ_j w[r][j] · v[v_lo + j]` for `r < nrows`,
+/// `j < width` — the Attend shape, accumulating (the online softmax
+/// recurrences own the scaling of what is already in `out`). Unlike
+/// `gemm`'s outer-product walk, the `MR × ANR` output block is held in
+/// registers across the whole contraction: the hot loop reads one
+/// value-row slice and four broadcast weights per step and stores nothing.
+/// The contraction is ascending, as in `gemm`, so over zeroed rows the
+/// result is `gemm`'s, bit for bit.
 pub(crate) fn wide_attend_acc(
     w: &Mat,
     nrows: usize,
     width: usize,
     v: &Mat,
+    v_lo: usize,
     out: &mut Mat,
     out_lo: usize,
 ) {
     debug_assert_eq!(v.cols, out.cols, "output width must match values");
-    debug_assert!(width <= w.cols && width <= v.rows);
+    debug_assert!(width <= w.cols && v_lo + width <= v.rows);
     debug_assert!(out_lo + nrows <= out.rows);
     let n = out.cols;
     let wc = w.cols;
+    let vc = &v.data[v_lo * n..(v_lo + width) * n];
     let c = &mut out.data[out_lo * n..(out_lo + nrows) * n];
     let panels = nrows / MR;
     let col_blocks = n / ANR;
@@ -461,7 +466,7 @@ pub(crate) fn wide_attend_acc(
                     w.data[(i + 2) * wc + l],
                     w.data[(i + 3) * wc + l],
                 ];
-                let bv = &v.data[l * n + c0..l * n + c0 + ANR];
+                let bv = &vc[l * n + c0..l * n + c0 + ANR];
                 for (r, accr) in acc.iter_mut().enumerate() {
                     for (av, &b) in accr.iter_mut().zip(bv) {
                         *av = a[r].mul_add(b, *av);
@@ -477,7 +482,7 @@ pub(crate) fn wide_attend_acc(
             let lo = col_blocks * ANR;
             for l in 0..width {
                 let av = w.data[r * wc + l];
-                let brow = &v.data[l * n..(l + 1) * n];
+                let brow = &vc[l * n..(l + 1) * n];
                 for jc in lo..n {
                     c[r * n + jc] = av.mul_add(brow[jc], c[r * n + jc]);
                 }
@@ -492,7 +497,7 @@ pub(crate) fn wide_attend_acc(
             if av == 0.0 {
                 continue;
             }
-            let brow = &v.data[l * n..(l + 1) * n];
+            let brow = &vc[l * n..(l + 1) * n];
             for (cv, &bv) in crow.iter_mut().zip(brow) {
                 *cv = av.mul_add(bv, *cv);
             }

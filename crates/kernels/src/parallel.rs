@@ -4,8 +4,7 @@
 //! accelerator — so the reference kernel parallelizes the same way on CPU
 //! threads.
 
-use crate::{flat_attention_group, Mask, Mat, MultiHeadInput};
-use flat_tensor::SoftmaxKind;
+use crate::{exact_group, Mask, Mat, MultiHeadInput};
 use rayon::prelude::*;
 
 /// [`flat_attention`](crate::flat_attention) with the (batch, head)
@@ -40,7 +39,7 @@ pub fn parallel_flat_attention(
     assert!(rows_per_tile > 0, "row tile must be positive");
     (0..input.groups())
         .into_par_iter()
-        .map(|g| flat_attention_group(input, g, rows_per_tile, mask, SoftmaxKind::Exact, None))
+        .map(|g| exact_group(input, g, rows_per_tile, mask, None))
         .collect()
 }
 

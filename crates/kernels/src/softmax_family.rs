@@ -33,8 +33,8 @@ use std::sync::OnceLock;
 ///
 /// Distinct from [`DataType`] (a pure storage-width descriptor): a
 /// `ComputePrecision` names an executable kernel configuration — f32
-/// reference, 16-bit packed storage with f32 accumulation (widening
-/// loads), or int8 with integer GEMMs and an int8 score matrix.
+/// reference, 16-bit storage rounding with f32 arithmetic, or int8 with
+/// integer GEMMs and an int8 score matrix.
 ///
 /// # Example
 ///
@@ -49,9 +49,11 @@ use std::sync::OnceLock;
 pub enum ComputePrecision {
     /// Full f32: the reference.
     F32,
-    /// bfloat16 packed storage, f32 accumulation via widening loads.
+    /// bfloat16 storage: Q/K/V are rounded to bf16 once, then the f32
+    /// kernels run on the rounded values.
     Bf16,
-    /// IEEE f16 packed storage, f32 accumulation via widening loads.
+    /// IEEE f16 storage: Q/K/V are rounded to f16 once, then the f32
+    /// kernels run on the rounded values.
     F16,
     /// int8 storage with integer GEMMs; the score matrix is quantized too.
     Int8,
@@ -405,8 +407,8 @@ pub fn softmax_row_kind(row: &mut [f32], kind: SoftmaxKind) {
 
 /// Rounds a matrix through the storage grid of `precision` (identity for
 /// f32) — the values a kernel holding its tensors at that width actually
-/// computes with. Used by the streaming/decode paths, where the packed
-/// microkernels don't apply but the storage effect still must.
+/// computes with. The fused bf16/f16 walk and the non-f32 streaming
+/// kernels snap Q/K/V with it, then run f32 arithmetic on the result.
 pub(crate) fn storage_snap(m: &crate::Mat, precision: ComputePrecision) -> crate::Mat {
     match precision {
         ComputePrecision::F32 => m.clone(),

@@ -21,23 +21,29 @@ use flat_tensor::half::round_to;
 use flat_tensor::SoftmaxKind;
 use proptest::prelude::*;
 
-/// The key-dimension chunk of the packed division-free walk.
+/// The key-dimension chunk of the bf16/f16 division-free walks.
 const KV_CHUNK: usize = 512;
 
-/// A random head plus the walk parameters: `seq_q` 1..80, `seq_kv`
-/// 1..600 (or `seq_q`), `dk` from the list, `rows_per_tile` 1..seq_q+3.
+/// A random head plus the walk parameters: either `seq_q` 1..80 and
+/// `seq_kv` 1..600 (or `seq_q`), or a long-KV tier of `seq_q` 1..16 and
+/// `seq_kv` 1025..1700 that carries across three or four KV chunks; `dk`
+/// from the list, `rows_per_tile` 1..seq_q+3.
 fn case() -> impl Strategy<Value = (MultiHeadInput, usize, Mask)> {
-    (
+    let short = (
         1usize..80,
         1usize..600,
+        prop::sample::select(vec![false, true]),
+    )
+        .prop_map(|(seq_q, seq_kv, square)| (seq_q, if square { seq_q } else { seq_kv }));
+    let long = (1usize..16, 1025usize..1700);
+    (
+        prop_oneof![short, long],
         prop::sample::select(vec![1usize, 3, 8, 13, 16, 17, 64]),
         0usize..1 << 16,
         prop::sample::select(vec![Mask::None, Mask::Causal]),
-        prop::sample::select(vec![false, true]),
         any::<u64>(),
     )
-        .prop_map(|(seq_q, seq_kv, dk, r, mask, square, seed)| {
-            let seq_kv = if square { seq_q } else { seq_kv };
+        .prop_map(|((seq_q, seq_kv), dk, r, mask, seed)| {
             let input = MultiHeadInput::random(1, 1, seq_q, seq_kv, dk, seed);
             (input, 1 + r % (seq_q + 3), mask)
         })
