@@ -274,7 +274,7 @@ fn serve_entries(quick: bool) -> Vec<Entry> {
             for step in 0..steps {
                 let j = ctx0 + step;
                 assert!(pool.try_append(&mut table, input.k[0].row(j), input.v[0].row(j)));
-                last = decode_attention(input.q[0].row(j), pool.rows(&table), scale);
+                last = decode_attention(input.q[0].row(j), pool.blocks(&table), scale);
             }
             last
         }),

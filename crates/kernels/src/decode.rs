@@ -2,32 +2,37 @@
 //!
 //! Autoregressive serving attends one query row against the whole cached
 //! prefix at every generated token. Materializing the prefix logits and
-//! running the two-pass softmax would touch the row twice; folding each
-//! cached K/V row through a [`RowFold`] instead makes a decode step a
+//! running the two-pass softmax would touch the row twice; folding the
+//! cached K/V rows through a [`RowFold`] instead makes a decode step a
 //! single `O(N·dk)` pass — the fold `streaming_attention` runs along the
-//! key dimension, with a chunk of one logit. This is the kernel the
-//! `flat-serve` engine calls once per scheduled decode token, with the
-//! K/V rows streamed straight out of its paged cache blocks.
+//! key dimension, one logit at a time. The rows arrive in groups (a
+//! `flat-serve` paged cache block per group): each group's logits are
+//! computed together, then folded row by row, so the grouping never moves
+//! a bit. This is the kernel the `flat-serve` engine calls once per
+//! scheduled decode token, with the K/V rows streamed straight out of its
+//! paged cache blocks.
 
 use crate::quantized::snap_logits_int8;
-use crate::{mat::dot, ComputePrecision, RowFold};
+use crate::{ComputePrecision, RowFold};
 use flat_tensor::half::round_to;
 use flat_tensor::SoftmaxKind;
 
 /// Attention output of one decode step: the query row `q` against every
 /// cached `(key, value)` row the iterator yields, in order.
 ///
-/// The fold is the online-softmax rescaling, so the rows may arrive in any
-/// grouping (e.g. paged cache blocks) without changing the result beyond
-/// f32 rounding. Causality is positional: the caller yields exactly the
-/// rows the current token may attend to — for self-attention that includes
+/// Each yielded pair is a group of `n ≥ 1` whole rows, row-major:
+/// `n · q.len()` key floats and `n · dv` value floats (one row per pair
+/// is a group of one). The output does not depend on the grouping, to
+/// the bit. Causality is positional: the caller yields exactly the rows
+/// the current token may attend to — for self-attention that includes
 /// the token's own K/V row, so at step 1 (a single cached row) the output
 /// equals that value row exactly.
 ///
 /// # Panics
 ///
-/// Panics if no K/V row is yielded, or if a key row's length differs from
-/// the query's.
+/// Panics if the query is empty, if no K/V row is yielded, if a key group
+/// is not a whole, non-zero number of rows as wide as the query, or if a
+/// value group does not hold one `dv`-wide row per key row.
 ///
 /// # Example
 ///
@@ -40,6 +45,12 @@ use flat_tensor::SoftmaxKind;
 /// let v = [2.0f32, -4.0];
 /// let out = decode_attention(&q, [(&k[..], &v[..])], 1.0);
 /// assert_eq!(out, vec![2.0, -4.0]);
+///
+/// // A block of two rows equals the same rows yielded one by one.
+/// let (k2, v2) = ([0.5f32, 0.25, -1.0, 2.0], [2.0f32, -4.0, 1.0, 3.0]);
+/// let blocked = decode_attention(&q, [(&k2[..], &v2[..])], 1.0);
+/// let rows = k2.chunks(2).zip(v2.chunks(2));
+/// assert_eq!(blocked, decode_attention(&q, rows, 1.0));
 /// ```
 #[must_use]
 pub fn decode_attention<'a, I>(q: &[f32], kv: I, scale: f32) -> Vec<f32>
@@ -49,21 +60,30 @@ where
     decode_attention_with(q, kv, scale, ComputePrecision::F32, SoftmaxKind::Exact)
 }
 
-/// Rounds one row through the storage grid of `precision` into `out`,
-/// reusing its allocation. The int8 grid is the row's own, not the
+/// Rounds `width`-wide rows through the storage grid of `precision` into
+/// `out`, reusing its allocation. The int8 grid is each row's own, not the
 /// per-matrix grid of the prefill kernels.
-fn snap_into(row: &[f32], precision: ComputePrecision, out: &mut Vec<f32>) {
+fn snap_into(rows: &[f32], width: usize, precision: ComputePrecision, out: &mut Vec<f32>) {
     out.clear();
     match precision {
-        ComputePrecision::F32 => out.extend_from_slice(row),
+        ComputePrecision::F32 => out.extend_from_slice(rows),
         ComputePrecision::Bf16 | ComputePrecision::F16 => {
-            out.extend(row.iter().map(|&x| round_to(precision.dtype(), x)));
+            out.extend(rows.iter().map(|&x| round_to(precision.dtype(), x)));
         }
         ComputePrecision::Int8 => {
-            out.extend_from_slice(row);
-            snap_logits_int8(out);
+            out.extend_from_slice(rows);
+            // `max(1)`: zero-width rows leave `out` empty.
+            for row in out.chunks_mut(width.max(1)) {
+                snap_logits_int8(row);
+            }
         }
     }
+}
+
+/// The value row width a K/V group implies: `v.len()` over its key rows.
+/// A malformed group (not whole key rows) is rejected by the fold.
+fn value_width(q: &[f32], k: &[f32], v: &[f32]) -> usize {
+    v.len() / (k.len() / q.len().max(1)).max(1)
 }
 
 /// One decode step with an explicit precision and softmax kind — the
@@ -71,16 +91,15 @@ fn snap_into(row: &[f32], precision: ComputePrecision, out: &mut Vec<f32>) {
 /// reference.
 ///
 /// `F32` reads the rows in place. Other precisions snap the query once and
-/// each streamed K/V row into a reused scratch row. The FLASH-D and
-/// log-LUT kinds run the fold as `acc ← acc·carry + w̃·v`: the accumulator
-/// is normalized after every cached row and the final divide disappears
-/// (the single-element FLASH-D form is exactly the incremental average
-/// `o ← o + μ(v − o)`).
+/// each K/V group into two reused scratch buffers, row by row. The FLASH-D
+/// and log-LUT kinds run the fold as `acc ← acc·carry + w̃·v`: the
+/// accumulator is normalized after every cached row and the final divide
+/// disappears (the single-element FLASH-D form is exactly the incremental
+/// average `o ← o + μ(v − o)`).
 ///
 /// # Panics
 ///
-/// Panics if no K/V row is yielded, or if a key row's length differs from
-/// the query's.
+/// As [`decode_attention`].
 #[must_use]
 pub fn decode_attention_with<'a, I>(
     q: &[f32],
@@ -95,23 +114,22 @@ where
     let snap = precision != ComputePrecision::F32;
     let (mut qs, mut ks, mut vs) = (Vec::new(), Vec::new(), Vec::new());
     let q = if snap {
-        snap_into(q, precision, &mut qs);
+        snap_into(q, q.len(), precision, &mut qs);
         &qs[..]
     } else {
         q
     };
     let mut fold = None;
     for (k, v) in kv {
-        assert_eq!(k.len(), q.len(), "key row length must match the query");
         let (k, v) = if snap {
-            snap_into(k, precision, &mut ks);
-            snap_into(v, precision, &mut vs);
+            snap_into(k, q.len(), precision, &mut ks);
+            snap_into(v, value_width(q, k, v), precision, &mut vs);
             (&ks[..], &vs[..])
         } else {
             (k, v)
         };
-        let fold = fold.get_or_insert_with(|| RowFold::new(kind, v.len()));
-        fold.absorb(&mut [dot(q, k) * scale], |_| v);
+        fold.get_or_insert_with(|| RowFold::new(kind, value_width(q, k, v)))
+            .absorb_rows(q, k, v, scale);
     }
     fold.expect("decode_attention needs at least one cached K/V row")
         .finish()
@@ -155,6 +173,19 @@ mod tests {
     #[should_panic(expected = "at least one cached K/V row")]
     fn empty_prefix_panics() {
         let _ = decode_attention(&[1.0, 2.0], std::iter::empty(), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole rows as long as the query")]
+    fn ragged_key_group_panics() {
+        let _ = decode_attention(&[1.0, 2.0], [(&[1.0, 2.0, 3.0][..], &[0.0; 3][..])], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "one row per key row")]
+    fn value_group_must_match_its_key_rows() {
+        let (k, v) = ([0.5f32; 4], [1.0f32; 4]);
+        let _ = decode_attention(&[1.0, 2.0], [(&k[..], &v[..]), (&k[..], &v[..3])], 1.0);
     }
 
     #[test]
@@ -208,7 +239,7 @@ mod tests {
                 let out =
                     decode_attention_with(q.row(0), [(k.row(0), v.row(0))], input.scale(), p, kind);
                 let mut snapped = Vec::new();
-                snap_into(v.row(0), p, &mut snapped);
+                snap_into(v.row(0), v.cols(), p, &mut snapped);
                 for (o, &vv) in out.iter().zip(&snapped) {
                     assert!((o - vv).abs() < 1e-5, "{p}/{kind}: {o} vs {vv}");
                 }

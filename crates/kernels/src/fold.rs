@@ -9,10 +9,72 @@
 //! the accumulator un-normalized (one divide at [`RowFold::finish`]), the
 //! division-free family keeps it normalized after every chunk.
 
+use crate::mat::dot;
 use crate::softmax_family::{FlashDSoftmax, LogLutSoftmax};
 use crate::{Mask, MultiHeadInput, OnlineSoftmax};
 use flat_tensor::SoftmaxKind;
 use std::ops::Range;
+
+/// The chunked `absorb` the three softmax states share: each logit is
+/// replaced by its weight, and the carry for earlier output is returned.
+trait ChunkSoftmax {
+    fn absorb(&mut self, chunk: &mut [f32]) -> f32;
+}
+
+impl ChunkSoftmax for OnlineSoftmax {
+    #[inline]
+    fn absorb(&mut self, chunk: &mut [f32]) -> f32 {
+        OnlineSoftmax::absorb(self, chunk)
+    }
+}
+
+impl ChunkSoftmax for FlashDSoftmax {
+    #[inline]
+    fn absorb(&mut self, chunk: &mut [f32]) -> f32 {
+        FlashDSoftmax::absorb(self, chunk)
+    }
+}
+
+impl ChunkSoftmax for LogLutSoftmax {
+    #[inline]
+    fn absorb(&mut self, chunk: &mut [f32]) -> f32 {
+        LogLutSoftmax::absorb(self, chunk)
+    }
+}
+
+/// One fold step under a concrete softmax state: `acc` is rescaled by the
+/// carry, then each weight > 0 times its value row is added, ascending.
+// Inlined so the one-logit steps of `fold_rows` keep the state in registers.
+#[inline]
+fn fold_chunk<'a, S: ChunkSoftmax>(
+    s: &mut S,
+    acc: &mut [f32],
+    logits: &mut [f32],
+    v_row: impl Fn(usize) -> &'a [f32],
+) {
+    let carry = s.absorb(logits);
+    if carry != 1.0 {
+        for a in acc.iter_mut() {
+            *a *= carry;
+        }
+    }
+    for (j, &w) in logits.iter().enumerate() {
+        if w > 0.0 {
+            for (a, &v) in acc.iter_mut().zip(v_row(j)) {
+                *a = w.mul_add(v, *a);
+            }
+        }
+    }
+}
+
+/// `logits[j]` against value row `j` of `v`, one one-logit step each.
+fn fold_rows<S: ChunkSoftmax>(s: &mut S, acc: &mut [f32], logits: &mut [f32], v: &[f32]) {
+    let dv = acc.len();
+    for (j, w) in logits.iter_mut().enumerate() {
+        let v_row = &v[j * dv..][..dv];
+        fold_chunk(s, acc, std::slice::from_mut(w), |_| v_row);
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum RowSoftmax {
@@ -49,7 +111,8 @@ enum RowSoftmax {
 pub struct RowFold {
     softmax: RowSoftmax,
     acc: Vec<f32>,
-    /// Logit scratch of [`absorb_keys`](Self::absorb_keys), reused.
+    /// Logit scratch of [`absorb_keys`](Self::absorb_keys) and
+    /// `absorb_rows`, reused.
     chunk: Vec<f32>,
 }
 
@@ -73,25 +136,62 @@ impl RowFold {
     /// rescaled by the state's carry, then each non-zero weight times its
     /// value row `v_row(j)` is added, in ascending `j`. The logits are
     /// overwritten with their weights.
-    // Inlined so decode's one-logit chunks keep the state in registers.
+    // One carry per chunk: streaming's KV tiles and the shard walk. Decode
+    // folds its rows one logit at a time through `absorb_rows` instead.
     #[inline]
     pub fn absorb<'a>(&mut self, logits: &mut [f32], v_row: impl Fn(usize) -> &'a [f32]) {
-        let carry = match &mut self.softmax {
-            RowSoftmax::Exact(s) => s.absorb(logits),
-            RowSoftmax::FlashD(s) => s.absorb(logits),
-            RowSoftmax::LogLut(s) => s.absorb(logits),
-        };
-        if carry != 1.0 {
-            for a in &mut self.acc {
-                *a *= carry;
-            }
+        match &mut self.softmax {
+            RowSoftmax::Exact(s) => fold_chunk(s, &mut self.acc, logits, v_row),
+            RowSoftmax::FlashD(s) => fold_chunk(s, &mut self.acc, logits, v_row),
+            RowSoftmax::LogLut(s) => fold_chunk(s, &mut self.acc, logits, v_row),
         }
-        for (j, &w) in logits.iter().enumerate() {
-            if w > 0.0 {
-                for (a, &v) in self.acc.iter_mut().zip(v_row(j)) {
-                    *a = w.mul_add(v, *a);
-                }
-            }
+    }
+
+    /// Folds a group of whole K/V rows — `k` holds `n` key rows as wide as
+    /// `q`, `v` holds `n` value rows as wide as the accumulator — one
+    /// logit at a time: the `n` scaled `q·k` dots go into the scratch,
+    /// then each is its own one-logit [`absorb`](Self::absorb) step, so
+    /// the bits equal `n` single-row calls. The kind is matched once per
+    /// group, not once per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is empty, if `k` is not a non-zero whole number of
+    /// key rows, or if `v` does not hold exactly one value row per key row.
+    // Inlined into the caller's group loop, so groups of one row (the
+    // per-row feed) pay no call per row.
+    #[inline]
+    pub(crate) fn absorb_rows(&mut self, q: &[f32], k: &[f32], v: &[f32], scale: f32) {
+        assert!(
+            !q.is_empty(),
+            "decode_attention needs a non-empty query row"
+        );
+        let RowFold {
+            softmax,
+            acc,
+            chunk: logits,
+        } = self;
+        logits.clear();
+        // Split off one key row at a time: no division by the row width,
+        // which a group of one row would pay per row.
+        let mut keys = k;
+        while let Some((row, rest)) = keys.split_at_checked(q.len()) {
+            logits.push(dot(q, row) * scale);
+            keys = rest;
+        }
+        assert!(
+            keys.is_empty() && !logits.is_empty(),
+            "a key group must be whole rows as long as the query"
+        );
+        assert_eq!(
+            v.len(),
+            logits.len() * acc.len(),
+            "a value group must hold one row per key row"
+        );
+        match softmax {
+            RowSoftmax::Exact(s) => fold_rows(s, acc, logits, v),
+            RowSoftmax::FlashD(s) => fold_rows(s, acc, logits, v),
+            RowSoftmax::LogLut(s) => fold_rows(s, acc, logits, v),
         }
     }
 
@@ -112,7 +212,7 @@ impl RowFold {
         chunk.clear();
         chunk.extend(cols.clone().map(|j| {
             if mask.allows(qi, j) {
-                crate::mat::dot(q, k.row(j)) * scale
+                dot(q, k.row(j)) * scale
             } else {
                 f32::NEG_INFINITY
             }

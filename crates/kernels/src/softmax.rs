@@ -125,20 +125,28 @@ impl OnlineSoftmax {
     #[inline]
     pub fn absorb(&mut self, chunk: &mut [f32]) -> f32 {
         let chunk_max = chunk.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let new_max = self.max.max(chunk_max);
-        if new_max == f32::NEG_INFINITY {
-            chunk.fill(0.0);
-            return 1.0;
-        }
-        let scale = if self.max == f32::NEG_INFINITY {
+        // A finite max the chunk does not raise: the carry is exp(0) = 1
+        // exactly, so skip that exp. At ±∞ the carry is exp(∞ − ∞) = NaN
+        // (or nothing is live yet), which the general path keeps.
+        let scale = if chunk_max <= self.max && self.max.is_finite() {
             1.0
         } else {
-            (self.max - new_max).exp()
+            let new_max = self.max.max(chunk_max);
+            if new_max == f32::NEG_INFINITY {
+                chunk.fill(0.0);
+                return 1.0;
+            }
+            let scale = if self.max == f32::NEG_INFINITY {
+                1.0
+            } else {
+                (self.max - new_max).exp()
+            };
+            self.sum *= scale;
+            self.max = new_max;
+            scale
         };
-        self.sum *= scale;
-        self.max = new_max;
         for x in chunk.iter_mut() {
-            *x = (*x - new_max).exp();
+            *x = (*x - self.max).exp();
             self.sum += *x;
         }
         scale

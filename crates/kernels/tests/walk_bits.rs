@@ -9,7 +9,8 @@
 //!
 //! The streaming and decode kernels run one online-softmax row fold; their
 //! references are verbatim copies of the per-kernel loops that fold
-//! replaced.
+//! replaced. Decode is also fed its rows in groups, as a paged KV cache
+//! yields them a block at a time, and must match the same references.
 
 use flat_kernels::{
     decode_attention, decode_attention_with, flat_attention, flat_attention_with,
@@ -590,6 +591,23 @@ where
     acc
 }
 
+/// A key row whose logit against `q`, after both are snapped to
+/// `precision`, is exactly `−∞`: every lane's product is `−∞` or 0.
+fn masked_key(q: &[f32], precision: ComputePrecision) -> Vec<f32> {
+    snap_row(q, precision)
+        .iter()
+        .map(|&x| {
+            if x > 0.0 {
+                f32::NEG_INFINITY
+            } else if x < 0.0 {
+                f32::INFINITY
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
 const KINDS: [SoftmaxKind; 3] = [SoftmaxKind::Exact, SoftmaxKind::FlashD, SoftmaxKind::LogLut];
 
 proptest! {
@@ -661,23 +679,50 @@ proptest! {
     }
 
     /// The decode fold, every precision and kind, at every context length
-    /// up to `seq_kv` ≡ the two decode loops it replaced.
+    /// up to `seq_kv` ≡ the two decode loops it replaced: fed one row at a
+    /// time, fed the same rows in groups of `block` (the last one ragged),
+    /// and fed a group run that starts with a row whose logit is `−∞`,
+    /// which must drop out exactly.
     #[test]
-    fn decode_fold_is_bit_identical((input, _, _, _) in stream_case()) {
+    fn decode_fold_is_bit_identical(
+        (input, _, _, _) in stream_case(),
+        block in 1usize..=33,
+    ) {
         let (q, k, v) = (&input.q[0], &input.k[0], &input.v[0]);
-        let scale = input.scale();
+        let (dk, scale) = (input.dk, input.scale());
         let row_bits = |row: Vec<f32>| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for n in 1..=input.seq_kv {
             let qrow = q.row((n - 1) % input.seq_q);
             let kv = || (0..n).map(|j| (k.row(j), v.row(j)));
+            let (ks, vs) = (&k.as_slice()[..n * dk], &v.as_slice()[..n * dk]);
+            let groups = || ks.chunks(block * dk).zip(vs.chunks(block * dk));
             let plain = decode_attention(qrow, kv(), scale);
-            prop_assert_eq!(row_bits(plain), row_bits(decode_reference(qrow, kv(), scale)));
+            let reference = row_bits(decode_reference(qrow, kv(), scale));
+            prop_assert_eq!(row_bits(plain), reference.clone());
+            prop_assert_eq!(row_bits(decode_attention(qrow, groups(), scale)), reference);
             for &precision in ComputePrecision::all() {
+                let mut masked_k = masked_key(qrow, precision);
+                let mut masked_v = v.row(0).to_vec();
+                masked_k.extend_from_slice(ks);
+                masked_v.extend_from_slice(vs);
+                let masked = || masked_k.chunks(block * dk).zip(masked_v.chunks(block * dk));
                 for kind in KINDS {
+                    let reference =
+                        row_bits(decode_with_reference(qrow, kv(), scale, precision, kind));
                     let out = decode_attention_with(qrow, kv(), scale, precision, kind);
-                    let reference = decode_with_reference(qrow, kv(), scale, precision, kind);
                     prop_assert_eq!(
-                        row_bits(out), row_bits(reference), "{}/{} at {} rows", precision, kind, n
+                        row_bits(out), reference.clone(), "{}/{} at {} rows", precision, kind, n
+                    );
+                    let out = decode_attention_with(qrow, groups(), scale, precision, kind);
+                    prop_assert_eq!(
+                        row_bits(out), reference.clone(),
+                        "{}/{} at {} rows in groups of {}", precision, kind, n, block
+                    );
+                    let out = decode_attention_with(qrow, masked(), scale, precision, kind);
+                    prop_assert_eq!(
+                        row_bits(out), reference,
+                        "{}/{} at {} rows after a masked row, groups of {}",
+                        precision, kind, n, block
                     );
                 }
             }

@@ -12,7 +12,8 @@
 //!
 //! * the **numeric plane** executes real attention per scheduled token
 //!   through [`flat_kernels::decode_attention_with`] at a reduced width (one
-//!   representative head, `dk` lanes) — each step's output feeds the next
+//!   representative head, `dk` lanes), fed one paged KV block at a time
+//!   by [`KvPool::blocks`] — each step's output feeds the next
 //!   step's Q/K/V derivation, so generation is genuinely sequential and
 //!   any scheduling bug shows up in the numeric checksum;
 //! * the **accounting plane** prices every tick against the full model on
@@ -1009,7 +1010,7 @@ impl<'t> Engine<'t> {
                 let q = self.embed(&spec, spec.prompt_len - 1, SALT_Q, &[]);
                 let out = decode_attention_with(
                     &q,
-                    self.pool.rows(&self.running[i].table),
+                    self.pool.blocks(&self.running[i].table),
                     self.scale,
                     self.cfg.precision,
                     self.cfg.softmax,
@@ -1034,7 +1035,7 @@ impl<'t> Engine<'t> {
             }
             let out = decode_attention_with(
                 &q,
-                self.pool.rows(&self.running[i].table),
+                self.pool.blocks(&self.running[i].table),
                 self.scale,
                 self.cfg.precision,
                 self.cfg.softmax,

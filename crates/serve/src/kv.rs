@@ -450,21 +450,31 @@ impl KvPool {
         self.refs.get(id).copied().unwrap_or(0)
     }
 
-    /// The `(key, value)` rows of a request in token order — the exact
-    /// iterator [`flat_kernels::decode_attention`] consumes.
-    pub fn rows<'a>(
+    /// Each mapped block's filled rows of a request, in token order: one
+    /// `(K rows, V rows)` pair of contiguous row-major slices per block,
+    /// `dk` floats a row, only the last block partial — the row groups
+    /// [`flat_kernels::decode_attention_with`] consumes a block at a time.
+    pub fn blocks<'a>(
         &'a self,
         table: &'a BlockTable,
     ) -> impl Iterator<Item = (&'a [f32], &'a [f32])> {
         let (bt, dk) = (self.block_tokens, self.dk);
-        (0..table.tokens).map(move |t| {
-            let id = table.blocks[t / bt];
-            let at = (t % bt) * dk;
-            (
-                &self.blocks[id].k[at..at + dk],
-                &self.blocks[id].v[at..at + dk],
-            )
+        let starts = (0..table.tokens).step_by(bt);
+        table.blocks.iter().zip(starts).map(move |(&id, t)| {
+            let filled = (table.tokens - t).min(bt) * dk;
+            (&self.blocks[id].k[..filled], &self.blocks[id].v[..filled])
         })
+    }
+
+    /// The `(key, value)` rows of a request in token order, one `dk`-wide
+    /// row each: [`blocks`](Self::blocks) split into rows.
+    pub fn rows<'a>(
+        &'a self,
+        table: &'a BlockTable,
+    ) -> impl Iterator<Item = (&'a [f32], &'a [f32])> {
+        let dk = self.dk;
+        self.blocks(table)
+            .flat_map(move |(k, v)| k.chunks_exact(dk).zip(v.chunks_exact(dk)))
     }
 }
 
@@ -652,6 +662,79 @@ mod tests {
         append_prefix(&mut pool, &mut b, 2, 1);
         assert_eq!(pool.dedup_hits(), 0);
         assert_eq!(pool.rows(&b).count(), 2);
+    }
+
+    /// The rows a table should read back, in token order.
+    type Want = Vec<(Vec<f32>, Vec<f32>)>;
+
+    /// `blocks` yields whole blocks but a partial last one, never an empty
+    /// one, and flattened they equal `rows`: both read back exactly what
+    /// the table appended.
+    fn assert_reads_back(pool: &KvPool, t: &BlockTable, want: &Want) {
+        let (bt, dk) = (pool.block_tokens(), 2);
+        let blocks: Vec<_> = pool.blocks(t).collect();
+        assert_eq!(blocks.len(), t.block_count());
+        for (i, (k, v)) in blocks.iter().enumerate() {
+            let filled = (t.tokens() - i * bt).min(bt);
+            assert!(filled > 0);
+            assert_eq!((k.len(), v.len()), (filled * dk, filled * dk));
+        }
+        let flat: Want = blocks
+            .iter()
+            .flat_map(|(k, v)| k.chunks_exact(dk).zip(v.chunks_exact(dk)))
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
+            .collect();
+        let rows: Want = pool
+            .rows(t)
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
+            .collect();
+        assert_eq!(&flat, want);
+        assert_eq!(&rows, want);
+    }
+
+    #[test]
+    fn blocks_flatten_to_rows_through_sharing_reuse_and_confiscation() {
+        let dk = 2;
+        let mut pool = KvPool::new(8, 3, dk);
+        let append = |pool: &mut KvPool, t: &mut BlockTable, want: &mut Want, x: f32| {
+            let (k, v) = (vec![x, x + 0.5], vec![-x, x * 2.0]);
+            assert!(pool.try_append(t, &k, &v));
+            want.push((k, v));
+        };
+        // Appends across several blocks, the last one partial.
+        let (mut a, mut want_a) = (BlockTable::new(), Want::new());
+        for i in 0..7 {
+            append(&mut pool, &mut a, &mut want_a, i as f32);
+        }
+        assert_eq!(a.block_count(), 3);
+        assert_reads_back(&pool, &a, &want_a);
+        // A shared prefix sealed twice: `c` maps `b`'s blocks (a dedup hit),
+        // then forks into a private partial block.
+        let prefix: Want = (0..6)
+            .map(|i| (vec![i as f32 + 0.25; dk], vec![i as f32 + 0.25; dk]))
+            .collect();
+        let (mut b, mut c) = (BlockTable::new(), BlockTable::new());
+        append_prefix(&mut pool, &mut b, 6, dk);
+        append_prefix(&mut pool, &mut c, 6, dk);
+        assert_eq!(pool.dedup_hits(), 2);
+        let mut want_c = prefix.clone();
+        append(&mut pool, &mut c, &mut want_c, 40.0);
+        assert_reads_back(&pool, &b, &prefix);
+        assert_reads_back(&pool, &c, &want_c);
+        // A release, then a new table on the freed blocks.
+        pool.release(&mut a);
+        let (mut d, mut want_d) = (BlockTable::new(), Want::new());
+        for i in 0..5 {
+            append(&mut pool, &mut d, &mut want_d, 100.0 + i as f32);
+        }
+        // `b`'s two blocks, `c`'s private one and `d`'s two.
+        assert_eq!(pool.used_blocks(), 2 + 1 + 2);
+        assert_reads_back(&pool, &d, &want_d);
+        // Confiscation takes only free blocks: every live table reads back.
+        assert!(pool.confiscate(10) > 0);
+        for (t, want) in [(&b, &prefix), (&c, &want_c), (&d, &want_d)] {
+            assert_reads_back(&pool, t, want);
+        }
     }
 
     #[test]

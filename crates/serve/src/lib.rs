@@ -17,7 +17,8 @@
 //!   pressure, and optional copy-on-write prefix dedup
 //!   ([`EngineConfig::dedup`]) that shares identical prompt-prefix KV
 //!   blocks across requests, executing each decode token through
-//!   [`flat_kernels::decode_attention`];
+//!   [`flat_kernels::decode_attention_with`] over the request's cache
+//!   blocks ([`KvPool::blocks`]), a block at a time;
 //! * [`ServeError`] / [`DropReason`] — the robustness layer: typed errors
 //!   instead of panics, admission-time rejection of provably unservable
 //!   requests, and deadline (SLO) shedding with per-reason drop counters;
