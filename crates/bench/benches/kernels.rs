@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use flat_kernels::{
-    flat_attention, flat_attention_with, naive_attention, parallel_flat_attention,
-    streaming_attention, ComputePrecision, Mask, MultiHeadInput,
+    flat_attention, flat_attention_with, naive_attention, streaming_attention, ComputePrecision,
+    Mask, MultiHeadInput,
 };
 use flat_tensor::SoftmaxKind;
 use std::hint::black_box;
@@ -27,13 +27,6 @@ fn bench_attention(c: &mut Criterion) {
             &input,
             |b, inp| {
                 b.iter(|| black_box(streaming_attention(inp, 16, 64, Mask::None)));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("flat-R16-4threads", seq),
-            &input,
-            |b, inp| {
-                b.iter(|| black_box(parallel_flat_attention(inp, 16, Mask::None)));
             },
         );
     }

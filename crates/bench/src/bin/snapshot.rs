@@ -22,8 +22,8 @@ use flat_bench::args::Args;
 use flat_bench::sweep::{buffer_sweep, buffer_sweep_serial};
 use flat_dist::{CollectiveAlgo, Link, Partition, Sweep, Topology};
 use flat_kernels::{
-    decode_attention, flat_attention, flat_attention_with, naive_attention,
-    parallel_flat_attention, ComputePrecision, Mask, Mat, MultiHeadInput,
+    decode_attention, flat_attention, flat_attention_with, naive_attention, ComputePrecision, Mask,
+    Mat, MultiHeadInput,
 };
 use flat_serve::{BlockTable, EngineConfig, KvPool, WorkloadSpec};
 use flat_tensor::SoftmaxKind;
@@ -133,7 +133,8 @@ fn with_speedups(mut group: Vec<Entry>) -> Vec<Entry> {
 fn kernel_entries(args: &Args, quick: bool) -> Vec<Entry> {
     // At 4K the baseline's full logit matrix (seq² × 4 B = 64 MiB) falls
     // out of the cache hierarchy, while FLAT's row tile stays resident —
-    // the memory-traffic gap the paper targets, visible on one core.
+    // the memory-traffic gap the paper targets. The baseline runs on one
+    // core, FLAT's row bands on all `pool_threads` lanes.
     let (default_seq, reps) = if quick { (256, 2) } else { (4096, 3) };
     let seq = args.get_u64("seq", default_seq) as usize;
     let tile = args.get_u64("tile", 64) as usize;
@@ -150,13 +151,6 @@ fn kernel_entries(args: &Args, quick: bool) -> Vec<Entry> {
             &format!("{config} rows_per_tile={tile}"),
             reps,
             || flat_attention(&input, tile, Mask::None),
-        ),
-        time(
-            "kernel",
-            "parallel_flat_attention",
-            &format!("{config} rows_per_tile={tile}"),
-            reps,
-            || parallel_flat_attention(&input, tile, Mask::None),
         ),
     ];
     with_speedups(entries)
@@ -179,28 +173,14 @@ fn precision_entries(args: &Args, quick: bool) -> Vec<Entry> {
     let mut entries = vec![time("precision", "naive_f32", &config, reps, || {
         naive_attention(&input, Mask::None)
     })];
+    use ComputePrecision::{Bf16, Int8, F16, F32};
+    use SoftmaxKind::{Exact, FlashD, LogLut};
     for (name, precision, kind) in [
-        ("flat_f32_exact", ComputePrecision::F32, SoftmaxKind::Exact),
-        (
-            "flat_bf16_flash_d",
-            ComputePrecision::Bf16,
-            SoftmaxKind::FlashD,
-        ),
-        (
-            "flat_bf16_log_lut",
-            ComputePrecision::Bf16,
-            SoftmaxKind::LogLut,
-        ),
-        (
-            "flat_f16_flash_d",
-            ComputePrecision::F16,
-            SoftmaxKind::FlashD,
-        ),
-        (
-            "flat_int8_flash_d",
-            ComputePrecision::Int8,
-            SoftmaxKind::FlashD,
-        ),
+        ("flat_f32_exact", F32, Exact),
+        ("flat_bf16_flash_d", Bf16, FlashD),
+        ("flat_bf16_log_lut", Bf16, LogLut),
+        ("flat_f16_flash_d", F16, FlashD),
+        ("flat_int8_flash_d", Int8, FlashD),
     ] {
         let mut e = time("precision", name, &config, reps, || {
             flat_attention_with(&input, tile, Mask::None, precision, kind)

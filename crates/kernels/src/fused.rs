@@ -7,15 +7,22 @@
 //! rounded values. The walk runs on the wide microkernels of `mat`: QKᵀ
 //! per element on `dot`'s reduction tree, PV with a register-held output
 //! block contracting in ascending order, so the f32 walk is bit-identical
-//! to the `matmul_transposed_rows` + `matmul_into` composition. The logit
-//! tile is allocated once per group. A causal tile stops at its diagonal:
-//! the key columns past it are never multiplied, only set to the `−∞`
-//! every softmax still sees.
+//! to the `matmul_transposed_rows` + `matmul_into` composition. A causal
+//! tile stops at its diagonal: the key columns past it are never
+//! multiplied, only set to the `−∞` every softmax still sees.
+//!
+//! A FLAT-tile holds complete logit rows, so no tile depends on another;
+//! the paper's cross-loop runs them spatially across PEs. The host walk
+//! (and the int8 one) runs them across cores: bands of whole tiles on
+//! the shared thread pool, so the output bits do not depend on the lane
+//! count.
 
 use crate::mat::{wide_attend_acc, wide_logits_into};
 use crate::softmax_family::{storage_snap, FlashDSoftmax, LogLutSoftmax};
 use crate::{softmax_row, ComputePrecision, ExecutionStats, Mask, Mat, MultiHeadInput};
 use flat_tensor::SoftmaxKind;
+use rayon::prelude::*;
+use std::ops::Range;
 
 /// Key-dimension chunk of the bf16/f16 FLASH-D and log-LUT walks: one
 /// `R × C` logit slice plus the K/V chunk rows stay cache-resident while
@@ -35,8 +42,10 @@ const KV_CHUNK: usize = 512;
 ///
 /// Peak live intermediate footprint is `R × seq_kv` instead of
 /// `seq_q × seq_kv`: the `O(N²) → O(N)` reduction of Table 2, realized in
-/// actual arithmetic. The result is bit-for-bit comparable to
-/// [`naive_attention`](crate::naive_attention) up to f32 rounding.
+/// actual arithmetic. Like the paper's spatial cross-loop, the tiles run
+/// in row bands across the shared thread pool, bit-identical at any lane
+/// count. The result matches [`naive_attention`](crate::naive_attention)
+/// up to f32 rounding.
 ///
 /// # Panics
 ///
@@ -81,6 +90,9 @@ pub fn flat_attention(input: &MultiHeadInput, rows_per_tile: usize, mask: Mask) 
 ///   the output rows stay normalized at every step and no per-row
 ///   normalize pass ever runs.
 ///
+/// Every precision runs its tiles in row bands across the thread pool, as
+/// [`flat_attention`] does, after rounding or quantizing once per group.
+///
 /// # Panics
 ///
 /// Panics if `rows_per_tile` is zero.
@@ -116,15 +128,7 @@ pub fn flat_attention_with(
         _ => KV_CHUNK,
     };
     let walk = |qkv: [&Mat; 3]| {
-        flat_attention_group(
-            qkv,
-            input.scale(),
-            rows_per_tile,
-            mask,
-            kind,
-            kv_chunk,
-            None,
-        )
+        flat_attention_group(qkv, input.scale(), rows_per_tile, mask, kind, kv_chunk).0
     };
     match precision {
         ComputePrecision::F32 => (0..input.groups()).map(|g| walk(input.group(g))).collect(),
@@ -164,95 +168,96 @@ fn mask_and_scale(
     }
 }
 
+/// Runs `band` on the shared pool over the row bands of a `seq_q`-row
+/// walk, returning the results in band order. A band is a run of whole
+/// FLAT-tiles, so every tile is the serial walk's. Bands split 4x finer
+/// than the lanes, as the pool does; with one lane there is one band.
+pub(crate) fn row_bands<T: Send>(
+    seq_q: usize,
+    rows_per_tile: usize,
+    band: impl Fn(Range<usize>) -> T + Sync,
+) -> Vec<T> {
+    let tiles = seq_q.div_ceil(rows_per_tile);
+    let lanes = rayon::current_num_threads();
+    let per_band = tiles.div_ceil(if lanes == 1 { 1 } else { 4 * lanes });
+    let band_rows = per_band * rows_per_tile;
+    (0..tiles.div_ceil(per_band))
+        .into_par_iter()
+        .map(|b| band(b * band_rows..((b + 1) * band_rows).min(seq_q)))
+        .collect()
+}
+
 /// The fused execution for one (batch, head) group's `[q, k, v]`, with
-/// any softmax kind. With `stats`, every tile it executes is counted
-/// there.
+/// any softmax kind, and the [`ExecutionStats`] of the tiles it executed.
 ///
-/// The key dimension is walked in `kv_chunk`-column chunks, outermost,
-/// with the query-row tiles inside. The exact softmax needs complete rows,
-/// so it runs with one chunk of `seq_kv`. The division-free kinds keep one
-/// recurrence state per query row across chunks and rescale the row's
-/// output by the carry each chunk returns.
-fn flat_attention_group(
+/// Each of the [`row_bands`] allocates its scratch once, then walks the
+/// key dimension in `kv_chunk`-column chunks, outermost, with its tiles
+/// inside. The exact softmax needs complete rows, so it runs with
+/// one chunk of `seq_kv`. The division-free kinds keep one recurrence
+/// state per query row across chunks and rescale the row's output by the
+/// carry each chunk returns.
+pub(crate) fn flat_attention_group(
     [q, k, v]: [&Mat; 3],
     scale: f32,
     rows_per_tile: usize,
     mask: Mask,
     kind: SoftmaxKind,
     kv_chunk: usize,
-    mut stats: Option<&mut ExecutionStats>,
-) -> Mat {
+) -> (Mat, ExecutionStats) {
     let (seq_q, seq_kv, dk) = (q.rows(), k.rows(), q.cols());
     debug_assert!(kind != SoftmaxKind::Exact || kv_chunk >= seq_kv);
-    if let Some(s) = stats.as_deref_mut() {
-        s.stage_kv(seq_kv, dk);
-    }
-    let mut out = Mat::zeros(seq_q, v.cols());
-    let mut flash = vec![FlashDSoftmax::new(); seq_q];
-    let mut loglut = vec![LogLutSoftmax::new(); seq_q];
-    let mut tile = Mat::zeros(rows_per_tile.min(seq_q), kv_chunk.min(seq_kv));
-    for col_lo in (0..seq_kv).step_by(kv_chunk) {
-        let col_hi = (col_lo + kv_chunk).min(seq_kv);
-        let width = col_hi - col_lo;
-        for row_lo in (0..seq_q).step_by(rows_per_tile) {
-            let row_hi = (row_lo + rows_per_tile).min(seq_q);
-            let nrows = row_hi - row_lo;
-            // Key columns of this chunk the tile may attend to: none once
-            // the chunk starts past a causal tile's diagonal. Such a chunk
-            // still goes through `absorb`, whose carry `s · (1/s)` is not
-            // always exactly 1.0 in f32.
-            let live = mask.live_cols(row_hi, col_hi).saturating_sub(col_lo);
-            // Stage L: one FLAT-tile of logits, computed straight from Q's
-            // rows and the chunk's K rows; masked columns read −∞.
-            wide_logits_into(q, row_lo, row_hi, k, col_lo, live, &mut tile);
-            mask_and_scale(&mut tile, nrows, row_lo, col_lo, width, mask, scale);
-            // SFU: softmax inside the on-chip slice.
-            for r in 0..nrows {
-                let row = &mut tile.row_mut(r)[..width];
-                let carry = match kind {
-                    SoftmaxKind::Exact => {
-                        softmax_row(row);
-                        1.0
-                    }
-                    SoftmaxKind::FlashD => flash[row_lo + r].absorb(row),
-                    SoftmaxKind::LogLut => loglut[row_lo + r].absorb(row),
-                };
-                if carry != 1.0 {
-                    for a in out.row_mut(row_lo + r) {
-                        *a *= carry;
+    let bands = row_bands(seq_q, rows_per_tile, |band| {
+        let mut stats = ExecutionStats::default();
+        let band_rows = band.len();
+        let mut out = Mat::zeros(band_rows, v.cols());
+        let mut flash = vec![FlashDSoftmax::new(); band_rows];
+        let mut loglut = vec![LogLutSoftmax::new(); band_rows];
+        let mut tile = Mat::zeros(rows_per_tile.min(band_rows), kv_chunk.min(seq_kv));
+        for col_lo in (0..seq_kv).step_by(kv_chunk) {
+            let col_hi = (col_lo + kv_chunk).min(seq_kv);
+            let width = col_hi - col_lo;
+            for row_lo in band.clone().step_by(rows_per_tile) {
+                let row_hi = (row_lo + rows_per_tile).min(band.end);
+                let (nrows, local) = (row_hi - row_lo, row_lo - band.start);
+                // Key columns of this chunk the tile may attend to: none
+                // once the chunk starts past a causal tile's diagonal. Such
+                // a chunk still goes through `absorb`, whose carry
+                // `s · (1/s)` is not always exactly 1.0 in f32.
+                let live = mask.live_cols(row_hi, col_hi).saturating_sub(col_lo);
+                // Stage L: one FLAT-tile of logits, computed straight from
+                // Q's rows and the chunk's K rows; masked columns read −∞.
+                wide_logits_into(q, row_lo, row_hi, k, col_lo, live, &mut tile);
+                mask_and_scale(&mut tile, nrows, row_lo, col_lo, width, mask, scale);
+                // SFU: softmax inside the on-chip slice.
+                for r in 0..nrows {
+                    let row = &mut tile.row_mut(r)[..width];
+                    let carry = match kind {
+                        SoftmaxKind::Exact => {
+                            softmax_row(row);
+                            1.0
+                        }
+                        SoftmaxKind::FlashD => flash[local + r].absorb(row),
+                        SoftmaxKind::LogLut => loglut[local + r].absorb(row),
+                    };
+                    if carry != 1.0 {
+                        for a in out.row_mut(local + r) {
+                            *a *= carry;
+                        }
                     }
                 }
-            }
-            // Stage A: consume the slice immediately, accumulating into
-            // the output rows this tile owns.
-            wide_attend_acc(&tile, nrows, live, v, col_lo, &mut out, row_lo);
-            if let Some(s) = stats.as_deref_mut() {
-                s.count_tile(nrows, live, width, dk);
+                // Stage A: consume the slice immediately, accumulating
+                // into the output rows this tile owns.
+                wide_attend_acc(&tile, nrows, live, v, col_lo, &mut out, local);
+                stats.count_tile(nrows, live, width, dk);
             }
         }
-    }
-    out
-}
-
-/// The f32 exact walk of group `g` — the unit the parallel kernel
-/// distributes across threads and the instrumented kernel counts.
-pub(crate) fn exact_group(
-    input: &MultiHeadInput,
-    g: usize,
-    rows_per_tile: usize,
-    mask: Mask,
-    stats: Option<&mut ExecutionStats>,
-) -> Mat {
-    let (scale, kind, kv_chunk) = (input.scale(), SoftmaxKind::Exact, input.seq_kv);
-    flat_attention_group(
-        input.group(g),
-        scale,
-        rows_per_tile,
-        mask,
-        kind,
-        kv_chunk,
-        stats,
-    )
+        (out, stats)
+    });
+    let (blocks, band_stats): (Vec<_>, Vec<_>) = bands.into_iter().unzip();
+    let mut stats = ExecutionStats::default();
+    stats.stage_kv(seq_kv, dk);
+    let stats = band_stats.into_iter().fold(stats, ExecutionStats::merge);
+    (Mat::stack_rows(blocks), stats)
 }
 
 #[cfg(test)]

@@ -3,8 +3,10 @@
 //! the cost model's traffic accounting is validated against the tiles the
 //! real walk executes — not against a copy of it.
 
-use crate::{exact_group, Mask, Mat, MultiHeadInput};
+use crate::fused::flat_attention_group;
+use crate::{Mask, Mat, MultiHeadInput};
 use flat_telemetry::{Event, TraceSink};
+use flat_tensor::SoftmaxKind;
 
 /// Memory-touch counters for one execution, in elements.
 ///
@@ -80,6 +82,22 @@ impl ExecutionStats {
         self.logit_reads += rows * width + rows * live;
         self.o_writes += rows * dk;
     }
+
+    /// The counts of two parts of one walk, such as two row bands: the
+    /// counters add, and the peak live footprint is the larger one, since
+    /// each band holds only its own tile.
+    pub(crate) fn merge(self, o: ExecutionStats) -> ExecutionStats {
+        ExecutionStats {
+            q_reads: self.q_reads + o.q_reads,
+            k_reads: self.k_reads + o.k_reads,
+            v_reads: self.v_reads + o.v_reads,
+            o_writes: self.o_writes + o.o_writes,
+            logit_writes: self.logit_writes + o.logit_writes,
+            logit_reads: self.logit_reads + o.logit_reads,
+            peak_live_logits: self.peak_live_logits.max(o.peak_live_logits),
+            iterations: self.iterations + o.iterations,
+        }
+    }
 }
 
 /// [`flat_attention`](crate::flat_attention) with touch counting. Returns
@@ -100,11 +118,12 @@ pub fn instrumented_flat_attention(
     mask: Mask,
 ) -> (Vec<Mat>, ExecutionStats) {
     assert!(rows_per_tile > 0, "row tile must be positive");
-    let mut stats = ExecutionStats::default();
-    let outs = (0..input.groups())
-        .map(|g| exact_group(input, g, rows_per_tile, mask, Some(&mut stats)))
-        .collect();
-    (outs, stats)
+    let (scale, kind, kv_chunk) = (input.scale(), SoftmaxKind::Exact, input.seq_kv);
+    let (outs, stats): (Vec<_>, Vec<_>) = (0..input.groups())
+        .map(|g| flat_attention_group(input.group(g), scale, rows_per_tile, mask, kind, kv_chunk))
+        .unzip();
+    let stats = stats.into_iter().reduce(ExecutionStats::merge);
+    (outs, stats.unwrap_or_default())
 }
 
 /// [`instrumented_flat_attention`], additionally routing the
@@ -221,6 +240,34 @@ mod tests {
             causal.backing_store_elements(),
             full.backing_store_elements()
         );
+    }
+
+    #[test]
+    fn banded_stats_equal_the_closed_form() {
+        // 143 tiles of R 7, the last one 6 rows: several row bands on a
+        // multi-lane pool, whose merged counts must be the per-tile sums.
+        let (seq_q, seq_kv, dk, r) = (1000, 60, 4, 7);
+        let input = MultiHeadInput::random(1, 1, seq_q, seq_kv, dk, 17);
+        for mask in [Mask::None, Mask::Causal] {
+            let (_, s) = instrumented_flat_attention(&input, r, mask);
+            let live: usize = (0..seq_q)
+                .step_by(r)
+                .map(|lo| ((lo + r).min(seq_q) - lo) * mask.live_cols(lo + r, seq_kv))
+                .sum();
+            let [qo, kv, slice, live] =
+                [seq_q * dk, seq_kv * dk, seq_q * seq_kv, live].map(|x| x as u64);
+            let expected = ExecutionStats {
+                q_reads: qo,
+                k_reads: kv,
+                v_reads: kv,
+                o_writes: qo,
+                logit_writes: live + slice,
+                logit_reads: slice + live,
+                peak_live_logits: (r * seq_kv) as u64,
+                iterations: seq_q.div_ceil(r) as u64,
+            };
+            assert_eq!(s, expected, "{mask:?}");
+        }
     }
 
     #[test]

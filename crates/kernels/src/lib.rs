@@ -8,6 +8,8 @@
 //!   `O(N²)` logit tensor,
 //! * [`flat_attention`] — the FLAT row-granularity fused execution
 //!   (compute a `[R, N]` logit slice, softmax it, consume it, discard it),
+//!   with the independent tiles run in row bands across the shared
+//!   thread pool, bit-identical at any lane count,
 //! * [`streaming_attention`] — key-dimension tiling with
 //!   [`OnlineSoftmax`] rescaling, the extension FLAT's row-granularity
 //!   constraint points at (and FlashAttention later built on),
@@ -57,14 +59,11 @@ mod fused;
 mod halfmat;
 mod instrumented;
 mod mat;
-mod parallel;
 mod precision;
 mod quantized;
 mod softmax;
 mod softmax_family;
 mod streaming;
-
-pub(crate) use fused::exact_group;
 
 pub use attention::{naive_attention, Mask, MultiHeadInput};
 pub use decode::{decode_attention, decode_attention_with};
@@ -75,7 +74,6 @@ pub use instrumented::{
     instrumented_flat_attention, instrumented_flat_attention_traced, ExecutionStats,
 };
 pub use mat::Mat;
-pub use parallel::parallel_flat_attention;
 pub use precision::{online_softmax_bf16, round_bf16, softmax_error, softmax_row_bf16};
 pub use quantized::{quantized_flat_attention, quantized_flat_attention_with, QuantizedMat};
 pub use softmax::{softmax_row, OnlineSoftmax};

@@ -15,8 +15,8 @@
 //! Contraction order is ascending in both kernels, so `matmul` produces
 //! the same per-element accumulation sequence as the textbook triple loop
 //! (FMA rounding aside), and every caller of the same routine on the same
-//! rows gets bit-identical results — the property the fused/instrumented/
-//! parallel attention paths rely on.
+//! rows gets bit-identical results — the property the fused, instrumented
+//! and banded attention paths rely on.
 
 use rand::Rng;
 use std::fmt;
@@ -268,6 +268,18 @@ impl Mat {
             cols: self.cols,
             data: self.data[lo * self.cols..hi * self.cols].to_vec(),
         }
+    }
+
+    /// Stacks row blocks of one width top to bottom onto the first one,
+    /// so a single block comes back as is, with no copy.
+    pub(crate) fn stack_rows(blocks: Vec<Mat>) -> Mat {
+        let mut blocks = blocks.into_iter();
+        let mut top = blocks.next().expect("at least one block");
+        for b in blocks {
+            top.rows += b.rows;
+            top.data.extend_from_slice(&b.data);
+        }
+        top
     }
 
     /// Largest absolute element-wise difference from `other`.

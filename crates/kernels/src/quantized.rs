@@ -12,7 +12,12 @@
 //! i64 every 2¹⁷ steps, so no key length wraps them. Integer sums are exact
 //! in any order, so the walk matches the scalar loops it replaced bit for
 //! bit; a causal tile stops both GEMMs at its diagonal.
+//!
+//! Like the f32 walk, the rows run in bands of whole tiles on the thread
+//! pool, so each tile keeps its probability scale and the bits do not
+//! depend on the lane count.
 
+use crate::fused::row_bands;
 use crate::softmax_family::softmax_row_kind;
 use crate::{softmax_row, Mask, Mat, MultiHeadInput};
 use flat_tensor::SoftmaxKind;
@@ -161,8 +166,8 @@ pub fn quantized_flat_attention_with(
 /// `int8_scores` is `None` for fp32 scores under the exact softmax, or the
 /// softmax kind to run on scores snapped to the int8 grid. Q/K/V are
 /// quantized once and K is transposed once, so both GEMMs run on
-/// [`int8_rowmul`]. The logit tile, its int8 requantization and the
-/// integer accumulators are allocated once and reused by every row tile.
+/// [`int8_rowmul`]. Each of the [`row_bands`] allocates its logit tile,
+/// int8 probabilities, accumulators and output block once.
 fn quantized_group(
     input: &MultiHeadInput,
     g: usize,
@@ -182,60 +187,64 @@ fn quantized_group(
     }
     let qk_scale = q.scale * k.scale;
     let scale = input.scale();
-    let tile_rows = rows_per_tile.min(seq_q);
-    let mut tile = vec![0.0f32; tile_rows * seq_kv];
-    let mut p = vec![0i8; tile_rows * seq_kv];
-    let mut acc = vec![0i64; seq_kv.max(dk)];
-    let mut out = Mat::zeros(seq_q, dk);
-    let mut row_lo = 0;
-    while row_lo < seq_q {
-        let row_hi = (row_lo + rows_per_tile).min(seq_q);
-        let tile = &mut tile[..(row_hi - row_lo) * seq_kv];
-        // A causal tile stops at its diagonal: key columns from `live` on
-        // are masked for every row, so neither GEMM visits them.
-        let live = mask.live_cols(row_hi, seq_kv);
-        for (i, row) in tile.chunks_exact_mut(seq_kv).enumerate() {
-            let qi = row_lo + i;
-            // Stage L: integer logits, dequantized as `(acc · s_q s_k) / √dk`.
-            int8_rowmul(&q.data[qi * dk..(qi + 1) * dk], &kt, seq_kv, live, &mut acc);
-            for (j, (x, &a)) in row.iter_mut().zip(&acc[..live]).enumerate() {
-                *x = if mask.allows(qi, j) {
-                    (a as f32 * qk_scale) * scale
-                } else {
-                    f32::NEG_INFINITY
-                };
+    let bands = row_bands(seq_q, rows_per_tile, |band| {
+        let tile_rows = rows_per_tile.min(band.len());
+        let mut tile = vec![0.0f32; tile_rows * seq_kv];
+        let mut p = vec![0i8; tile_rows * seq_kv];
+        let mut acc = vec![0i64; seq_kv.max(dk)];
+        let mut out = Mat::zeros(band.len(), dk);
+        for row_lo in band.clone().step_by(rows_per_tile) {
+            let row_hi = (row_lo + rows_per_tile).min(band.end);
+            let tile = &mut tile[..(row_hi - row_lo) * seq_kv];
+            // A causal tile stops at its diagonal: key columns from `live`
+            // on are masked for every row, so neither GEMM visits them.
+            let live = mask.live_cols(row_hi, seq_kv);
+            for (i, row) in tile.chunks_exact_mut(seq_kv).enumerate() {
+                let qi = row_lo + i;
+                // Stage L: integer logits, dequantized as `(acc · s_q s_k) / √dk`.
+                int8_rowmul(&q.data[qi * dk..(qi + 1) * dk], &kt, seq_kv, live, &mut acc);
+                for (j, (x, &a)) in row.iter_mut().zip(&acc[..live]).enumerate() {
+                    *x = if mask.allows(qi, j) {
+                        (a as f32 * qk_scale) * scale
+                    } else {
+                        f32::NEG_INFINITY
+                    };
+                }
+                row[live..].fill(f32::NEG_INFINITY);
+                // SFU: fp32 softmax over the whole row (probabilities need
+                // the dynamic range), optionally over scores on the int8
+                // grid.
+                match int8_scores {
+                    None => softmax_row(row),
+                    Some(kind) => {
+                        snap_logits_int8(row);
+                        softmax_row_kind(row, kind);
+                    }
+                }
             }
-            row[live..].fill(f32::NEG_INFINITY);
-            // SFU: fp32 softmax over the whole row (probabilities need the
-            // dynamic range), optionally over scores on the int8 grid.
-            match int8_scores {
-                None => softmax_row(row),
-                Some(kind) => {
-                    snap_logits_int8(row);
-                    softmax_row_kind(row, kind);
+            // Stage A: requantize the probabilities with one per-tile
+            // scale, then integer PV over the live columns (the rest are
+            // exactly 0).
+            let p_max = tile.iter().fold(0.0f32, |a, &x| a.max(x.abs()));
+            let p_scale = if p_max == 0.0 { 1.0 } else { p_max / 127.0 };
+            for (i, (prow, trow)) in p
+                .chunks_exact_mut(seq_kv)
+                .zip(tile.chunks_exact(seq_kv))
+                .enumerate()
+            {
+                for (pv, &x) in prow[..live].iter_mut().zip(&trow[..live]) {
+                    *pv = (x / p_scale).round().clamp(-127.0, 127.0) as i8;
+                }
+                int8_rowmul(&prow[..live], &v.data, dk, dk, &mut acc);
+                let orow = out.row_mut(row_lo - band.start + i);
+                for (o, &a) in orow.iter_mut().zip(&acc[..dk]) {
+                    *o = (a as f32 * p_scale) * v.scale;
                 }
             }
         }
-        // Stage A: requantize the probabilities with one per-tile scale,
-        // then integer PV over the live columns (the rest are exactly 0).
-        let p_max = tile.iter().fold(0.0f32, |a, &x| a.max(x.abs()));
-        let p_scale = if p_max == 0.0 { 1.0 } else { p_max / 127.0 };
-        for (i, (prow, trow)) in p
-            .chunks_exact_mut(seq_kv)
-            .zip(tile.chunks_exact(seq_kv))
-            .enumerate()
-        {
-            for (pv, &x) in prow[..live].iter_mut().zip(&trow[..live]) {
-                *pv = (x / p_scale).round().clamp(-127.0, 127.0) as i8;
-            }
-            int8_rowmul(&prow[..live], &v.data, dk, dk, &mut acc);
-            for (o, &a) in out.row_mut(row_lo + i).iter_mut().zip(&acc[..dk]) {
-                *o = (a as f32 * p_scale) * v.scale;
-            }
-        }
-        row_lo = row_hi;
-    }
-    out
+        out
+    });
+    Mat::stack_rows(bands)
 }
 
 /// `out[c] = Σ_l a_l · b[l·ldb + c]` for `c < cols`, exact: the one

@@ -14,9 +14,9 @@
 
 use flat_kernels::{
     decode_attention, decode_attention_with, flat_attention, flat_attention_with,
-    parallel_flat_attention, quantized_flat_attention, softmax_row, softmax_row_kind,
-    streaming_attention, streaming_attention_with, ComputePrecision, FlashDSoftmax, HalfMat,
-    LogLutSoftmax, Mask, Mat, MultiHeadInput, QuantizedMat,
+    quantized_flat_attention, softmax_row, softmax_row_kind, streaming_attention,
+    streaming_attention_with, ComputePrecision, FlashDSoftmax, HalfMat, LogLutSoftmax, Mask, Mat,
+    MultiHeadInput, QuantizedMat,
 };
 use flat_tensor::half::round_to;
 use flat_tensor::SoftmaxKind;
@@ -610,10 +610,38 @@ fn masked_key(q: &[f32], precision: ComputePrecision) -> Vec<f32> {
 
 const KINDS: [SoftmaxKind; 3] = [SoftmaxKind::Exact, SoftmaxKind::FlashD, SoftmaxKind::LogLut];
 
+/// The walks run a head's rows in bands of whole tiles, one or more per
+/// pool lane. At `seq_q` 1000 the last tile (R 7 and 64) and the last
+/// band (R 7) are ragged, and `seq_kv` 1100 crosses the 512-column KV
+/// chunk: every precision × kind × mask ≡ the serial reference loops.
+#[test]
+fn banded_walks_are_bit_identical() {
+    let input = MultiHeadInput::random(1, 1, 1000, 1100, 9, 0xBA4D);
+    for mask in [Mask::None, Mask::Causal] {
+        for rows in [7, 64] {
+            let plain = quantized_flat_attention(&input, rows, mask);
+            let reference = int8_reference(&input, rows, mask, None);
+            assert_eq!(bits(&plain), bits(&reference), "int8 {mask:?} R {rows}");
+            for &precision in ComputePrecision::all() {
+                for kind in KINDS {
+                    let walk = flat_attention_with(&input, rows, mask, precision, kind);
+                    let reference = match precision {
+                        ComputePrecision::F32 => f32_reference(&input, rows, mask, kind),
+                        ComputePrecision::Int8 => int8_reference(&input, rows, mask, Some(kind)),
+                        _ => half_reference(&input, mask, precision, kind),
+                    };
+                    let label = format!("{precision}/{kind} {mask:?} R {rows}");
+                    assert_eq!(bits(&walk), bits(&reference), "{label}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The f32 walk (every kind, serial and parallel) ≡ the
+    /// The f32 walk (every kind) ≡ the
     /// `matmul_transposed_rows` + softmax + `matmul_into` composition.
     #[test]
     fn f32_walks_are_bit_identical((input, rows, mask) in case()) {
@@ -622,9 +650,7 @@ proptest! {
             let walk = flat_attention_with(&input, rows, mask, ComputePrecision::F32, kind);
             prop_assert_eq!(bits(&walk), reference.clone(), "{kind}");
             if kind == SoftmaxKind::Exact {
-                prop_assert_eq!(bits(&flat_attention(&input, rows, mask)), reference.clone());
-                let par = parallel_flat_attention(&input, rows, mask);
-                prop_assert_eq!(bits(&par), reference);
+                prop_assert_eq!(bits(&flat_attention(&input, rows, mask)), reference);
             }
         }
     }
