@@ -63,7 +63,8 @@ COMMON OPTIONS:
   --trace FILE        write a Chrome/Perfetto trace (serve, dist --requests, fleet, dse);
                       open the file in https://ui.perfetto.dev
   --metrics FILE      write Prometheus text metrics (serve)
-  --batch N           batch size (default 64)
+  --batch N           batch size (default 64); a --batch/--seq/model shape past
+                      2^60 MACs over the model's blocks is rejected
   --sg-kib N          override on-chip scratchpad capacity
   --offchip-gbps N    override off-chip bandwidth
   --accel-json FILE   load a serialized accelerator instead of a preset

@@ -23,6 +23,8 @@
 //!
 //! Common overrides: `--batch N`, `--sg-kib N`, `--offchip-gbps N`,
 //! `--accel-json FILE` (load a serialized [`flat_arch::Accelerator`]).
+//! A shape past 2^60 MACs over all of the model's blocks is rejected, so
+//! the cost model's `u64` counts never overflow.
 
 mod commands;
 mod parse;

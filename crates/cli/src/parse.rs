@@ -28,6 +28,7 @@ pub fn setup(args: &Args) -> Result<Setup, String> {
     };
     let batch = positive_u64_arg(args, "batch", 64)?;
     let seq = positive_u64_arg(args, "seq", 4096)?;
+    check_macs(&model, batch, seq)?;
     let block = model.block(batch, seq);
     Ok(Setup {
         accel,
@@ -36,6 +37,38 @@ pub fn setup(args: &Args) -> Result<Setup, String> {
         batch,
         seq,
     })
+}
+
+/// Most MACs a shape may count over all of the model's blocks: 2^60.
+/// The cost model counts MACs, accesses and energy in `u64`, at up to a
+/// few times the MAC count, so the largest accepted shape stays 8x clear
+/// of overflow.
+const MAX_MODEL_MACS: u64 = 1 << 60;
+
+/// MACs over every block of `model` at `(batch, seq)`, or `None` past
+/// `u64`. A block is `2·batch·seq·hidden·(seq + 2·hidden + ffn)`: the
+/// L-A pair's `2·batch·seq²·hidden`, the four projections and the FFN.
+fn model_macs(model: &Model, batch: u64, seq: u64) -> Option<u64> {
+    let (hidden, ffn) = (model.hidden(), model.ffn_hidden());
+    let width = seq.checked_add(hidden.checked_mul(2)?)?.checked_add(ffn)?;
+    [batch, seq, hidden, width, model.blocks()]
+        .into_iter()
+        .try_fold(2u64, u64::checked_mul)
+}
+
+/// Rejects a shape past [`MAX_MODEL_MACS`] before any of its sizes is
+/// multiplied out.
+fn check_macs(model: &Model, batch: u64, seq: u64) -> Result<(), String> {
+    match model_macs(model, batch, seq) {
+        Some(macs) if macs <= MAX_MODEL_MACS => Ok(()),
+        macs => Err(format!(
+            "--seq {seq} at --batch {batch} is {} MACs for a {}-block model of hidden size {}, \
+             past the 2^60 limit",
+            macs.map_or_else(|| "over 2^64".to_owned(), |m| m.to_string()),
+            model.blocks(),
+            model.hidden()
+        )),
+    }
 }
 
 /// Integer value of `--key` with a one-line diagnostic instead of the
@@ -315,6 +348,21 @@ fn optional(args: &Args, key: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn model_macs_sum_the_block_operators() {
+        for model in Model::suite() {
+            for (batch, seq) in [(1, 1), (64, 4096), (3, 777)] {
+                let block = model.block(batch, seq);
+                assert_eq!(
+                    model_macs(&model, batch, seq),
+                    Some(block.total_macs() * model.blocks()),
+                    "{model} batch {batch} seq {seq}"
+                );
+            }
+        }
+        assert_eq!(model_macs(&Model::bert(), u64::MAX, 1), None);
+    }
 
     #[test]
     fn dataflow_labels_parse() {

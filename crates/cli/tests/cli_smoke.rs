@@ -374,6 +374,60 @@ fn hostile_sizes_and_analytical_trace_are_diagnostics() {
     }
 }
 
+/// The largest accepted shape: BERT-base at batch 64 and seq 986,305 is
+/// 12 blocks of 96,076,671,857,295,360 MACs, just under the 2^60 limit.
+/// Every pricer must run it without a `u64` overflow, which panics in a
+/// debug build.
+#[test]
+fn largest_accepted_shape_prices_clean() {
+    for cmd in [
+        ["cost", "--scope", "model"].as_slice(),
+        &["dse"],
+        &["sim", "--engine", "analytical"],
+    ] {
+        let out = flat(&[cmd, &["--batch", "64", "--seq", "986305"]].concat());
+        assert!(out.status.success(), "{cmd:?}: {}", stderr(&out));
+    }
+}
+
+/// One more token, or a model config with more layers, passes 2^60 MACs:
+/// a one-line diagnostic and exit 1, as `--seq 0` gets.
+#[test]
+fn shapes_past_the_mac_limit_are_diagnostics() {
+    let deep = std::env::temp_dir().join("flat_cli_test_deep_model.json");
+    std::fs::write(
+        &deep,
+        r#"{"hidden_size": 768, "num_attention_heads": 12, "num_hidden_layers": 1099511627776}"#,
+    )
+    .expect("write model config");
+    let deep = deep.display().to_string();
+    for args in [
+        ["cost", "--batch", "64", "--seq", "986306"].as_slice(),
+        &["dse", "--batch", "64", "--seq", "986306"],
+        &[
+            "sim",
+            "--engine",
+            "analytical",
+            "--batch",
+            "64",
+            "--seq",
+            "986306",
+        ],
+        &["cost", "--seq", "1", "--batch", "18446744073709551615"],
+        &["cost", "--model-json", &deep],
+    ] {
+        let out = flat(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let err = stderr(&out);
+        assert!(
+            err.contains("2^60"),
+            "{args:?}: diagnostic names the limit: {err}"
+        );
+        assert!(!err.contains("panicked"), "no panic backtrace: {err}");
+        assert_eq!(err.trim().lines().count(), 1, "one-line diagnostic: {err}");
+    }
+}
+
 /// `flat sim --engine analytical --json` is the pure closed form: cycles,
 /// utilization and the per-lane busy cycles its fold takes the `max` of.
 #[test]

@@ -60,31 +60,42 @@ impl DramTraffic {
 /// when the contraction is tiled).
 #[must_use]
 pub fn working_set_elems(gemm: &Gemm, tm: u64, tk: u64, tn: u64) -> u64 {
-    let psum_factor = if ceil_div(gemm.k, tk) > 1 { 4 } else { 2 };
-    2 * (tm * tk + tk * tn) + psum_factor * tm * tn
+    let (fixed, per_tn) = working_set_terms(tm, tk, ceil_div(gemm.k, tk));
+    fixed + tn * per_tn
+}
+
+/// [`working_set_elems`] as `fixed + tn · per_tn`, from `ik = ⌈k/tk⌉`.
+fn working_set_terms(tm: u64, tk: u64, ik: u64) -> (u64, u64) {
+    let psum_factor = if ik > 1 { 4 } else { 2 };
+    (2 * tm * tk, 2 * tk + psum_factor * tm)
 }
 
 /// DRAM traffic of a streamed GEMM at tiling `(tm, tk, tn)` under `stat`.
 #[must_use]
 pub fn dram_traffic(gemm: &Gemm, stat: Stationarity, tm: u64, tk: u64, tn: u64) -> DramTraffic {
+    let (im, gim) = (ceil_div(gemm.m, tm), ceil_div(gemm.batch * gemm.m, tm));
+    let (ik, in_) = (ceil_div(gemm.k, tk), ceil_div(gemm.n, tn));
+    traffic(gemm, stat, im, gim, ik, in_)
+}
+
+/// [`dram_traffic`] from the tile counts `im = ⌈m/tm⌉`, `gim = ⌈g·m/tm⌉`,
+/// `ik = ⌈k/tk⌉` and `in_ = ⌈n/tn⌉`.
+fn traffic(gemm: &Gemm, stat: Stationarity, im: u64, gim: u64, ik: u64, in_: u64) -> DramTraffic {
     let g = gemm.batch;
     let (m, k, n) = (gemm.m, gemm.k, gemm.n);
-    let im = ceil_div(m, tm);
-    let ik = ceil_div(k, tk);
-    let in_ = ceil_div(n, tn);
     // A weight shared across the batch behaves like a single GEMM with
     // m_total = G·m rows for the purpose of B refetches.
-    let b_refetch = |mult: u64| -> u64 {
+    let b_refetch = || -> u64 {
         if gemm.weight_shared {
-            k * n * ceil_div(g * m, tm).min(g * mult)
+            k * n * gim.min(g * im)
         } else {
-            g * k * n * mult
+            g * k * n * im
         }
     };
     match stat {
         Stationarity::Output => DramTraffic {
             a: g * m * k * in_,
-            b: b_refetch(im),
+            b: b_refetch(),
             c: g * m * n,
         },
         Stationarity::Weight => DramTraffic {
@@ -94,65 +105,178 @@ pub fn dram_traffic(gemm: &Gemm, stat: Stationarity, tm: u64, tk: u64, tn: u64) 
         },
         Stationarity::Input => DramTraffic {
             a: g * m * k,
-            b: b_refetch(im),
+            b: b_refetch(),
             c: g * m * n * (2 * ik - 1),
         },
     }
 }
 
+/// Tile extents tried along a dimension: powers of two below `dim`, then
+/// `dim` itself.
+fn tile_candidates(dim: u64) -> impl Iterator<Item = u64> {
+    std::iter::successors(Some(1), move |&t| (t < dim).then(|| (2 * t).min(dim)))
+}
+
 /// Picks the L2 tiling that minimizes streamed DRAM traffic within an SG
 /// budget of `budget_elems`.
 ///
-/// Candidates are powers of two up to each dimension (plus the dimension
-/// itself), which covers the workloads' power-of-two-dominated shapes and
-/// keeps the search a few hundred points.
+/// Candidates are powers of two below each dimension plus the dimension
+/// itself — up to 17 per dimension at 64K, so 4,913 `(tm, tk, tn)` points.
+/// Only the `(tm, tk)` rows are walked; each row's `tn` is closed form.
+/// The working set grows strictly with `tn`, so the tiles that fit are a
+/// prefix of the row, and traffic either ignores `tn` (`Input`) or falls
+/// strictly with `⌈n/tn⌉` (`Output`, `Weight`). A row's winner is thus
+/// its smallest `tn` (`Input`) or its largest fitting one. The result is
+/// the exhaustive search's: least traffic, then least working set, then
+/// the first tile in `(tm, tk, tn)` order, with `(1, 1, 1)` always allowed.
 #[must_use]
 pub fn choose_l2_tiling(gemm: &Gemm, stat: Stationarity, budget_elems: u64) -> L2Tiling {
-    let cands = |dim: u64| -> Vec<u64> {
-        let mut v = Vec::new();
-        let mut t = 1u64;
-        while t < dim {
-            v.push(t);
-            t *= 2;
-        }
-        v.push(dim);
-        v
-    };
+    let tks: Vec<(u64, u64)> = tile_candidates(gemm.k)
+        .map(|tk| (tk, ceil_div(gemm.k, tk)))
+        .collect();
+    let tns: Vec<(u64, u64)> = tile_candidates(gemm.n)
+        .map(|tn| (tn, ceil_div(gemm.n, tn)))
+        .collect();
     let mut best: Option<(u64, L2Tiling)> = None;
-    for &tm in &cands(gemm.m) {
-        for &tk in &cands(gemm.k) {
-            for &tn in &cands(gemm.n) {
-                let ws = working_set_elems(gemm, tm, tk, tn);
-                if ws > budget_elems && (tm, tk, tn) != (1, 1, 1) {
-                    continue;
-                }
-                let traffic = dram_traffic(gemm, stat, tm, tk, tn).total();
-                // Ties break toward the smaller working set: equal DRAM
-                // traffic at less SG leaves more room for L3/FLAT staging.
-                let better = match &best {
-                    None => true,
-                    Some((t, cur)) => traffic < *t || (traffic == *t && ws < cur.working_set_elems),
-                };
-                if better {
-                    best = Some((
-                        traffic,
-                        L2Tiling {
-                            tm,
-                            tk,
-                            tn,
-                            working_set_elems: ws,
-                        },
-                    ));
-                }
+    for tm in tile_candidates(gemm.m) {
+        let (im, gim) = (ceil_div(gemm.m, tm), ceil_div(gemm.batch * gemm.m, tm));
+        for &(tk, ik) in &tks {
+            let (fixed, per_tn) = working_set_terms(tm, tk, ik);
+            let fit = budget_elems
+                .checked_sub(fixed)
+                .map_or(0, |room| room / per_tn);
+            // tns[e] is 2^e below n, and the last entry is n itself.
+            let largest = if fit >= gemm.n {
+                tns.len() - 1
+            } else if fit > 0 {
+                fit.ilog2() as usize
+            } else if (tm, tk) == (1, 1) {
+                0
+            } else {
+                continue;
+            };
+            // Input traffic does not depend on tn, so the least working
+            // set, tn = 1, wins the row.
+            let e = if stat == Stationarity::Input {
+                0
+            } else {
+                largest
+            };
+            let (tn, in_) = tns[e];
+            let ws = working_set_elems(gemm, tm, tk, tn);
+            let traffic = traffic(gemm, stat, im, gim, ik, in_).total();
+            // Ties break toward the smaller working set: equal DRAM
+            // traffic at less SG leaves more room for L3/FLAT staging.
+            let better = match &best {
+                None => true,
+                Some((t, cur)) => traffic < *t || (traffic == *t && ws < cur.working_set_elems),
+            };
+            if better {
+                best = Some((
+                    traffic,
+                    L2Tiling {
+                        tm,
+                        tk,
+                        tn,
+                        working_set_elems: ws,
+                    },
+                ));
             }
         }
     }
-    best.expect("candidate set is never empty").1
+    best.expect("the (1, 1, 1) tile is always a candidate").1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The exhaustive `(tm, tk, tn)` search [`choose_l2_tiling`] must
+    /// reproduce bit for bit.
+    fn reference_choose_l2_tiling(gemm: &Gemm, stat: Stationarity, budget_elems: u64) -> L2Tiling {
+        let cands = |dim: u64| -> Vec<u64> {
+            let mut v = Vec::new();
+            let mut t = 1u64;
+            while t < dim {
+                v.push(t);
+                t *= 2;
+            }
+            v.push(dim);
+            v
+        };
+        let mut best: Option<(u64, L2Tiling)> = None;
+        for &tm in &cands(gemm.m) {
+            for &tk in &cands(gemm.k) {
+                for &tn in &cands(gemm.n) {
+                    let ws = working_set_elems(gemm, tm, tk, tn);
+                    if ws > budget_elems && (tm, tk, tn) != (1, 1, 1) {
+                        continue;
+                    }
+                    let traffic = dram_traffic(gemm, stat, tm, tk, tn).total();
+                    let better = match &best {
+                        None => true,
+                        Some((t, cur)) => {
+                            traffic < *t || (traffic == *t && ws < cur.working_set_elems)
+                        }
+                    };
+                    if better {
+                        best = Some((
+                            traffic,
+                            L2Tiling {
+                                tm,
+                                tk,
+                                tn,
+                                working_set_elems: ws,
+                            },
+                        ));
+                    }
+                }
+            }
+        }
+        best.expect("candidate set is never empty").1
+    }
+
+    /// GEMM extents up to 70,000: odd (never a candidate below the
+    /// extent itself), powers of two, and small.
+    fn dims() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            (0u64..35_000).prop_map(|x| 2 * x + 1),
+            (0u32..17).prop_map(|e| 1u64 << e),
+            1u64..17,
+        ]
+    }
+
+    /// SG budgets: none, tiny, mid-size and unbounded.
+    fn budgets() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), 1u64..64, 64u64..4_000_000, Just(u64::MAX)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn closed_form_matches_exhaustive_search(
+            batch in 1u64..2048,
+            m in dims(),
+            k in dims(),
+            n in dims(),
+            shared in any::<bool>(),
+            stat in prop::sample::select(Stationarity::all().to_vec()),
+            budget in budgets(),
+        ) {
+            let gemm = if shared {
+                Gemm::with_shared_weight(batch, m, k, n)
+            } else {
+                Gemm::new(batch, m, k, n)
+            };
+            prop_assert_eq!(
+                choose_l2_tiling(&gemm, stat, budget),
+                reference_choose_l2_tiling(&gemm, stat, budget),
+                "{:?} {:?} budget {}", gemm, stat, budget
+            );
+        }
+    }
 
     #[test]
     fn big_budget_reaches_compulsory_traffic() {
