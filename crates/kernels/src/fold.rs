@@ -53,12 +53,24 @@ fn fold_chunk<'a, S: ChunkSoftmax>(
     v_row: impl Fn(usize) -> &'a [f32],
 ) {
     let carry = s.absorb(logits);
+    rescale_add(acc, carry, logits, v_row);
+}
+
+/// `acc` times `carry`, plus each weight > 0 times its value row
+/// `v_row(j)`, ascending: the accumulator half of a fold step.
+#[inline]
+fn rescale_add<'a>(
+    acc: &mut [f32],
+    carry: f32,
+    weights: &[f32],
+    v_row: impl Fn(usize) -> &'a [f32],
+) {
     if carry != 1.0 {
         for a in acc.iter_mut() {
             *a *= carry;
         }
     }
-    for (j, &w) in logits.iter().enumerate() {
+    for (j, &w) in weights.iter().enumerate() {
         if w > 0.0 {
             for (a, &v) in acc.iter_mut().zip(v_row(j)) {
                 *a = w.mul_add(v, *a);
@@ -74,6 +86,63 @@ fn fold_rows<S: ChunkSoftmax>(s: &mut S, acc: &mut [f32], logits: &mut [f32], v:
         let v_row = &v[j * dv..][..dv];
         fold_chunk(s, acc, std::slice::from_mut(w), |_| v_row);
     }
+}
+
+/// The value width [`fold_rows_exact`] is compiled for: the serving
+/// engine's head width (`EngineConfig::for_platform` sets `dk` to 32).
+const REGISTER_WIDTH: usize = 32;
+
+/// Rows per step of [`fold_rows_exact`]: their weights and carries sit in
+/// stack arrays.
+const BLOCK_ROWS: usize = 16;
+
+/// The scaled `q·k` logits of `k` folded against `v` by the exact kind,
+/// [`BLOCK_ROWS`] rows a step: first the step's dots, then the
+/// online-softmax recurrence over them (weights and carries into stack
+/// arrays, so no `exp` waits on the accumulator), then each row's rescale
+/// and FMA onto the fixed-width accumulator. The state never reads the
+/// accumulator, so each element sees the operations of the one-logit steps
+/// of `fold_rows` in the same order, and the bits are the same.
+///
+/// Returns `false`, touching nothing, unless `k` and `v` hold the same
+/// non-zero number of whole rows.
+// Out of line: inlined, it grows `absorb_rows` and slows the one-row
+// groups of the per-row feed.
+#[inline(never)]
+fn fold_rows_exact(
+    s: &mut OnlineSoftmax,
+    acc: &mut [f32; REGISTER_WIDTH],
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    scale: f32,
+) -> bool {
+    // A division by the constant width, not by the row width.
+    let n = v.len() / REGISTER_WIDTH;
+    if n == 0 || v.len() != n * REGISTER_WIDTH || n.checked_mul(q.len()) != Some(k.len()) {
+        return false;
+    }
+    let dq = q.len();
+    let mut done = 0;
+    while done < n {
+        let m = (n - done).min(BLOCK_ROWS);
+        let mut w = [0.0f32; BLOCK_ROWS];
+        for (j, x) in w[..m].iter_mut().enumerate() {
+            *x = dot(q, &k[(done + j) * dq..][..dq]) * scale;
+        }
+        let mut carry = [1.0f32; BLOCK_ROWS];
+        for (x, c) in w[..m].iter_mut().zip(&mut carry) {
+            *c = s.absorb(std::slice::from_mut(x));
+        }
+        for (j, (x, &c)) in w[..m].iter().zip(&carry).enumerate() {
+            let row = done + j;
+            rescale_add(acc, c, std::slice::from_ref(x), |_| {
+                &v[row * REGISTER_WIDTH..][..REGISTER_WIDTH]
+            });
+        }
+        done += m;
+    }
+    true
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,7 +221,8 @@ impl RowFold {
     /// logit at a time: the `n` scaled `q·k` dots go into the scratch,
     /// then each is its own one-logit [`absorb`](Self::absorb) step, so
     /// the bits equal `n` single-row calls. The kind is matched once per
-    /// group, not once per row.
+    /// group, not once per row. The exact kind at the engine's value width
+    /// runs [`fold_rows_exact`] instead, to the same bits.
     ///
     /// # Panics
     ///
@@ -171,6 +241,14 @@ impl RowFold {
             acc,
             chunk: logits,
         } = self;
+        if let (RowSoftmax::Exact(s), Ok(acc)) = (
+            &mut *softmax,
+            <&mut [f32; REGISTER_WIDTH]>::try_from(&mut acc[..]),
+        ) {
+            if fold_rows_exact(s, acc, q, k, v, scale) {
+                return;
+            }
+        }
         logits.clear();
         // Split off one key row at a time: no division by the row width,
         // which a group of one row would pay per row.

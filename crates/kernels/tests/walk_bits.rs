@@ -244,13 +244,13 @@ fn half_reference(
 }
 
 /// A small head for the scalar streaming and decode loops: `seq_q` 1..24,
-/// `seq_kv` 1..70, odd and even `dk`, `rows_per_tile` 1..seq_q+3 and a
-/// ragged `kv_tile` 1..seq_kv+5.
+/// `seq_kv` 1..70, odd and even `dk` (the engine's 32 among them),
+/// `rows_per_tile` 1..seq_q+3 and a ragged `kv_tile` 1..seq_kv+5.
 fn stream_case() -> impl Strategy<Value = (MultiHeadInput, usize, usize, Mask)> {
     (
         1usize..24,
         1usize..70,
-        prop::sample::select(vec![1usize, 3, 5, 8, 13, 17]),
+        prop::sample::select(vec![1usize, 3, 5, 8, 13, 16, 17, 32]),
         0usize..1 << 16,
         0usize..1 << 16,
         prop::sample::select(vec![Mask::None, Mask::Causal]),

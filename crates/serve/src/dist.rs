@@ -184,8 +184,13 @@ pub struct DistPlane {
     pub(crate) exposed_ms: f64,
     pub(crate) payload_bytes: f64,
     /// Peak striped block count per shard (sized to the largest cluster
-    /// seen; shards beyond the current size stop accumulating).
+    /// seen; shards beyond the current size stop accumulating). Current
+    /// up to the last closed epoch: a resize and the end of the run close
+    /// one.
     pub(crate) per_shard_peak: Vec<usize>,
+    /// Peak pool usage since the last resize: the open chip-count epoch,
+    /// not yet expanded into `per_shard_peak`.
+    epoch_peak_used: usize,
     /// Applied elastic resizes, in order.
     pub(crate) scale_log: Vec<ScaleEventRecord>,
 }
@@ -214,6 +219,7 @@ impl DistPlane {
             exposed_ms: 0.0,
             payload_bytes: 0.0,
             per_shard_peak: vec![0; cfg.chips],
+            epoch_peak_used: 0,
             scale_log: Vec::new(),
         }
     }
@@ -226,6 +232,7 @@ impl DistPlane {
     /// for a resized cluster. Peak-occupancy lanes are extended (never
     /// truncated) so shards that existed keep their history.
     pub(crate) fn rescale(&mut self, chips: usize) {
+        self.close_epoch();
         self.fabric = Fabric::new(chips, self.cfg.topology, self.cfg.link).with_algo(self.cfg.algo);
         self.per_token_calls = self.cfg.partition.collectives(&self.token_cfg, chips);
         if self.per_shard_peak.len() < chips {
@@ -349,16 +356,25 @@ impl DistPlane {
             .collect()
     }
 
-    /// Records this tick's pool usage against the round-robin striping:
-    /// shard `s` holds `used/chips` blocks plus one more if `s` is under
-    /// the remainder. Striping follows the *current* chip count; lanes
-    /// beyond it (from a larger past cluster) keep their peak.
+    /// Records this tick's pool usage. Only the epoch's peak is kept:
+    /// under a fixed chip count every shard's striped share grows with
+    /// `used`, so the per-shard peaks of the epoch are the shares of its
+    /// peak, expanded once when the epoch closes.
     pub(crate) fn observe_used_blocks(&mut self, used: usize) {
-        let p = self.fabric.chips.max(1);
+        self.epoch_peak_used = self.epoch_peak_used.max(used);
+    }
+
+    /// Expands the open epoch's peak against the round-robin striping of
+    /// the *current* chip count: shard `s` holds `used/chips` blocks plus
+    /// one more if `s` is under the remainder. Lanes beyond it (from a
+    /// larger past cluster) keep their peak.
+    pub(crate) fn close_epoch(&mut self) {
+        let (used, p) = (self.epoch_peak_used, self.fabric.chips.max(1));
         for (s, peak) in self.per_shard_peak.iter_mut().enumerate().take(p) {
             let share = used / p + usize::from(s < used % p);
             *peak = (*peak).max(share);
         }
+        self.epoch_peak_used = 0;
     }
 }
 
@@ -657,31 +673,41 @@ mod tests {
         );
     }
 
+    /// On a fixed-size cluster every shard's peak is its round-robin
+    /// share of one pool peak: the shares differ by at most one block and
+    /// the lower shards hold the extra. The peak is expanded when the run
+    /// ends, so a run that wrote KV has a non-zero one.
     #[test]
     fn shard_occupancies_follow_round_robin_striping() {
         let model = Model::by_name("bert").unwrap();
         let accel = Accelerator::edge();
         let wl = workload(16);
+        let chips = 4;
         let m = run_fixed(
             &accel,
             &model,
             &wl,
             &cfg(&accel, &model),
-            &DistServeConfig::new(4, Topology::Mesh2d),
+            &DistServeConfig::new(chips, Topology::Mesh2d),
         )
         .unwrap();
         let occ = &m.per_shard_kv_peak_occupancy;
         assert!(occ.iter().all(|&o| (0.0..=1.0).contains(&o)));
-        // Striping keeps shards within one block of each other.
-        let (max, min) = (
-            occ.iter().copied().fold(0.0, f64::max),
-            occ.iter().copied().fold(1.0, f64::min),
-        );
-        let shard_blocks = m.serve.kv.total_blocks as f64 / 4.0;
-        assert!(
-            (max - min) * shard_blocks <= 1.0 + 1e-9,
-            "spread {max} vs {min}"
-        );
+        let shard_blocks = (m.serve.kv.total_blocks / chips) as f64;
+        let peaks: Vec<usize> = occ
+            .iter()
+            .map(|o| (o * shard_blocks).round() as usize)
+            .collect();
+        let used: usize = peaks.iter().sum();
+        assert!(used > 0, "the run wrote KV");
+        assert!(used <= m.serve.kv.peak_used_blocks);
+        for (s, &peak) in peaks.iter().enumerate() {
+            assert_eq!(
+                peak,
+                used / chips + usize::from(s < used % chips),
+                "shard {s}"
+            );
+        }
     }
 
     #[test]
@@ -734,6 +760,41 @@ mod tests {
         assert_eq!(m.scale_events.len(), 1);
         assert_eq!(m.scale_events[0].migrated_blocks, 3);
         assert_eq!(m.chips_final, 100_000);
+    }
+
+    /// The epoch peak expands to exactly the per-shard peaks a walk of
+    /// every shard at every tick records, across grows and shrinks.
+    #[test]
+    fn epoch_peaks_equal_the_per_tick_shard_walk() {
+        let model = Model::by_name("bert").unwrap();
+        let mut plane = DistPlane::new(&model, &DistServeConfig::new(3, Topology::Ring));
+        let mut want = vec![0usize; 3];
+        let mut chips = 3;
+        // `(used, resize to)` per tick; 0 keeps the chip count.
+        let ticks = [
+            (5, 0),
+            (11, 0),
+            (7, 5),
+            (4, 0),
+            (13, 2),
+            (9, 0),
+            (2, 6),
+            (1, 0),
+            (17, 0),
+        ];
+        for (used, to) in ticks {
+            if to > 0 {
+                plane.rescale(to);
+                chips = to;
+                want.resize(want.len().max(to), 0);
+            }
+            plane.observe_used_blocks(used);
+            for (s, peak) in want.iter_mut().enumerate().take(chips) {
+                *peak = (*peak).max(used / chips + usize::from(s < used % chips));
+            }
+        }
+        plane.close_epoch();
+        assert_eq!(plane.per_shard_peak, want);
     }
 
     /// The sparse move count prices exactly what the dense matrix did:

@@ -186,6 +186,11 @@ pub(crate) struct Engine<'t> {
     layout: KvLayout,
     pool: KvPool,
     scale: f32,
+    /// The numeric plane's Q, K and V rows, `dk` wide: every token embeds
+    /// into these instead of fresh vectors.
+    q_row: Vec<f32>,
+    k_row: Vec<f32>,
+    v_row: Vec<f32>,
     /// Not-yet-arrived requests, arrival-sorted.
     incoming: VecDeque<Request>,
     /// Arrived (or preempted) requests awaiting admission, arrival-sorted.
@@ -396,6 +401,9 @@ impl<'t> Engine<'t> {
             layout,
             pool: KvPool::new(total_blocks, cfg.block_tokens, cfg.dk),
             scale: 1.0 / (cfg.dk as f32).sqrt(),
+            q_row: vec![0.0; cfg.dk],
+            k_row: vec![0.0; cfg.dk],
+            v_row: vec![0.0; cfg.dk],
             incoming: incoming.into(),
             waiting: VecDeque::new(),
             running: Vec::new(),
@@ -522,6 +530,7 @@ impl<'t> Engine<'t> {
         if self.cfg.window_ms.is_some() && self.now_ms > self.win_cursor.last_end_ms {
             self.close_window(self.now_ms);
         }
+        self.plane.close_epoch();
         let total_blocks = self.pool.total_blocks();
         let kv = KvPoolStats {
             total_blocks,
@@ -967,9 +976,10 @@ impl<'t> Engine<'t> {
             for _ in 0..take {
                 let pos = self.running[i].prefilled;
                 let spec = self.running[i].spec;
-                let k = self.embed(&spec, pos, SALT_K, &[]);
-                let v = self.embed(&spec, pos, SALT_V, &[]);
-                if !self.append_with_preemption(i, &k, &v) {
+                let seed = self.cfg.seed;
+                embed(seed, &spec, pos, SALT_K, &[], &mut self.k_row);
+                embed(seed, &spec, pos, SALT_V, &[], &mut self.v_row);
+                if !self.append_with_preemption(i) {
                     break; // `i` itself was preempted.
                 }
                 self.running[i].prefilled += 1;
@@ -1007,9 +1017,10 @@ impl<'t> Engine<'t> {
                 // Prompt fully paged in: probe the prefix once to seed the
                 // sequential generation state, then start decoding.
                 let spec = r.spec;
-                let q = self.embed(&spec, spec.prompt_len - 1, SALT_Q, &[]);
+                let pos = spec.prompt_len - 1;
+                embed(self.cfg.seed, &spec, pos, SALT_Q, &[], &mut self.q_row);
                 let out = decode_attention_with(
-                    &q,
+                    &self.q_row,
                     self.pool.blocks(&self.running[i].table),
                     self.scale,
                     self.cfg.precision,
@@ -1026,15 +1037,15 @@ impl<'t> Engine<'t> {
             let r = &self.running[i];
             let (spec, pos) = (r.spec, r.spec.prompt_len + r.generated);
             let id = spec.id;
-            let prev = r.last_out.clone();
-            let q = self.embed(&spec, pos, SALT_Q, &prev);
-            let k = self.embed(&spec, pos, SALT_K, &prev);
-            let v = self.embed(&spec, pos, SALT_V, &prev);
-            if !self.append_with_preemption(i, &k, &v) {
+            let (seed, prev) = (self.cfg.seed, &r.last_out);
+            embed(seed, &spec, pos, SALT_Q, prev, &mut self.q_row);
+            embed(seed, &spec, pos, SALT_K, prev, &mut self.k_row);
+            embed(seed, &spec, pos, SALT_V, prev, &mut self.v_row);
+            if !self.append_with_preemption(i) {
                 continue; // `i` itself was preempted; it restarts later.
             }
             let out = decode_attention_with(
-                &q,
+                &self.q_row,
                 self.pool.blocks(&self.running[i].table),
                 self.scale,
                 self.cfg.precision,
@@ -1070,14 +1081,14 @@ impl<'t> Engine<'t> {
         work
     }
 
-    /// Appends one K/V row for `running[i]`, evicting by [`victim_order`]
-    /// (lowest priority class first, latest-arrived within a class) as
-    /// long as the pool is exhausted. Returns `false` if `i` itself was
-    /// the eviction victim.
-    fn append_with_preemption(&mut self, i: usize, k: &[f32], v: &[f32]) -> bool {
+    /// Appends the embedded K/V rows (`k_row`, `v_row`) for `running[i]`,
+    /// evicting by [`victim_order`] (lowest priority class first,
+    /// latest-arrived within a class) as long as the pool is exhausted.
+    /// Returns `false` if `i` itself was the eviction victim.
+    fn append_with_preemption(&mut self, i: usize) -> bool {
         loop {
             let (pool, running) = (&mut self.pool, &mut self.running);
-            if pool.try_append(&mut running[i].table, k, v) {
+            if pool.try_append(&mut running[i].table, &self.k_row, &self.v_row) {
                 return true;
             }
             // `running[i]` is itself Prefill/Decode when this is called,
@@ -1194,44 +1205,41 @@ impl<'t> Engine<'t> {
         let memory_s = bytes / self.offchip_bytes_per_s;
         compute_s.max(memory_s) + TICK_OVERHEAD_S
     }
+}
 
-    /// The numeric plane's token embedding: a seeded pseudo-random row,
-    /// blended with the previous step's attention output when one exists —
-    /// the dependence that makes generation sequential.
-    ///
-    /// Positions inside a request's shared prefix draw from a stream
-    /// keyed on the *template* id instead of the request id, so every
-    /// request carrying the same template produces byte-identical prefix
-    /// K/V rows — the property block-level dedup keys on. The keying is
-    /// independent of `cfg.dedup`, which is why dedup-on and dedup-off
-    /// runs stay token-identical. Non-template positions keep the
-    /// historical per-request stream exactly.
-    fn embed(&self, spec: &RequestSpec, pos: usize, salt: u64, prev_out: &[f32]) -> Vec<f32> {
-        let ident = if pos < spec.shared_prefix_len() {
-            spec.prefix_template
-                .unwrap_or_default()
-                .wrapping_mul(0xA24B_AED4_963E_E407)
-                .wrapping_add(0x9E6C_63D0_876A_68EE)
+/// The numeric plane's token embedding: a seeded pseudo-random row written
+/// into `out` (`dk` wide), blended with the previous step's attention
+/// output when one exists — the dependence that makes generation
+/// sequential.
+///
+/// Positions inside a request's shared prefix draw from a stream keyed on
+/// the *template* id instead of the request id, so every request carrying
+/// the same template produces byte-identical prefix K/V rows — the
+/// property block-level dedup keys on. The keying is independent of
+/// `cfg.dedup`, which is why dedup-on and dedup-off runs stay
+/// token-identical. Non-template positions keep the historical
+/// per-request stream exactly.
+fn embed(seed: u64, spec: &RequestSpec, pos: usize, salt: u64, prev_out: &[f32], out: &mut [f32]) {
+    let ident = if pos < spec.shared_prefix_len() {
+        spec.prefix_template
+            .unwrap_or_default()
+            .wrapping_mul(0xA24B_AED4_963E_E407)
+            .wrapping_add(0x9E6C_63D0_876A_68EE)
+    } else {
+        (spec.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    };
+    let stream = seed
+        .wrapping_add(ident)
+        .wrapping_add((pos as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
+        .wrapping_add(salt);
+    let mut rng = StdRng::seed_from_u64(stream);
+    for (lane, x) in out.iter_mut().enumerate() {
+        let noise = rng.gen::<f32>() * 2.0 - 1.0;
+        *x = if prev_out.is_empty() {
+            noise
         } else {
-            (spec.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            0.5 * noise + 0.5 * prev_out[(lane + 1) % prev_out.len()]
         };
-        let stream = self
-            .cfg
-            .seed
-            .wrapping_add(ident)
-            .wrapping_add((pos as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
-            .wrapping_add(salt);
-        let mut rng = StdRng::seed_from_u64(stream);
-        (0..self.cfg.dk)
-            .map(|lane| {
-                let noise = rng.gen::<f32>() * 2.0 - 1.0;
-                if prev_out.is_empty() {
-                    noise
-                } else {
-                    0.5 * noise + 0.5 * prev_out[(lane + 1) % prev_out.len()]
-                }
-            })
-            .collect()
     }
 }
 

@@ -23,23 +23,68 @@ use std::collections::HashMap;
 use flat_tensor::Bytes;
 use flat_workloads::Model;
 
-/// FNV-1a 64-bit offset basis — the chain seed of an empty prefix.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Chain seed of an empty prefix.
+const CHAIN_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+/// The multipliers of xxHash64's lane round and final avalanche.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
 
-/// Extends a FNV-1a chain hash over one block's K and V rows. Chaining
+/// One lane step: `word` is multiplied in, rotated and multiplied again,
+/// so every input bit reaches every state bit within a few steps.
+#[inline]
+fn lane_round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// Extends a block chain hash over one block's K and V rows. Chaining
 /// from the previous block's hash makes the digest positional: two blocks
 /// share a hash only if their *entire prefix history* matches, not just
-/// their own 16 tokens.
+/// their own tokens.
+///
+/// The hash is an index key and nothing more: [`KvPool::seal_last_block`]
+/// compares block content word for word on every match, so a collision
+/// costs a missed share, never wrong rows, and the value itself is never
+/// observable — `BlockTable::chain`, `seal_hash` and `prefix_index` are
+/// private, and no output reads them.
+///
+/// The rows' f32 bits are taken eight words at a time into four
+/// independent 64-bit lanes (xxHash64's round), so the per-word multiply
+/// chains overlap instead of running one byte at a time; a trailing
+/// `len % 8` words go through a fifth lane, then the lanes are merged and
+/// avalanched.
 fn chain_hash(seed: u64, k: &[f32], v: &[f32]) -> u64 {
-    let mut h = seed;
-    for word in k.iter().chain(v.iter()) {
-        for byte in word.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(FNV_PRIME);
+    let mut lanes = [
+        seed.wrapping_add(P1).wrapping_add(P2),
+        seed.wrapping_add(P2),
+        seed,
+        seed.wrapping_sub(P1),
+    ];
+    let mut tail = seed ^ (k.len() as u64).wrapping_mul(P3);
+    for rows in [k, v] {
+        let words = rows.chunks_exact(8);
+        for x in words.remainder() {
+            tail = lane_round(tail, u64::from(x.to_bits()));
+        }
+        for chunk in words {
+            for (lane, pair) in lanes.iter_mut().zip(chunk.chunks_exact(2)) {
+                let word = u64::from(pair[0].to_bits()) | (u64::from(pair[1].to_bits()) << 32);
+                *lane = lane_round(*lane, word);
+            }
         }
     }
-    h
+    let mut h = lanes[0].rotate_left(1)
+        ^ lanes[1].rotate_left(7)
+        ^ lanes[2].rotate_left(12)
+        ^ lanes[3].rotate_left(18);
+    h = lane_round(h, tail);
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Modeled KV-cache cost of one token, and the paging geometry.
@@ -110,7 +155,7 @@ pub struct BlockTable {
     tokens: usize,
     /// Leading blocks attached via the prefix index (refcount-shared).
     sealed: usize,
-    /// Running chain hash over the sealed prefix (`FNV_OFFSET` when none).
+    /// Running chain hash over the sealed prefix (`CHAIN_SEED` when none).
     chain: u64,
 }
 
@@ -120,7 +165,7 @@ impl Default for BlockTable {
             blocks: Vec::new(),
             tokens: 0,
             sealed: 0,
-            chain: FNV_OFFSET,
+            chain: CHAIN_SEED,
         }
     }
 }
@@ -364,7 +409,7 @@ impl KvPool {
         }
         table.tokens = 0;
         table.sealed = 0;
-        table.chain = FNV_OFFSET;
+        table.chain = CHAIN_SEED;
     }
 
     /// Seals `table`'s last block into the prefix index. Call only when
@@ -664,6 +709,30 @@ mod tests {
         assert_eq!(pool.rows(&b).count(), 2);
     }
 
+    #[test]
+    fn equal_blocks_behind_different_prefixes_stay_private() {
+        // The chain is positional: block 1 holds the same rows in every
+        // table, but only the table whose block 0 matches shares it.
+        let (bt, dk) = (2, 3);
+        let mut pool = KvPool::new(8, bt, dk);
+        let fill = |pool: &mut KvPool, t: &mut BlockTable, first: f32| {
+            for x in [first, first, 5.0, 6.0] {
+                assert!(pool.try_append(t, &[x; 3], &[-x; 3]));
+                if t.tokens().is_multiple_of(bt) {
+                    pool.seal_last_block(t);
+                }
+            }
+        };
+        let (mut a, mut b, mut c) = (BlockTable::new(), BlockTable::new(), BlockTable::new());
+        fill(&mut pool, &mut a, 1.0);
+        fill(&mut pool, &mut b, 2.0);
+        assert_eq!(pool.dedup_hits(), 0);
+        assert_eq!(pool.used_blocks(), 4);
+        fill(&mut pool, &mut c, 1.0);
+        assert_eq!(pool.dedup_hits(), 2);
+        assert_eq!(pool.used_blocks(), 4);
+    }
+
     /// The rows a table should read back, in token order.
     type Want = Vec<(Vec<f32>, Vec<f32>)>;
 
@@ -806,6 +875,46 @@ mod tests {
             prop_assert_eq!(pool.used_blocks(), 0);
             prop_assert_eq!(pool.logical_used_blocks(), 0);
             prop_assert_eq!(pool.free_blocks(), blocks + grown - confiscated);
+        }
+
+        /// A sealed block is shared exactly when some earlier table's
+        /// whole prefix up to and including that block is equal — checked
+        /// against a reference that compares the prefixes row for row.
+        /// Blocks are drawn from three contents, so equal blocks behind
+        /// different prefixes are common; `block_tokens · dk` is mostly
+        /// not a multiple of 8, so the hash's remainder lane runs.
+        #[test]
+        fn a_block_is_shared_exactly_when_its_whole_prefix_is_equal(
+            bt in 1usize..5,
+            dk in 1usize..12,
+            tables in proptest::collection::vec(
+                proptest::collection::vec(0usize..3, 0..5),
+                2..5,
+            ),
+        ) {
+            let mut pool = KvPool::new(32, bt, dk);
+            let row = |sym: usize, j: usize| -> Vec<f32> {
+                (0..dk).map(|l| (sym * 1000 + j * 10 + l) as f32).collect()
+            };
+            let mut seen: Vec<Vec<Vec<f32>>> = Vec::new();
+            for syms in &tables {
+                let mut t = BlockTable::new();
+                let mut rows: Vec<Vec<f32>> = Vec::new();
+                for (b, &sym) in syms.iter().enumerate() {
+                    for j in 0..bt {
+                        let r = row(sym, j);
+                        prop_assert!(pool.try_append(&mut t, &r, &r));
+                        rows.push(r);
+                    }
+                    let prefix = &rows[..(b + 1) * bt];
+                    let want = seen
+                        .iter()
+                        .any(|earlier| earlier.len() >= prefix.len() && &earlier[..prefix.len()] == prefix);
+                    let got = pool.seal_last_block(&mut t);
+                    prop_assert_eq!(got, want, "block {}: shared {}, reference {}", b, got, want);
+                }
+                seen.push(rows);
+            }
         }
 
         /// Every table always reads back exactly the rows it appended,
