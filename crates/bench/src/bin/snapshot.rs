@@ -1,11 +1,11 @@
 //! `snapshot` — the benchmark-trajectory harness.
 //!
 //! Times the hot paths this repo optimizes — the blocked attention
-//! kernels, the incremental parallel sweep engine, and the serving decode
-//! path — against their naive baselines, and writes the results to a
-//! `BENCH_<tag>.json` file at the repo root. One snapshot is committed
-//! per performance PR, so the series of files records the performance
-//! trajectory of the codebase over time.
+//! kernels, the serving decode path, the engine tick — against their
+//! naive baselines, and writes the results to a `BENCH_<tag>.json` file
+//! at the repo root. One snapshot is committed per performance PR, so the
+//! series of files records the performance trajectory of the codebase
+//! over time.
 //!
 //! ```text
 //! cargo run --release -p flat-bench --bin snapshot -- [--tag PR2] [--quick] [--out path]
@@ -13,13 +13,12 @@
 //!
 //! Schema (`flat-bench-snapshot/v1`): a top-level object with the grid
 //! configuration and an `entries` array; each entry carries `group`
-//! (`kernel`, `sweep`, `serve`, or `engine`), `name`, `config`, rep
-//! counts, `mean_ms` / `min_ms` wall times, and `speedup_vs_baseline`
-//! (the baseline entry of each group has speedup 1.0, computed
-//! min-over-min).
+//! (`kernel`, `precision`, `serve`, `engine`, `dist`, `fleet`, or
+//! `validation`), `name`, `config`, rep counts, `mean_ms` / `min_ms` wall
+//! times, and `speedup_vs_baseline` (the baseline entry of each group has
+//! speedup 1.0, computed min-over-min).
 
 use flat_bench::args::Args;
-use flat_bench::sweep::{buffer_sweep, buffer_sweep_serial};
 use flat_dist::{CollectiveAlgo, Link, Partition, Sweep, Topology};
 use flat_kernels::{
     decode_attention, flat_attention, flat_attention_with, naive_attention, ComputePrecision, Mask,
@@ -189,24 +188,6 @@ fn precision_entries(args: &Args, quick: bool) -> Vec<Entry> {
         e.max_rel_error = Some(max_rel_error(&out, &reference));
         entries.push(e);
     }
-    with_speedups(entries)
-}
-
-fn sweep_entries(quick: bool) -> Vec<Entry> {
-    let reps = if quick { 1 } else { 2 };
-    let platform = flat_bench::platform("edge");
-    let model = flat_bench::model("bert");
-    let seqs: Vec<u64> = if quick { vec![256] } else { vec![256, 512] };
-    let sgs = flat_bench::sg_sweep(true);
-    let config = format!("edge/bert seqs={:?} sg_points={}", seqs, sgs.len());
-    let entries = vec![
-        time("sweep", "buffer_sweep_serial", &config, reps, || {
-            buffer_sweep_serial(&platform, &model, &seqs, &sgs)
-        }),
-        time("sweep", "buffer_sweep", &config, reps, || {
-            buffer_sweep(&platform, &model, &seqs, &sgs)
-        }),
-    ];
     with_speedups(entries)
 }
 
@@ -542,7 +523,6 @@ fn main() {
 
     let mut entries = kernel_entries(&args, quick);
     entries.extend(precision_entries(&args, quick));
-    entries.extend(sweep_entries(quick));
     entries.extend(serve_entries(quick));
     entries.extend(engine_entries(quick));
     entries.extend(dist_entries(quick));

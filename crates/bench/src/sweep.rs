@@ -3,11 +3,10 @@
 //! lengths, at all three analysis scopes.
 
 use flat_arch::Accelerator;
-use flat_core::{BlockDataflow, CostModel, CostReport, Granularity, LaExecution};
-use flat_dse::{la_points, Dse, Objective, SpaceKind};
+use flat_core::{BlockDataflow, CostModel, Granularity};
+use flat_dse::{Dse, Objective, SpaceKind};
 use flat_tensor::Bytes;
-use flat_workloads::{AttentionBlock, Model, Scope};
-use rayon::prelude::*;
+use flat_workloads::{Model, Scope};
 use serde::{Deserialize, Serialize};
 
 /// One point of a Figure 8/9 sweep.
@@ -83,38 +82,13 @@ fn menu(platform: &Accelerator) -> Vec<(String, Entry)> {
     m
 }
 
-/// The DSE candidate lists one sequence length needs, enumerated once
-/// and reused at every buffer size: `la_points(space, seq)` depends on
-/// the sequence, not on `sg`, so re-enumerating per grid point (as the
-/// naive nesting does) is pure duplicated work.
-struct SeqCandidates {
-    block: AttentionBlock,
-    sequential: Vec<LaExecution>,
-    full: Vec<LaExecution>,
-}
-
-/// Runs the full sweep for one platform and model, with the
-/// `(sequence, buffer)` grid points priced in parallel on the shared
-/// pool.
+/// Runs the full sweep for one platform and model.
 ///
-/// For every grid point and menu entry, the engine prices the L-A pair
-/// and the whole block, then emits one record per analysis scope (Model
-/// scope scales energy by the block count; utilization is invariant
-/// under block repetition).
-///
-/// Incremental structure, relative to the naive triple loop that
-/// [`buffer_sweep_serial`] keeps as the reference:
-///
-/// * the menu is built once, not per grid point;
-/// * DSE candidate lists are enumerated once per sequence length and
-///   shared across buffer sizes (`SeqCandidates`);
-/// * `-opt` entries reuse the [`CostReport`] the search already computed
-///   for the winner instead of re-pricing it;
-/// * the non-fused-operator search, identical for both `-opt` entries at
-///   a grid point, runs once and is shared.
-///
-/// The emitted records are element-for-element identical to the serial
-/// reference — same values, same order (pinned by a test).
+/// For every `(sequence, buffer)` grid point and menu entry, prices the
+/// L-A pair and the whole block, then emits one record per analysis scope
+/// (Model scope scales energy by the block count; utilization is
+/// invariant under block repetition). `-opt` entries take their dataflow
+/// from the DSE, whose search already fans out over the shared pool.
 #[must_use]
 pub fn buffer_sweep(
     platform: &Accelerator,
@@ -123,105 +97,7 @@ pub fn buffer_sweep(
     sgs: &[Bytes],
 ) -> Vec<SweepRecord> {
     let menu = menu(platform);
-    let candidates: Vec<SeqCandidates> = seqs
-        .iter()
-        .map(|&seq| {
-            let block = model.block(crate::BATCH, seq);
-            let seq_q = block.config().seq_q;
-            SeqCandidates {
-                block,
-                sequential: la_points(SpaceKind::Sequential, seq_q),
-                full: la_points(SpaceKind::Full, seq_q),
-            }
-        })
-        .collect();
-    let grid: Vec<(usize, Bytes)> = (0..seqs.len())
-        .flat_map(|si| sgs.iter().map(move |&sg| (si, sg)))
-        .collect();
-    grid.par_iter()
-        .map(|&(si, sg)| sweep_point(platform, model, seqs[si], &candidates[si], sg, &menu))
-        .collect::<Vec<Vec<SweepRecord>>>()
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
-/// Prices every menu entry at one `(sequence, buffer)` grid point.
-fn sweep_point(
-    platform: &Accelerator,
-    model: &Model,
-    seq: u64,
-    cand: &SeqCandidates,
-    sg: Bytes,
-    menu: &[(String, Entry)],
-) -> Vec<SweepRecord> {
-    let accel = platform.with_sg(sg);
-    let cm = CostModel::new(&accel);
-    let block = &cand.block;
-    let dse = Dse::new(&accel, block);
-    // The non-fused-operator search does not depend on the L-A space, so
-    // the first -opt entry computes it and the second reuses it.
-    let mut shared_others = None;
     let blocks = model.blocks() as f64;
-    let mut records = Vec::with_capacity(menu.len() * 3);
-    for (label, entry) in menu {
-        let (df, la_report): (BlockDataflow, CostReport) = match *entry {
-            Entry::Fixed(df) => (df, cm.la_cost(block, &df.la)),
-            Entry::Opt(space) => {
-                let fresh;
-                let points: &[LaExecution] = match space {
-                    SpaceKind::Sequential => &cand.sequential,
-                    SpaceKind::Full => &cand.full,
-                    other => {
-                        fresh = la_points(other, block.config().seq_q);
-                        &fresh
-                    }
-                };
-                let best = dse.best_la_among(points, Objective::MaxUtil);
-                let others =
-                    *shared_others.get_or_insert_with(|| dse.best_others(Objective::MaxUtil).0);
-                // The search already priced the winner: reuse its report.
-                (
-                    BlockDataflow {
-                        la: best.la,
-                        others,
-                    },
-                    best.report,
-                )
-            }
-        };
-        let blk = cm.block_cost(block, &df).total();
-        for (scope, report, energy_scale) in [
-            (Scope::LogitAttend, la_report, 1.0),
-            (Scope::Block, blk, 1.0),
-            (Scope::Model, blk, blocks),
-        ] {
-            records.push(SweepRecord {
-                scope: scope.to_string(),
-                seq,
-                sg,
-                dataflow: label.clone(),
-                util: report.util(),
-                energy_pj: report.energy.total_pj() * energy_scale,
-                footprint: report.footprint,
-            });
-        }
-    }
-    records
-}
-
-/// The straightforward serial sweep: naive triple loop, menu rebuilt per
-/// grid point, every `-opt` winner re-priced from scratch. Kept as the
-/// reference implementation that [`buffer_sweep`] must reproduce
-/// record-for-record (and as the baseline the benchmark snapshot times
-/// the incremental engine against).
-#[must_use]
-pub fn buffer_sweep_serial(
-    platform: &Accelerator,
-    model: &Model,
-    seqs: &[u64],
-    sgs: &[Bytes],
-) -> Vec<SweepRecord> {
     let mut records = Vec::new();
     for &seq in seqs {
         let block = model.block(crate::BATCH, seq);
@@ -229,8 +105,8 @@ pub fn buffer_sweep_serial(
             let accel = platform.with_sg(sg);
             let cm = CostModel::new(&accel);
             let dse = Dse::new(&accel, &block);
-            for (label, entry) in menu(platform) {
-                let df = match entry {
+            for (label, entry) in &menu {
+                let df = match *entry {
                     Entry::Fixed(df) => df,
                     Entry::Opt(space) => {
                         let la = dse.best_la(space, Objective::MaxUtil);
@@ -240,7 +116,6 @@ pub fn buffer_sweep_serial(
                 };
                 let la = cm.la_cost(&block, &df.la);
                 let blk = cm.block_cost(&block, &df).total();
-                let blocks = model.blocks() as f64;
                 for (scope, report, energy_scale) in [
                     (Scope::LogitAttend, la, 1.0),
                     (Scope::Block, blk, 1.0),
@@ -279,28 +154,6 @@ mod tests {
         assert_eq!(recs.len(), 11 * 2 * 3);
         assert!(recs.iter().any(|r| r.dataflow == "FLAT-opt"));
         assert!(recs.iter().all(|r| r.util > 0.0 && r.util <= 1.0));
-    }
-
-    /// The incremental parallel engine must be observationally identical
-    /// to the naive serial reference: same records, same values (bit-for-
-    /// bit — every reused result is the same deterministic computation
-    /// the reference redoes), same order.
-    #[test]
-    fn parallel_sweep_identical_to_serial_reference() {
-        let accel = Accelerator::edge();
-        let model = Model::bert();
-        let seqs = [256u64, 512];
-        let sgs = [
-            Bytes::from_kib(256),
-            Bytes::from_kib(512),
-            Bytes::from_mib(64),
-        ];
-        let fast = buffer_sweep(&accel, &model, &seqs, &sgs);
-        let reference = buffer_sweep_serial(&accel, &model, &seqs, &sgs);
-        assert_eq!(fast.len(), reference.len());
-        for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
-            assert_eq!(f, r, "record {i} diverged");
-        }
     }
 
     /// The Figure 8 headline at one grid point: with the real edge buffer,

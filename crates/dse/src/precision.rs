@@ -8,6 +8,7 @@
 //! not with a dataflow tuned for another width. The result set feeds a
 //! cycles-vs-energy Pareto frontier ([`precision_pareto`]).
 
+use crate::search::best_priced;
 use crate::{la_points, Dse, Objective, SpaceKind};
 use flat_core::{CostModel, CostReport, LaExecution, ModelOptions};
 use flat_tensor::{DataType, SoftmaxKind};
@@ -90,7 +91,6 @@ impl Dse<'_> {
     /// provided [`SpaceKind`]s).
     #[must_use]
     pub fn explore_precision(&self, space: SpaceKind, objective: Objective) -> Vec<PrecisionPoint> {
-        use rayon::prelude::*;
         let cfg = *self.block.config();
         let points = la_points(space, cfg.seq_q);
         PrecisionChoice::all()
@@ -104,20 +104,11 @@ impl Dse<'_> {
                         ..Default::default()
                     },
                 );
-                let best = points
-                    .par_iter()
-                    .map(|&la| (la, cm.la_cost(&block, &la)))
-                    .max_by(|a, b| {
-                        objective
-                            .score(&a.1)
-                            .partial_cmp(&objective.score(&b.1))
-                            .expect("scores are finite")
-                    })
-                    .expect("design space is never empty");
+                let best = best_priced(&cm, &block, &points, objective);
                 PrecisionPoint {
                     choice,
-                    la: best.0,
-                    report: best.1,
+                    la: best.la,
+                    report: best.report,
                 }
             })
             .collect()

@@ -72,40 +72,10 @@ impl<'a> Dse<'a> {
     #[must_use]
     pub fn best_la(&self, space: SpaceKind, objective: Objective) -> DesignPoint {
         let points = la_points(space, self.block.config().seq_q);
-        self.best_la_among(&points, objective)
+        best_priced(&CostModel::new(self.accel), self.block, &points, objective)
     }
 
-    /// Best L-A point among an explicit candidate list — a streaming
-    /// parallel max-reduction that never materializes the priced space.
-    /// Sweeps that price one space at many buffer sizes enumerate the
-    /// candidates once and call this per grid point.
-    ///
-    /// The winner (ties included) is identical to pricing serially and
-    /// taking `Iterator::max_by`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points` is empty.
-    #[must_use]
-    pub fn best_la_among(&self, points: &[LaExecution], objective: Objective) -> DesignPoint {
-        use rayon::prelude::*;
-        let cm = CostModel::new(self.accel);
-        points
-            .par_iter()
-            .map(|&la| DesignPoint {
-                la,
-                report: cm.la_cost(self.block, &la),
-            })
-            .max_by(|a, b| {
-                objective
-                    .score(&a.report)
-                    .partial_cmp(&objective.score(&b.report))
-                    .expect("scores are finite")
-            })
-            .expect("design space is never empty")
-    }
-
-    /// [`explore_la`](Self::explore_la) with search-progress tracing:
+    /// [`best_la`](Self::best_la) with search-progress tracing:
     /// candidates are still priced in parallel on the shared pool, then
     /// the events are *replayed* serially in candidate-enumeration order
     /// with the candidate index as the timestamp — so the trace is
@@ -116,22 +86,8 @@ impl<'a> Dse<'a> {
     /// accelerator's scratchpad (the point could never be configured); an
     /// `incumbent` instant whenever `objective`'s score strictly
     /// improves; and one closing counter with the evaluated/pruned
-    /// totals.
-    #[must_use]
-    pub fn explore_la_traced(
-        &self,
-        space: SpaceKind,
-        objective: Objective,
-        sink: &mut dyn TraceSink,
-    ) -> Vec<DesignPoint> {
-        let points = self.explore_la(space);
-        self.replay_search(&points, objective, sink);
-        points
-    }
-
-    /// [`best_la`](Self::best_la) with search-progress tracing (see
-    /// [`explore_la_traced`](Self::explore_la_traced)); the winner is
-    /// identical to the untraced search, ties and all.
+    /// totals. The winner is identical to the untraced search, ties and
+    /// all.
     ///
     /// # Panics
     ///
@@ -231,20 +187,11 @@ impl<'a> Dse<'a> {
         assert!(samples > 0, "need at least one sample");
         let points = la_points(space, self.block.config().seq_q);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let cm = CostModel::new(self.accel);
-        points
+        let sample: Vec<LaExecution> = points
             .choose_multiple(&mut rng, samples.min(points.len()))
-            .map(|&la| DesignPoint {
-                la,
-                report: cm.la_cost(self.block, &la),
-            })
-            .max_by(|a, b| {
-                objective
-                    .score(&a.report)
-                    .partial_cmp(&objective.score(&b.report))
-                    .expect("scores are finite")
-            })
-            .expect("sampled at least one point")
+            .copied()
+            .collect();
+        best_priced(&CostModel::new(self.accel), self.block, &sample, objective)
     }
 
     /// Best dataflow for the non-fused operators, judged on the block's
@@ -323,6 +270,35 @@ impl<'a> Dse<'a> {
             }
         }
     }
+}
+
+/// Prices `points` on the shared pool and keeps the best under
+/// `objective`: a streaming max that never materializes the priced space.
+/// Ties go to the later candidate, exactly as [`Iterator::max_by`].
+///
+/// # Panics
+///
+/// Panics if `points` is empty.
+pub(crate) fn best_priced(
+    cm: &CostModel,
+    block: &AttentionBlock,
+    points: &[LaExecution],
+    objective: Objective,
+) -> DesignPoint {
+    use rayon::prelude::*;
+    points
+        .par_iter()
+        .map(|&la| DesignPoint {
+            la,
+            report: cm.la_cost(block, &la),
+        })
+        .max_by(|a, b| {
+            objective
+                .score(&a.report)
+                .partial_cmp(&objective.score(&b.report))
+                .expect("scores are finite")
+        })
+        .expect("design space is never empty")
 }
 
 /// Pareto frontier of `(footprint, util)` points: keeps points not
@@ -460,22 +436,6 @@ mod tests {
         let mut again = MemorySink::new();
         let _ = dse.best_la_traced(SpaceKind::Full, Objective::MaxUtil, &mut again);
         assert_eq!(sink.to_chrome_trace(), again.to_chrome_trace());
-    }
-
-    #[test]
-    fn traced_explore_returns_the_full_space() {
-        use flat_telemetry::NoopSink;
-        let accel = Accelerator::edge();
-        let block = Model::bert().block(64, 512);
-        let dse = Dse::new(&accel, &block);
-        let mut sink = NoopSink;
-        let traced = dse.explore_la_traced(SpaceKind::Fused, Objective::MaxUtil, &mut sink);
-        let plain = dse.explore_la(SpaceKind::Fused);
-        assert_eq!(traced.len(), plain.len());
-        assert!(traced
-            .iter()
-            .zip(&plain)
-            .all(|(a, b)| a.la == b.la && a.report.cycles == b.report.cycles));
     }
 
     #[test]

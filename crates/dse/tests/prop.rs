@@ -1,9 +1,11 @@
 //! Property tests for the design-space exploration.
 
 use flat_arch::Accelerator;
+use flat_core::{CostModel, CostReport, LaExecution, ModelOptions};
 use flat_dse::{la_points, pareto_frontier, Dse, Objective, SpaceKind};
+use flat_telemetry::NoopSink;
 use flat_tensor::Bytes;
-use flat_workloads::Model;
+use flat_workloads::{AttentionBlock, Model};
 use proptest::prelude::*;
 
 fn accels() -> impl Strategy<Value = Accelerator> {
@@ -19,8 +21,90 @@ fn accels() -> impl Strategy<Value = Accelerator> {
         })
 }
 
+fn spaces() -> impl Strategy<Value = SpaceKind> {
+    prop::sample::select(vec![
+        SpaceKind::BaseOnly,
+        SpaceKind::SequentialMGran,
+        SpaceKind::Sequential,
+        SpaceKind::FusedMGran,
+        SpaceKind::FusedRow(64),
+        SpaceKind::Fused,
+        SpaceKind::Full,
+    ])
+}
+
+fn objectives() -> impl Strategy<Value = Objective> {
+    prop::sample::select(vec![
+        Objective::MaxUtil,
+        Objective::MinEnergy,
+        Objective::MinEdp,
+        Objective::MinFootprint,
+        Objective::UtilPerFootprint,
+    ])
+}
+
+/// The reference search: price every candidate serially and keep
+/// `Iterator::max_by`'s winner (the last of any ties).
+fn serial_best(
+    cm: &CostModel,
+    block: &AttentionBlock,
+    space: SpaceKind,
+    objective: Objective,
+) -> (LaExecution, CostReport) {
+    la_points(space, block.config().seq_q)
+        .into_iter()
+        .map(|la| (la, cm.la_cost(block, &la)))
+        .max_by(|a, b| {
+            objective
+                .score(&a.1)
+                .partial_cmp(&objective.score(&b.1))
+                .unwrap()
+        })
+        .unwrap()
+}
+
+/// Every field bit-equal: `{:?}` prints each `f64` in its shortest
+/// round-trip form, so distinct bit patterns print differently.
+fn bits(report: &CostReport) -> String {
+    format!("{report:?}")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `best_la`, `best_la_traced` and every `explore_precision` point
+    /// return exactly the serial `Iterator::max_by` winner of their
+    /// space, ties included.
+    #[test]
+    fn searches_return_the_serial_max(
+        accel in accels(),
+        seq in prop::sample::select(vec![256u64, 512, 2048]),
+        space in spaces(),
+        objective in objectives(),
+    ) {
+        let block = Model::bert().block(8, seq);
+        let dse = Dse::new(&accel, &block);
+        let (la, report) = serial_best(&CostModel::new(&accel), &block, space, objective);
+        let best = dse.best_la(space, objective);
+        prop_assert_eq!(best.la, la);
+        prop_assert_eq!(bits(&best.report), bits(&report));
+        let traced = dse.best_la_traced(space, objective, &mut NoopSink);
+        prop_assert_eq!(traced.la, la);
+        prop_assert_eq!(bits(&traced.report), bits(&report));
+        for p in dse.explore_precision(space, objective) {
+            let typed = AttentionBlock::new(block.config().with_dtype(p.choice.dtype));
+            let cm = CostModel::with_options(
+                &accel,
+                ModelOptions {
+                    softmax: p.choice.softmax,
+                    ..Default::default()
+                },
+            );
+            let (la, report) = serial_best(&cm, &typed, space, objective);
+            prop_assert_eq!(p.la, la, "{}", p.choice.label());
+            prop_assert_eq!(bits(&p.report), bits(&report), "{}", p.choice.label());
+        }
+    }
 
     /// Space nesting: the Full space's optimum dominates every restricted
     /// space's optimum, for every objective.
