@@ -54,9 +54,6 @@ USAGE:
   flat insight diff A.json B.json [--json]
              # align two traced runs by request id, attribute the latency
              # delta to phases and drop-reason shifts
-  flat insight bench [--dir DIR] [--current FILE] [--check] [--json]
-             # bench observatory over BENCH_PR*.json history; --check gates
-             # the newest (or --current) snapshot and exits nonzero on regression
   flat run   --config experiments.json [--out results.json]
 
 COMMON OPTIONS:
@@ -1243,89 +1240,17 @@ fn insight_diff(path_a: &str, path_b: &str, args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `flat insight bench` — the bench observatory over committed
-/// `BENCH_PR*.json` snapshots.
-fn insight_bench(args: &Args) -> Result<(), String> {
-    let dir = args.get("dir", ".");
-    let history = flat_insight::load_history(std::path::Path::new(&dir))?;
-    if history.is_empty() {
-        return Err(format!("no BENCH_PR*.json snapshots found in {dir}"));
-    }
-    let current_path = args.get("current", "");
-    let (priors, current) = if current_path.is_empty() {
-        let (last, rest) = history.split_last().ok_or("empty history")?;
-        (rest.to_vec(), last.clone())
-    } else {
-        let text =
-            std::fs::read_to_string(&current_path).map_err(|e| format!("{current_path}: {e}"))?;
-        let snap = flat_insight::BenchSnapshot::parse(&text)
-            .map_err(|e| format!("{current_path}: {e}"))?;
-        (history, snap)
-    };
-    let check = flat_insight::check_snapshot(&priors, &current);
-    if args.flag("json") {
-        println!("{}", check.to_json());
-    } else {
-        println!(
-            "observatory: {} snapshots ({} -> {}), gating {} against best-prior baselines",
-            priors.len() + 1,
-            priors
-                .first()
-                .map_or(current.tag.as_str(), |s| s.tag.as_str()),
-            current.tag,
-            current.tag
-        );
-        println!(
-            "checked:     {} aligned entries, {} new, {} missing",
-            check.checked,
-            check.new_entries.len(),
-            check.missing_entries.len()
-        );
-        for t in flat_insight::trajectories(&priors) {
-            if let (Some(first), Some(last)) = (t.points.first(), t.points.last()) {
-                if t.points.len() > 1 {
-                    println!(
-                        "  {:<64} {:>10.3} -> {:>10.3} ms over {} snapshots (tol {:.1}x)",
-                        t.key,
-                        first.mean_ms,
-                        last.mean_ms,
-                        t.points.len(),
-                        flat_insight::group_tolerance(&t.group)
-                    );
-                }
-            }
-        }
-        for r in &check.regressions {
-            println!("  REGRESSION {} [{}]: {}", r.key, r.gate, r.detail);
-        }
-        println!(
-            "verdict:     {}",
-            if check.pass { "pass" } else { "regression" }
-        );
-    }
-    if args.flag("check") && !check.pass {
-        return Err(format!(
-            "bench regression: {} gate failure(s) in {}",
-            check.regressions.len(),
-            current.tag
-        ));
-    }
-    Ok(())
-}
-
-/// `flat insight` — trace attribution, differential run analysis, and
-/// the bench observatory. `raw` is the argv tail including positional
-/// operands (mode and input files), which [`Args`] does not keep.
+/// `flat insight` — trace attribution and differential run analysis.
+/// `raw` is the argv tail including positional operands (mode and input
+/// files), which [`Args`] does not keep.
 pub fn insight(raw: &[String], args: &Args) -> Result<(), String> {
     let pos = positionals(raw);
     match pos.as_slice() {
         ["attr", path] => insight_attr(path, args),
         ["diff", a, b] => insight_diff(a, b, args),
-        ["bench"] => insight_bench(args),
         _ => Err(
-            "usage: flat insight attr TRACE.json | flat insight diff A.json B.json | \
-             flat insight bench [--dir DIR] [--current FILE] [--check]  (note: positional \
-             operands must come before --flags so they are not read as flag values)"
+            "usage: flat insight attr TRACE.json | flat insight diff A.json B.json  (note: \
+             positional operands must come before --flags so they are not read as flag values)"
                 .to_owned(),
         ),
     }

@@ -17,7 +17,6 @@
 //!            [--requests N --trace FILE]   # serve on the cluster (takes serve's flags)
 //! flat insight attr TRACE.json [--json] [--metrics FILE]   # critical-path attribution
 //! flat insight diff A.json B.json [--json]                 # differential run analysis
-//! flat insight bench [--dir DIR] [--current FILE] [--check] [--json]
 //! flat run   --config experiments.json [--out results.json]
 //! ```
 //!

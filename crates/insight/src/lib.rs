@@ -2,10 +2,9 @@
 //!
 //! The rest of the stack produces deterministic observability artifacts:
 //! Chrome trace documents from the serving engine (`--trace FILE` or an
-//! in-process [`MemorySink`](flat_telemetry::MemorySink)), windowed
+//! in-process [`MemorySink`](flat_telemetry::MemorySink)) and windowed
 //! [`WindowSample`](flat_serve::WindowSample) trajectories from
-//! sustained runs, and per-PR `BENCH_PR*.json` benchmark snapshots. This
-//! crate turns those artifacts into answers:
+//! sustained runs. This crate turns those artifacts into answers:
 //!
 //! * [`Attribution`] — critical-path attribution: decompose each traced
 //!   request's end-to-end latency into queued / prefill / recompute /
@@ -19,10 +18,7 @@
 //! * [`analyze_windows`] / [`InsightFinding`] — fleet health: multi-window
 //!   SLO burn-rate (fast 3-window / slow 12-window gates) plus rolling
 //!   3-sigma anomaly detection over trajectories, surfaced in the
-//!   `flat fleet` report;
-//! * [`check_snapshot`] / [`load_history`] — the bench observatory: gate
-//!   a benchmark snapshot against the best prior result per metric with
-//!   per-group tolerances (`flat insight bench --check`).
+//!   `flat fleet` report.
 //!
 //! Every analysis is pure arithmetic over its inputs: same artifacts in,
 //! byte-identical JSON out. CI pins that contract.
@@ -32,17 +28,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod attribution;
-pub mod bench;
 pub mod diff;
 pub mod health;
 pub mod trace;
 
 pub use attribution::{
     Attribution, DropTally, PhaseBreakdown, PhaseStat, RequestPhases, TenantPhases, PHASE_NAMES,
-};
-pub use bench::{
-    check_snapshot, group_tolerance, load_history, trajectories, BenchCheck, BenchEntry,
-    BenchRegression, BenchSnapshot, Trajectory, TrajectoryPoint,
 };
 pub use diff::{DiffReport, DropShift, PhaseDelta, RequestDelta};
 pub use health::{analyze_windows, InsightFinding, DEFAULT_ERROR_BUDGET};

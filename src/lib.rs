@@ -30,8 +30,7 @@
 //!   runtime with windowed trajectories and elastic cluster resizes.
 //! * [`insight`] — the analysis layer over the telemetry: per-request
 //!   critical-path attribution of traces, differential run comparison,
-//!   SLO burn-rate and anomaly findings over trajectories, and the
-//!   bench-history regression observatory.
+//!   and SLO burn-rate and anomaly findings over trajectories.
 
 #![forbid(unsafe_code)]
 
