@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Regenerates every experiment output under results/ and the test/bench logs.
+# Regenerates every experiment output under results/, the test log, and
+# runs the same-run perf ratio gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,8 +38,10 @@ cargo run -q --release -p flat-bench --bin hierarchy > results/hierarchy.txt
 cargo run -q --release -p flat-bench --bin lra > results/lra_edge_bert.txt
 cargo run -q --release -p flat-bench --bin gpu_flat > results/gpu_flat.txt
 
-echo "== tests and criterion benches =="
+echo "== tests =="
 cargo test --workspace 2>&1 | tee test_output.txt
-cargo bench --workspace 2>&1 | tee bench_output.txt
 
-echo "done — outputs in results/, test_output.txt, bench_output.txt"
+echo "== perf ratio gate =="
+cargo run -q --release -p flat-bench --bin perf_gate
+
+echo "done — outputs in results/ and test_output.txt"
