@@ -7,9 +7,16 @@
 //! rounded values. The walk runs on the wide microkernels of `mat`: QKᵀ
 //! per element on `dot`'s reduction tree, PV with a register-held output
 //! block contracting in ascending order, so the f32 walk is bit-identical
-//! to the `matmul_transposed_rows` + `matmul_into` composition. A causal
-//! tile stops at its diagonal: the key columns past it are never
-//! multiplied, only set to the `−∞` every softmax still sees.
+//! to the `matmul_transposed_rows` + `matmul_into` composition.
+//!
+//! A causal tile stops at its diagonal, and each row's passes stop at its
+//! own. Both GEMMs end at the tile's last live column. Each row's mask,
+//! scale and softmax passes end at the row's diagonal, rounded up to whole
+//! `LANES` chunks so the laned max and sum see the chunks the full row
+//! would; the columns after it up to the tile's end are filled with the
+//! exact 0 the softmax gives a `−∞` logit. A KV chunk wholly past a row's
+//! diagonal absorbs an empty slice, whose carry is the full masked
+//! chunk's, so every output bit is the full-row walk's.
 //!
 //! A FLAT-tile holds complete logit rows, so no tile depends on another;
 //! the paper's cross-loop runs them spatially across PEs. The host walk
@@ -17,7 +24,8 @@
 //! the shared thread pool, so the output bits do not depend on the lane
 //! count.
 
-use crate::mat::{wide_attend_acc, wide_logits_into};
+use crate::mat::{wide_attend_acc, wide_logits_into, KeyPanels};
+use crate::softmax::LANES;
 use crate::softmax_family::{storage_snap, FlashDSoftmax, LogLutSoftmax};
 use crate::{softmax_row, ComputePrecision, ExecutionStats, Mask, Mat, MultiHeadInput};
 use flat_tensor::SoftmaxKind;
@@ -144,27 +152,15 @@ pub fn flat_attention_with(
     }
 }
 
-/// Masks and scales the first `nrows` rows of a logit tile in place:
-/// `tile[r][j]` covers query row `row_lo + r` and key column `col_lo + j`,
-/// for `j < width`. Rows past `nrows` are scratch and left alone.
-fn mask_and_scale(
-    tile: &mut Mat,
-    nrows: usize,
-    row_lo: usize,
-    col_lo: usize,
-    width: usize,
-    mask: Mask,
-    scale: f32,
-) {
-    for i in 0..nrows {
-        let qi = row_lo + i;
-        for (j, x) in tile.row_mut(i)[..width].iter_mut().enumerate() {
-            *x = if mask.allows(qi, col_lo + j) {
-                *x * scale
-            } else {
-                f32::NEG_INFINITY
-            };
-        }
+/// Masks and scales one logit row in place: `row[j]` covers query row
+/// `qi` and key column `col_lo + j`.
+fn mask_and_scale(row: &mut [f32], qi: usize, col_lo: usize, mask: Mask, scale: f32) {
+    for (j, x) in row.iter_mut().enumerate() {
+        *x = if mask.allows(qi, col_lo + j) {
+            *x * scale
+        } else {
+            f32::NEG_INFINITY
+        };
     }
 }
 
@@ -206,6 +202,7 @@ pub(crate) fn flat_attention_group(
 ) -> (Mat, ExecutionStats) {
     let (seq_q, seq_kv, dk) = (q.rows(), k.rows(), q.cols());
     debug_assert!(kind != SoftmaxKind::Exact || kv_chunk >= seq_kv);
+    let keys = KeyPanels::new(k);
     let bands = row_bands(seq_q, rows_per_tile, |band| {
         let mut stats = ExecutionStats::default();
         let band_rows = band.len();
@@ -225,12 +222,20 @@ pub(crate) fn flat_attention_group(
                 // `s · (1/s)` is not always exactly 1.0 in f32.
                 let live = mask.live_cols(row_hi, col_hi).saturating_sub(col_lo);
                 // Stage L: one FLAT-tile of logits, computed straight from
-                // Q's rows and the chunk's K rows; masked columns read −∞.
-                wide_logits_into(q, row_lo, row_hi, k, col_lo, live, &mut tile);
-                mask_and_scale(&mut tile, nrows, row_lo, col_lo, width, mask, scale);
-                // SFU: softmax inside the on-chip slice.
+                // Q's rows and the chunk's K rows.
+                wide_logits_into(q, row_lo, row_hi, &keys, col_lo, live, &mut tile);
+                // SFU: softmax inside the on-chip slice, each row only up to
+                // its own diagonal rounded up to whole `LANES` chunks (see
+                // the module docs); the columns after it weigh exactly 0.
                 for r in 0..nrows {
-                    let row = &mut tile.row_mut(r)[..width];
+                    let qi = row_lo + r;
+                    let end = mask
+                        .live_cols(qi + 1, col_hi)
+                        .saturating_sub(col_lo)
+                        .next_multiple_of(LANES)
+                        .min(width);
+                    let (row, rest) = tile.row_mut(r).split_at_mut(end);
+                    mask_and_scale(row, qi, col_lo, mask, scale);
                     let carry = match kind {
                         SoftmaxKind::Exact => {
                             softmax_row(row);
@@ -239,6 +244,9 @@ pub(crate) fn flat_attention_group(
                         SoftmaxKind::FlashD => flash[local + r].absorb(row),
                         SoftmaxKind::LogLut => loglut[local + r].absorb(row),
                     };
+                    if end < live {
+                        rest[..live - end].fill(0.0);
+                    }
                     if carry != 1.0 {
                         for a in out.row_mut(local + r) {
                             *a *= carry;

@@ -17,6 +17,19 @@
 //! (FMA rounding aside), and every caller of the same routine on the same
 //! rows gets bit-identical results — the property the fused, instrumented
 //! and banded attention paths rely on.
+//!
+//! The FLAT walks run two wider register blocks that keep those bits:
+//!
+//! * `wide_logits_into` (the tile's `Q·Kᵀ`): `PMR` = 4 query rows × one
+//!   `KB` = 8-key block of K packed contraction-major (`KeyPanels`). Each
+//!   (query, key) pair keeps `dot`'s `LANES` partial sums, held as one
+//!   register of 8 keys per lane, so a step is one broadcast query element
+//!   times one loaded key vector, and `dot`'s even/odd tree becomes
+//!   vertical adds. Every logit equals `dot` of its two rows, bit for bit.
+//! * `wide_attend_acc` (the tile's `P·V`, accumulating): `MR` = 4 output
+//!   rows × `ANR` = 32 columns held in registers across the whole
+//!   ascending contraction, the weights read from per-row slices, so over
+//!   zeroed rows it is `gemm`'s result, bit for bit.
 
 use rand::Rng;
 use std::fmt;
@@ -366,83 +379,133 @@ fn gemm(a: &[f32], m: usize, kdim: usize, b: &[f32], n: usize, c: &mut [f32]) {
 }
 
 /// Row-panel height of the wide logits microkernel: query rows advanced
-/// together, each an independent `LANES`-wide FMA chain. Eight chains of
-/// one 8-float vector each fit the 16-register 256-bit file with room for
-/// the shared key vector — where `dot`'s single row is chain-starved and
-/// anything wider spills.
-const PMR: usize = 8;
+/// together over one key block.
+const PMR: usize = 4;
+
+/// Keys per block of [`KeyPanels`], one vector of `f32` lanes wide.
+const KB: usize = 8;
 
 /// Column-block width of the accumulating attend microkernel: output
 /// columns held in registers across the whole contraction, so the hot
-/// loop stores nothing.
-const ANR: usize = 16;
+/// loop stores nothing. `MR × ANR` is sixteen 8-float accumulators.
+const ANR: usize = 32;
+
+/// K packed for [`wide_logits_into`]: blocks of `KB` consecutive keys,
+/// each stored contraction-major (`kd` rows of `KB` floats), the last
+/// block zero-padded. One load then brings one contraction element of
+/// `KB` keys, so the logits kernel multiplies vectors of keys and never
+/// folds across lanes.
+pub(crate) struct KeyPanels {
+    kd: usize,
+    data: Vec<[f32; KB]>,
+}
+
+impl KeyPanels {
+    /// Packs every row of `k`.
+    pub(crate) fn new(k: &Mat) -> Self {
+        let kd = k.cols;
+        let mut data = vec![[0.0f32; KB]; k.rows.div_ceil(KB) * kd];
+        for (j, key) in k.data.chunks_exact(kd).enumerate() {
+            let block = &mut data[j / KB * kd..][..kd];
+            for (slot, &x) in block.iter_mut().zip(key) {
+                slot[j % KB] = x;
+            }
+        }
+        KeyPanels { kd, data }
+    }
+}
 
 /// `tile[r][j] = q[row_lo + r] · k[k_lo + j]` for `j < k_rows` — the
-/// logit shape on a key chunk, register-blocked wider than [`dot`]: `PMR`
-/// query rows stream each key row once, amortizing its loads eightfold.
-/// Each element equals [`dot`] of its two rows, bit for bit.
+/// logit shape on a key chunk, with `k` packed as [`KeyPanels`] and
+/// `k_lo` a multiple of `KB`. Each element equals [`dot`] of its two rows,
+/// bit for bit: [`logits_block`] keeps `dot`'s `LANES` partial sums of
+/// every (query, key) pair, one vector register per lane over `KB` keys,
+/// and folds them by `dot`'s even/odd tree with vertical adds.
 pub(crate) fn wide_logits_into(
     q: &Mat,
     row_lo: usize,
     row_hi: usize,
-    k: &Mat,
+    k: &KeyPanels,
     k_lo: usize,
     k_rows: usize,
     tile: &mut Mat,
 ) {
-    debug_assert_eq!(q.cols, k.cols, "contraction dimensions must agree");
-    debug_assert!(row_lo < row_hi && row_hi <= q.rows);
-    debug_assert!(k_lo + k_rows <= k.rows && k_rows <= tile.cols);
+    debug_assert_eq!(q.cols, k.kd, "contraction dimensions must agree");
+    debug_assert!(row_lo < row_hi && row_hi <= q.rows && row_hi - row_lo <= tile.rows);
+    debug_assert!(k_lo.is_multiple_of(KB) && (k_lo + k_rows).div_ceil(KB) * k.kd <= k.data.len());
+    debug_assert!(k_rows <= tile.cols);
     let kd = q.cols;
-    let kc = &k.data[k_lo * kd..(k_lo + k_rows) * kd];
+    let tc = tile.cols;
+    let blocks = &k.data[k_lo / KB * kd..(k_lo + k_rows).div_ceil(KB) * kd];
+    let row = |r: usize| &q.data[(row_lo + r) * kd..(row_lo + r + 1) * kd];
     let nrows = row_hi - row_lo;
     let panels = nrows / PMR;
     for p in 0..panels {
-        let r0 = row_lo + p * PMR;
-        let rows: [&[f32]; PMR] =
-            std::array::from_fn(|r| &q.data[(r0 + r) * kd..(r0 + r + 1) * kd]);
-        for j in 0..k_rows {
-            let b = &kc[j * kd..(j + 1) * kd];
-            let mut acc = [[0.0f32; LANES]; PMR];
-            let chunks = kd / LANES;
-            for ci in 0..chunks {
-                let o = ci * LANES;
-                let bc = &b[o..o + LANES];
-                for (r, row) in rows.iter().enumerate() {
-                    let ac = &row[o..o + LANES];
-                    for l in 0..LANES {
-                        acc[r][l] = ac[l].mul_add(bc[l], acc[r][l]);
-                    }
-                }
-            }
-            let tail_lo = chunks * LANES;
-            for (r, row) in rows.iter().enumerate() {
-                let mut tail = 0.0f32;
-                for l in tail_lo..kd {
-                    tail = row[l].mul_add(b[l], tail);
-                }
-                // Same even/odd tree as `dot`.
-                let a = &acc[r];
-                let even = (a[0] + a[4]) + (a[2] + a[6]);
-                let odd = (a[1] + a[5]) + (a[3] + a[7]);
-                tile.set(p * PMR + r, j, even + odd + tail);
-            }
+        let rows: [&[f32]; PMR] = std::array::from_fn(|r| row(p * PMR + r));
+        for (b, block) in blocks.chunks_exact(kd).enumerate() {
+            let out = &mut tile.data[p * PMR * tc + b * KB..];
+            logits_block(&rows, block, out, tc, (k_rows - b * KB).min(KB));
         }
     }
     for r in panels * PMR..nrows {
-        let qrow = &q.data[(row_lo + r) * kd..(row_lo + r + 1) * kd];
-        for j in 0..k_rows {
-            tile.set(r, j, dot(qrow, &kc[j * kd..(j + 1) * kd]));
+        for (b, block) in blocks.chunks_exact(kd).enumerate() {
+            let out = &mut tile.data[r * tc + b * KB..];
+            logits_block(&[row(r)], block, out, tc, (k_rows - b * KB).min(KB));
         }
     }
+}
+
+/// `out[r·tc + t] = rows[r] · key t` for the first `nk` keys of one
+/// packed block. Contraction element `d` goes to lane `d % LANES` of the
+/// pair's partial sums, and the tail past the last whole `LANES` chunk to
+/// a scalar chain of its own, as in [`dot`].
+#[inline(always)]
+fn logits_block<const R: usize>(
+    rows: &[&[f32]; R],
+    block: &[[f32; KB]],
+    out: &mut [f32],
+    tc: usize,
+    nk: usize,
+) {
+    let kd = block.len();
+    let body = kd - kd % LANES;
+    let rows = rows.map(|r| &r[..kd]);
+    let mut acc = [[[0.0f32; KB]; LANES]; R];
+    for o in (0..body).step_by(LANES) {
+        for l in 0..LANES {
+            let keys = &block[o + l];
+            for (accr, row) in acc.iter_mut().zip(&rows) {
+                accr[l] = fma_keys(row[o + l], keys, &accr[l]);
+            }
+        }
+    }
+    for (r, (a, row)) in acc.iter().zip(&rows).enumerate() {
+        let mut tail = [0.0f32; KB];
+        for d in body..kd {
+            tail = fma_keys(row[d], &block[d], &tail);
+        }
+        let dots: [f32; KB] = std::array::from_fn(|t| {
+            let even = (a[0][t] + a[4][t]) + (a[2][t] + a[6][t]);
+            let odd = (a[1][t] + a[5][t]) + (a[3][t] + a[7][t]);
+            (even + odd) + tail[t]
+        });
+        out[r * tc..r * tc + nk].copy_from_slice(&dots[..nk]);
+    }
+}
+
+/// `x · keys + acc`, key by key: one vector FMA.
+#[inline(always)]
+fn fma_keys(x: f32, keys: &[f32; KB], acc: &[f32; KB]) -> [f32; KB] {
+    std::array::from_fn(|t| x.mul_add(keys[t], acc[t]))
 }
 
 /// `out[out_lo + r] += Σ_j w[r][j] · v[v_lo + j]` for `r < nrows`,
 /// `j < width` — the Attend shape, accumulating (the online softmax
 /// recurrences own the scaling of what is already in `out`). Unlike
-/// `gemm`'s outer-product walk, the `MR × ANR` output block is held in
-/// registers across the whole contraction: the hot loop reads one
-/// value-row slice and four broadcast weights per step and stores nothing.
+/// `gemm`'s outer-product walk, an `MR × ANR` output block is held in
+/// registers across the whole contraction ([`attend_block`]): the hot loop
+/// reads one value-row slice and `MR` weights, one from each row's slice,
+/// per step and stores nothing. Narrower blocks take the column tail.
 /// The contraction is ascending, as in `gemm`, so over zeroed rows the
 /// result is `gemm`'s, bit for bit.
 pub(crate) fn wide_attend_acc(
@@ -462,59 +525,61 @@ pub(crate) fn wide_attend_acc(
     let vc = &v.data[v_lo * n..(v_lo + width) * n];
     let c = &mut out.data[out_lo * n..(out_lo + nrows) * n];
     let panels = nrows / MR;
-    let col_blocks = n / ANR;
     for p in 0..panels {
         let i = p * MR;
-        for cb in 0..col_blocks {
-            let c0 = cb * ANR;
-            let mut acc = [[0.0f32; ANR]; MR];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                accr.copy_from_slice(&c[(i + r) * n + c0..(i + r) * n + c0 + ANR]);
-            }
-            for l in 0..width {
-                let a = [
-                    w.data[i * wc + l],
-                    w.data[(i + 1) * wc + l],
-                    w.data[(i + 2) * wc + l],
-                    w.data[(i + 3) * wc + l],
-                ];
-                let bv = &vc[l * n + c0..l * n + c0 + ANR];
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    for (av, &b) in accr.iter_mut().zip(bv) {
-                        *av = a[r].mul_add(b, *av);
-                    }
-                }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                c[(i + r) * n + c0..(i + r) * n + c0 + ANR].copy_from_slice(accr);
-            }
-        }
-        // Column tail past the last full ANR block.
-        for r in i..i + MR {
-            let lo = col_blocks * ANR;
-            for l in 0..width {
-                let av = w.data[r * wc + l];
-                let brow = &vc[l * n..(l + 1) * n];
-                for jc in lo..n {
-                    c[r * n + jc] = av.mul_add(brow[jc], c[r * n + jc]);
-                }
-            }
+        let wr: [&[f32]; MR] = std::array::from_fn(|r| &w.data[(i + r) * wc..][..width]);
+        let cp = &mut c[i * n..(i + MR) * n];
+        let mut c0 = 0;
+        while c0 < n {
+            c0 += match n - c0 {
+                ANR.. => attend_block::<ANR>(&wr, vc, n, c0, cp),
+                LANES.. => attend_block::<LANES>(&wr, vc, n, c0, cp),
+                _ => attend_block::<1>(&wr, vc, n, c0, cp),
+            };
         }
     }
     // Row tail past the last full MR panel.
     for r in panels * MR..nrows {
         let crow = &mut c[r * n..(r + 1) * n];
-        for l in 0..width {
-            let av = w.data[r * wc + l];
+        for (&av, brow) in w.data[r * wc..][..width].iter().zip(vc.chunks_exact(n)) {
             if av == 0.0 {
                 continue;
             }
-            let brow = &vc[l * n..(l + 1) * n];
             for (cv, &bv) in crow.iter_mut().zip(brow) {
                 *cv = av.mul_add(bv, *cv);
             }
         }
     }
+}
+
+/// Columns `c0..c0 + NC` of one `MR`-row panel `c` of [`wide_attend_acc`],
+/// held in registers while the contraction walks the value rows `vc`
+/// (each `n` wide) in ascending order; returns `NC`.
+#[inline(always)]
+fn attend_block<const NC: usize>(
+    wr: &[&[f32]; MR],
+    vc: &[f32],
+    n: usize,
+    c0: usize,
+    c: &mut [f32],
+) -> usize {
+    let mut acc = [[0.0f32; NC]; MR];
+    for (r, accr) in acc.iter_mut().enumerate() {
+        accr.copy_from_slice(&c[r * n + c0..r * n + c0 + NC]);
+    }
+    for (l, vrow) in vc.chunks_exact(n).enumerate() {
+        let a: [f32; MR] = std::array::from_fn(|r| wr[r][l]);
+        let bv = &vrow[c0..c0 + NC];
+        for (accr, a) in acc.iter_mut().zip(a) {
+            for (s, &b) in accr.iter_mut().zip(bv) {
+                *s = a.mul_add(b, *s);
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        c[r * n + c0..r * n + c0 + NC].copy_from_slice(accr);
+    }
+    NC
 }
 
 /// `aᵀb` over two equal-length contiguous slices: `LANES` independent
@@ -543,7 +608,7 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn matmul_against_identity() {
@@ -641,6 +706,54 @@ mod tests {
             let no_copy = q.matmul_transposed_rows(lo, hi, &k);
             let copying = q.row_slice(lo, hi).matmul_transposed(&k);
             assert_eq!(no_copy.max_abs_diff(&copying), 0.0, "rows {lo}..{hi}");
+        }
+    }
+
+    #[test]
+    fn wide_kernels_match_dot_and_gemm_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(15);
+        // Row counts around the 4-row panels, key counts around the 8-key
+        // blocks, head dims around the 8 lanes and the 32-column block.
+        let shapes = [(1, 1), (3, 7), (4, 8), (5, 9), (11, 29), (8, 16)];
+        for dk in [1, 7, 8, 9, 31, 32, 33, 64, 65] {
+            for (nrows, k_rows) in shapes {
+                let (row_lo, k_lo, out_lo) = (3, 2 * KB, 5);
+                let q = Mat::random(row_lo + nrows + 2, dk, &mut rng);
+                let k = Mat::random(k_lo + k_rows + 9, dk, &mut rng);
+                // A tile wider than the keys, and taller than the rows.
+                let mut tile = Mat::from_fn(nrows + 1, k_rows + 6, |_, _| f32::NAN);
+                let keys = KeyPanels::new(&k);
+                wide_logits_into(&q, row_lo, row_lo + nrows, &keys, k_lo, k_rows, &mut tile);
+                for r in 0..=nrows {
+                    for j in 0..tile.cols() {
+                        let got = tile.at(r, j);
+                        if r < nrows && j < k_rows {
+                            let want = dot(q.row(row_lo + r), k.row(k_lo + j));
+                            assert_eq!(got.to_bits(), want.to_bits(), "dk {dk} ({r}, {j})");
+                        } else {
+                            assert!(got.is_nan(), "dk {dk}: ({r}, {j}) written");
+                        }
+                    }
+                }
+
+                // Weights with exact zeros, as a causal tile's are.
+                let w = Mat::from_fn(nrows + 1, k_rows + 6, |i, j| {
+                    if (i + j) % 3 == 0 {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..1.0)
+                    }
+                });
+                let v_lo = 7;
+                let v = Mat::random(v_lo + k_rows + 2, dk, &mut rng);
+                let mut out = Mat::zeros(out_lo + nrows + 2, dk);
+                wide_attend_acc(&w, nrows, k_rows, &v, v_lo, &mut out, out_lo);
+                let ws = Mat::from_fn(nrows, k_rows, |i, j| w.at(i, j));
+                let mut want = Mat::zeros(out.rows(), dk);
+                ws.matmul_into(&v.row_slice(v_lo, v_lo + k_rows), &mut want, out_lo);
+                let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&want), "dk {dk}, {nrows}x{k_rows}");
+            }
         }
     }
 

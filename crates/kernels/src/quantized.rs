@@ -11,13 +11,22 @@
 //! int8 products are formed at i16 width, and the partial sums fold into
 //! i64 every 2¹⁷ steps, so no key length wraps them. Integer sums are exact
 //! in any order, so the walk matches the scalar loops it replaced bit for
-//! bit; a causal tile stops both GEMMs at its diagonal.
+//! bit; a causal tile stops its PV GEMM at its diagonal and each row's
+//! QKᵀ at the row's own.
+//!
+//! As in the f32 walk, each row's snap and softmax passes stop at the
+//! row's diagonal, rounded up to whole `LANES` chunks, and the columns
+//! after it read the exact 0 a masked logit's weight is. The two abs-max
+//! folds (the logit snap's and the per-tile probability scale's) run on
+//! `LANES` lanes; `max` over non-NaN values does not depend on order, so
+//! they are the serial folds' bits.
 //!
 //! Like the f32 walk, the rows run in bands of whole tiles on the thread
 //! pool, so each tile keeps its probability scale and the bits do not
 //! depend on the lane count.
 
 use crate::fused::row_bands;
+use crate::softmax::{lane_abs_max, LANES};
 use crate::softmax_family::softmax_row_kind;
 use crate::{softmax_row, Mask, Mat, MultiHeadInput};
 use flat_tensor::SoftmaxKind;
@@ -112,10 +121,7 @@ pub fn quantized_flat_attention(
 /// grid, in place — the score-matrix half of the int8 path. Masked
 /// (`−∞`) entries pass through untouched.
 pub(crate) fn snap_logits_int8(row: &mut [f32]) {
-    let max = row
-        .iter()
-        .filter(|x| x.is_finite())
-        .fold(0.0f32, |a, &v| a.max(v.abs()));
+    let max = lane_abs_max(row);
     if max == 0.0 {
         return;
     }
@@ -197,35 +203,44 @@ fn quantized_group(
             let row_hi = (row_lo + rows_per_tile).min(band.end);
             let tile = &mut tile[..(row_hi - row_lo) * seq_kv];
             // A causal tile stops at its diagonal: key columns from `live`
-            // on are masked for every row, so neither GEMM visits them.
+            // on are masked for every row, so the PV GEMM never visits
+            // them, and each row's QKᵀ stops at the row's own diagonal.
             let live = mask.live_cols(row_hi, seq_kv);
+            let mut p_max = 0.0f32;
             for (i, row) in tile.chunks_exact_mut(seq_kv).enumerate() {
                 let qi = row_lo + i;
+                let row_live = mask.live_cols(qi + 1, seq_kv);
                 // Stage L: integer logits, dequantized as `(acc · s_q s_k) / √dk`.
-                int8_rowmul(&q.data[qi * dk..(qi + 1) * dk], &kt, seq_kv, live, &mut acc);
-                for (j, (x, &a)) in row.iter_mut().zip(&acc[..live]).enumerate() {
+                let qrow = &q.data[qi * dk..(qi + 1) * dk];
+                int8_rowmul(qrow, &kt, seq_kv, row_live, &mut acc);
+                for (j, (x, &a)) in row.iter_mut().zip(&acc[..row_live]).enumerate() {
                     *x = if mask.allows(qi, j) {
                         (a as f32 * qk_scale) * scale
                     } else {
                         f32::NEG_INFINITY
                     };
                 }
-                row[live..].fill(f32::NEG_INFINITY);
-                // SFU: fp32 softmax over the whole row (probabilities need
-                // the dynamic range), optionally over scores on the int8
-                // grid.
+                // SFU: fp32 softmax (probabilities need the dynamic range),
+                // optionally over scores on the int8 grid, up to the row's
+                // diagonal rounded up to whole `LANES` chunks.
+                let end = row_live.next_multiple_of(LANES).min(seq_kv);
+                row[row_live..end].fill(f32::NEG_INFINITY);
+                let (scores, rest) = row.split_at_mut(end);
                 match int8_scores {
-                    None => softmax_row(row),
+                    None => softmax_row(scores),
                     Some(kind) => {
-                        snap_logits_int8(row);
-                        softmax_row_kind(row, kind);
+                        snap_logits_int8(scores);
+                        softmax_row_kind(scores, kind);
                     }
                 }
+                if end < live {
+                    rest[..live - end].fill(0.0);
+                }
+                p_max = p_max.max(lane_abs_max(scores));
             }
             // Stage A: requantize the probabilities with one per-tile
             // scale, then integer PV over the live columns (the rest are
             // exactly 0).
-            let p_max = tile.iter().fold(0.0f32, |a, &x| a.max(x.abs()));
             let p_scale = if p_max == 0.0 { 1.0 } else { p_max / 127.0 };
             for (i, (prow, trow)) in p
                 .chunks_exact_mut(seq_kv)

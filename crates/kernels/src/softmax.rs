@@ -33,18 +33,23 @@ pub fn softmax_row(row: &mut [f32]) {
     }
 }
 
-/// Row maximum via 8 independent lanes so the reduction vectorizes.
-/// `f32::max` is exactly associative and commutative (no NaNs in logit
-/// rows), so this is bit-identical to the serial fold.
+/// Independent lanes of the laned row reductions. A walk that cuts a
+/// row short of its masked tail cuts it at a multiple of `LANES`, so the
+/// lanes see the same chunks.
+pub(crate) const LANES: usize = 8;
+
+/// Row maximum via `LANES` independent lanes so the reduction
+/// vectorizes. `f32::max` is exactly associative and commutative (no NaNs
+/// in logit rows), so this is bit-identical to the serial fold.
 pub(crate) fn lane_max(row: &[f32]) -> f32 {
-    let mut lanes = [f32::NEG_INFINITY; 8];
-    for chunk in row.chunks_exact(8) {
+    let mut lanes = [f32::NEG_INFINITY; LANES];
+    for chunk in row.chunks_exact(LANES) {
         for (acc, &x) in lanes.iter_mut().zip(chunk) {
             *acc = acc.max(x);
         }
     }
     let tail = row
-        .chunks_exact(8)
+        .chunks_exact(LANES)
         .remainder()
         .iter()
         .copied()
@@ -52,17 +57,36 @@ pub(crate) fn lane_max(row: &[f32]) -> f32 {
     lanes.iter().copied().fold(tail, f32::max)
 }
 
-/// Row sum via 8 independent lanes so the reduction vectorizes. Unlike
-/// `max`, FP addition is not associative, so this is *not* bit-identical
-/// to a serial fold — callers tolerate the reordering.
+/// Largest `|x|` over the finite entries of `row` (0 when there are
+/// none), via `LANES` independent lanes. Like [`lane_max`], bit-identical
+/// to the serial fold.
+pub(crate) fn lane_abs_max(row: &[f32]) -> f32 {
+    let finite_abs = |x: f32| if x.is_finite() { x.abs() } else { 0.0 };
+    let mut lanes = [0.0f32; LANES];
+    for chunk in row.chunks_exact(LANES) {
+        for (acc, &x) in lanes.iter_mut().zip(chunk) {
+            *acc = acc.max(finite_abs(x));
+        }
+    }
+    let tail = row
+        .chunks_exact(LANES)
+        .remainder()
+        .iter()
+        .fold(0.0f32, |a, &x| a.max(finite_abs(x)));
+    lanes.iter().copied().fold(tail, f32::max)
+}
+
+/// Row sum via `LANES` independent lanes so the reduction vectorizes.
+/// Unlike `max`, FP addition is not associative, so this is *not*
+/// bit-identical to a serial fold — callers tolerate the reordering.
 pub(crate) fn lane_sum(row: &[f32]) -> f32 {
-    let mut lanes = [0.0f32; 8];
-    for chunk in row.chunks_exact(8) {
+    let mut lanes = [0.0f32; LANES];
+    for chunk in row.chunks_exact(LANES) {
         for (acc, &x) in lanes.iter_mut().zip(chunk) {
             *acc += x;
         }
     }
-    let tail: f32 = row.chunks_exact(8).remainder().iter().sum();
+    let tail: f32 = row.chunks_exact(LANES).remainder().iter().sum();
     lanes.iter().sum::<f32>() + tail
 }
 

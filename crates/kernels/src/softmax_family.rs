@@ -556,6 +556,72 @@ mod tests {
         assert_eq!(masked, [0.0, 0.0]);
     }
 
+    /// The bits of `row`'s weights and carry after `absorb` runs on
+    /// `row[..end]` and the rest is zero-filled.
+    fn cut_bits(row: &[f32], end: usize, absorb: impl FnOnce(&mut [f32]) -> f32) -> Vec<u32> {
+        let mut w = row.to_vec();
+        let carry = absorb(&mut w[..end]);
+        w[end..].fill(0.0);
+        w.iter().chain([&carry]).map(|x| x.to_bits()).collect()
+    }
+
+    /// The walks cut a row at its diagonal rounded up to whole 8-lane
+    /// chunks and zero-fill the rest. For every length and live count, the
+    /// cut call must give the full `−∞`-padded call's weights and carry,
+    /// bit for bit, fresh or after an earlier chunk, the empty cut
+    /// included.
+    #[test]
+    fn lane_aligned_prefix_matches_the_masked_row() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for len in 1..40usize {
+            for live in 0..=len {
+                let row: Vec<f32> = (0..len)
+                    .map(|j| {
+                        if j < live {
+                            rng.gen_range(-8.0..8.0)
+                        } else {
+                            f32::NEG_INFINITY
+                        }
+                    })
+                    .collect();
+                let end = live.next_multiple_of(8).min(len);
+                let mut earlier: Vec<f32> = (0..5).map(|_| rng.gen_range(-8.0..8.0)).collect();
+                for warm in [false, true] {
+                    let (mut flash, mut loglut) = (FlashDSoftmax::new(), LogLutSoftmax::new());
+                    if warm {
+                        let _ = flash.absorb(&mut earlier.clone());
+                        let _ = loglut.absorb(&mut earlier);
+                    }
+                    let (mut flash_full, mut loglut_full) = (flash, loglut);
+                    let at = format!("len {len}, live {live}, warm {warm}");
+                    assert_eq!(
+                        cut_bits(&row, end, |c| flash.absorb(c)),
+                        cut_bits(&row, len, |c| flash_full.absorb(c)),
+                        "FLASH-D {at}"
+                    );
+                    assert_eq!(
+                        cut_bits(&row, end, |c| loglut.absorb(c)),
+                        cut_bits(&row, len, |c| loglut_full.absorb(c)),
+                        "log-LUT {at}"
+                    );
+                }
+                // The two-pass softmax of a row with no live column is NaN;
+                // the exact walk runs one chunk, where column 0 is live.
+                if live > 0 {
+                    let exact = |c: &mut [f32]| {
+                        softmax_row(c);
+                        1.0
+                    };
+                    assert_eq!(
+                        cut_bits(&row, end, exact),
+                        cut_bits(&row, len, exact),
+                        "softmax_row len {len}, live {live}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn decode_shape_single_element_recurrence_is_an_average() {
         // One element at a time, uniform logits: after n steps each weight
