@@ -73,7 +73,7 @@ const RATIOS: [Ratio; 4] = [
         name: "int8_flash_d/naive",
         numerator: "flat_attention_with(Int8, FlashD) -> quantized::quantized_group",
         denominator: NAIVE,
-        floors: [1.41, 2.31],
+        floors: [1.94, 3.53],
     },
     Ratio {
         name: "decode_paged/recompute",

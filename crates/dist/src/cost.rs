@@ -23,7 +23,6 @@ use crate::fabric::Fabric;
 use crate::partition::Partition;
 use flat_arch::Accelerator;
 use flat_core::{BlockDataflow, CostModel, CostReport};
-use flat_dse::{Dse, Objective, SpaceKind};
 use flat_workloads::{AttentionBlock, AttentionConfig, Scope};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -196,24 +195,6 @@ impl DistModel {
         self.report_for(cfg, shard)
     }
 
-    /// Cost of one layer with the dataflow *searched* per shard: runs the
-    /// `flat-dse` optimizer on the sharded workload, so each cluster size
-    /// gets the L-A execution that suits its shard shape (small shards
-    /// prefer different FLAT-tile granularities than the whole layer).
-    #[must_use]
-    pub fn layer_cost_searched(
-        &self,
-        cfg: &AttentionConfig,
-        space: SpaceKind,
-        objective: Objective,
-    ) -> (BlockDataflow, DistReport) {
-        let shard_cfg = self.shard_config(cfg);
-        let block = AttentionBlock::new(shard_cfg);
-        let (df, shard) =
-            Dse::new(&self.accel, &block).best_at_scope(space, Scope::LogitAttend, objective);
-        (df, self.report_for(cfg, shard))
-    }
-
     /// Assembles the report: clock-converts the shard cycles and adds
     /// the partition's collectives priced on the fabric. `pub(crate)` so
     /// the sweep can search the shard dataflow once and re-price it on
@@ -304,20 +285,28 @@ mod tests {
         assert!(eight.fabric_fraction() > 0.0 && eight.fabric_fraction() < 1.0);
     }
 
+    /// The sweep searches each shard's dataflow; the searched point never
+    /// loses to a fixed dataflow on the same cluster.
     #[test]
     fn searched_dataflow_never_loses_to_a_fixed_one() {
         let accel = Accelerator::cloud();
+        let (topology, partition) = (Topology::Mesh2d, Partition::SequenceParallel);
         let model = DistModel::new(
-            accel,
-            Fabric::new(4, Topology::Mesh2d, Link::cloud()),
-            Partition::SequenceParallel,
+            accel.clone(),
+            Fabric::new(4, topology, Link::cloud()),
+            partition,
         );
         let fixed = model.layer_cost(&cfg(), &BlockDataflow::flat(Granularity::Row(64)));
-        let (df, searched) = model.layer_cost_searched(&cfg(), SpaceKind::Full, Objective::MaxUtil);
-        assert!(df.la.is_fused(), "long sequences demand fusion");
-        assert!(searched.compute_s <= fixed.compute_s * (1.0 + 1e-9));
+        let sweep = crate::Sweep::new(accel, Link::cloud());
+        let searched = &sweep.run(&cfg(), &[4], &[topology], &[partition])[0];
+        assert!(
+            searched.dataflow.starts_with("FLAT-"),
+            "long sequences demand fusion"
+        );
+        assert!(searched.compute_ms <= fixed.compute_s * 1e3 * (1.0 + 1e-9));
         assert_eq!(
-            searched.collective_s, fixed.collective_s,
+            searched.collective_ms,
+            fixed.collective_s * 1e3,
             "fabric cost is dataflow-free"
         );
     }

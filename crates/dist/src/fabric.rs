@@ -733,14 +733,6 @@ impl Fabric {
         hops as f64 * self.link.latency_s + bytes as f64 / self.link.bytes_per_s
     }
 
-    /// Seconds to migrate `tokens` tokens of KV-cache state (at
-    /// `bytes_per_token`) between two chips — the request-migration /
-    /// prefix-transfer primitive a disaggregated serving cluster pays.
-    #[must_use]
-    pub fn kv_transfer_s(&self, tokens: u64, bytes_per_token: u64, from: usize, to: usize) -> f64 {
-        self.p2p_s(tokens.saturating_mul(bytes_per_token), from, to)
-    }
-
     /// Picojoules to move `bytes` once across links (per traversal; a
     /// `k`-step collective moving `n` bytes per step charges `k·n`
     /// traversed bytes — use the `*_traversed_bytes` accessors).
@@ -1000,7 +992,6 @@ mod tests {
         let ring = Fabric::new(8, Topology::Ring, link);
         let serialization = MIB as f64 / 1.0e9;
         assert!((ring.p2p_s(MIB, 0, 4) - (4.0e-6 + serialization)).abs() < 1e-15);
-        assert!((ring.kv_transfer_s(1024, 1024, 0, 4) - (4.0e-6 + serialization)).abs() < 1e-15);
     }
 
     #[test]

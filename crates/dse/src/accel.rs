@@ -2,7 +2,7 @@
 //! FlexAccel-M, FlexAccel, ATTACC-M, ATTACC-Rx, ATTACC.
 
 use crate::{Dse, Objective, SpaceKind};
-use flat_core::{BlockCost, BlockDataflow, CostModel};
+use flat_core::{BlockCost, BlockDataflow};
 use flat_workloads::Model;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -88,24 +88,6 @@ impl AccelClass {
         AccelEvaluation {
             class: *self,
             dataflow,
-            cost,
-        }
-    }
-
-    /// Prices a *fixed* dataflow on the whole model (no search) — used for
-    /// the non-stall reference and ablations.
-    #[must_use]
-    pub fn evaluate_fixed(
-        accel: &flat_arch::Accelerator,
-        model: &Model,
-        batch: u64,
-        seq: u64,
-        dataflow: &BlockDataflow,
-    ) -> AccelEvaluation {
-        let cost = CostModel::new(accel).model_cost(model, batch, seq, dataflow);
-        AccelEvaluation {
-            class: AccelClass::BaseAccel,
-            dataflow: *dataflow,
             cost,
         }
     }

@@ -44,10 +44,3 @@ pub use objective::Objective;
 pub use precision::{precision_pareto, PrecisionChoice, PrecisionPoint};
 pub use search::{pareto_frontier, DesignPoint, Dse};
 pub use space::{la_points, others_points, row_candidates, SpaceKind};
-
-/// Cost of a searched decoder block (wrapper for future breakdowns).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DecoderCost {
-    /// The per-category block cost.
-    pub cost: flat_core::BlockCost,
-}

@@ -231,25 +231,6 @@ impl<'a> Dse<'a> {
         (df, cost)
     }
 
-    /// Best dataflow for a *decoder* block: the L-A strategy is searched
-    /// on the cross-attention layer (its `[dec, enc]` logits dominate when
-    /// the encoder context is long) and applied to both attention layers;
-    /// non-fused operators get their own search.
-    #[must_use]
-    pub fn best_decoder_block(
-        accel: &flat_arch::Accelerator,
-        block: &flat_workloads::DecoderBlock,
-        space: SpaceKind,
-        objective: Objective,
-    ) -> (BlockDataflow, crate::DecoderCost) {
-        let cross_dse = Dse::new(accel, block.cross_attention());
-        let la = cross_dse.best_la(space, objective);
-        let (others, _) = cross_dse.best_others(objective);
-        let df = BlockDataflow { la: la.la, others };
-        let cost = CostModel::new(accel).decoder_block_cost(block, &df);
-        (df, crate::DecoderCost { cost })
-    }
-
     /// Best block dataflow judged at one of the Figure 8 scopes.
     #[must_use]
     pub fn best_at_scope(
@@ -399,16 +380,20 @@ mod tests {
         assert_eq!(few.report.util(), again.report.util());
     }
 
+    /// A decoder block searched on its cross-attention layer (whose
+    /// `[dec, enc]` logits dominate at a long encoder context), with the
+    /// winner applied to both attention layers.
     #[test]
     fn decoder_search_beats_fixed_base() {
         let accel = Accelerator::cloud();
         let block = flat_workloads::DecoderBlock::for_model(&Model::t5_small(), 64, 1024, 16_384);
-        let (df, best) =
-            Dse::best_decoder_block(&accel, &block, SpaceKind::Full, Objective::MaxUtil);
-        let base = flat_core::CostModel::new(&accel)
-            .decoder_block_cost(&block, &flat_core::BlockDataflow::base());
+        let (df, _) = Dse::new(&accel, block.cross_attention())
+            .best_block(SpaceKind::Full, Objective::MaxUtil);
+        let model = CostModel::new(&accel);
+        let best = model.decoder_block_cost(&block, &df);
+        let base = model.decoder_block_cost(&block, &BlockDataflow::base());
         assert!(df.la.is_fused(), "long encoder context demands fusion");
-        assert!(best.cost.total().cycles < base.total().cycles * 0.6);
+        assert!(best.total().cycles < base.total().cycles * 0.6);
     }
 
     #[test]

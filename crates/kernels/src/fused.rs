@@ -7,7 +7,9 @@
 //! rounded values. The walk runs on the wide microkernels of `mat`: QKᵀ
 //! per element on `dot`'s reduction tree, PV with a register-held output
 //! block contracting in ascending order, so the f32 walk is bit-identical
-//! to the `matmul_transposed_rows` + `matmul_into` composition.
+//! to the `matmul_transposed_rows` + `matmul_into` composition. The int8
+//! walk (`quantized`) keeps its own tile loop for its two scales, but runs
+//! the same two kernels on the integer levels of Q/K/V.
 //!
 //! A causal tile stops at its diagonal, and each row's passes stop at its
 //! own. Both GEMMs end at the tile's last live column. Each row's mask,
@@ -90,9 +92,9 @@ pub fn flat_attention(input: &MultiHeadInput, rows_per_tile: usize, mask: Mask) 
 /// * `Bf16`/`F16` round Q/K/V through 16-bit storage
 ///   ([`HalfMat`](crate::HalfMat)) once per group, then run the f32 walk
 ///   on the rounded values.
-/// * [`ComputePrecision::Int8`] routes to the quantized path with an int8
-///   score matrix
-///   ([`quantized_flat_attention_with`](crate::quantized_flat_attention_with)).
+/// * [`ComputePrecision::Int8`] quantizes Q/K/V once per group and runs
+///   the same panel kernels on their integer levels, exact below `2²⁴`,
+///   with an int8 score matrix.
 /// * [`SoftmaxKind::FlashD`]/[`SoftmaxKind::LogLut`] fold each row through
 ///   the division-free recurrence, at bf16/f16 in 512-column KV chunks:
 ///   the output rows stay normalized at every step and no per-row
@@ -103,7 +105,9 @@ pub fn flat_attention(input: &MultiHeadInput, rows_per_tile: usize, mask: Mask) 
 ///
 /// # Panics
 ///
-/// Panics if `rows_per_tile` is zero.
+/// Panics if `rows_per_tile` is zero, or at [`ComputePrecision::Int8`] if
+/// `dk` exceeds 1,040, past which an int8 QKᵀ dot leaves f32's exact
+/// integers.
 ///
 /// # Example
 ///

@@ -30,7 +30,8 @@
 //! On top of the f32 reference sits the **mixed-precision kernel family**:
 //! every execution has a `_with` variant taking a [`ComputePrecision`]
 //! (f32, bf16/f16 storage rounding via [`HalfMat`] ahead of the f32 walk,
-//! or int8 with an int8 score matrix) and a
+//! or int8 quantization, whose integer levels the f32 kernels sum exactly,
+//! with an int8 score matrix) and a
 //! [`SoftmaxKind`](flat_tensor::SoftmaxKind) selecting the softmax
 //! algorithm — exact two-pass, [`FlashDSoftmax`] (division folded into the
 //! accumulation recurrence, no normalize pass), or [`LogLutSoftmax`]
@@ -59,7 +60,6 @@ mod fused;
 mod halfmat;
 mod instrumented;
 mod mat;
-mod precision;
 mod quantized;
 mod softmax;
 mod softmax_family;
@@ -74,8 +74,7 @@ pub use instrumented::{
     instrumented_flat_attention, instrumented_flat_attention_traced, ExecutionStats,
 };
 pub use mat::Mat;
-pub use precision::{online_softmax_bf16, round_bf16, softmax_error, softmax_row_bf16};
-pub use quantized::{quantized_flat_attention, quantized_flat_attention_with, QuantizedMat};
+pub use quantized::{quantized_flat_attention, QuantizedMat};
 pub use softmax::{softmax_row, OnlineSoftmax};
 pub use softmax_family::{
     exp2_lut, fast_exp, fast_exp2, log2_add_lut, softmax_row_kind, ComputePrecision, FlashDSoftmax,

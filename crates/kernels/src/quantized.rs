@@ -1,31 +1,33 @@
 //! Int8-quantized attention: the §7 orthogonality claim at the numerical
 //! level. FLAT is a dataflow; quantization is a model-level compression —
 //! this module runs the *same fused row-tiled execution* over int8 tensors
-//! (per-tensor symmetric scales, i32 accumulation, fp32 softmax) and
+//! (per-tensor symmetric scales, exact integer sums, fp32 softmax) and
 //! measures what the precision costs, proving the two techniques compose
 //! without interfering.
 //!
-//! Both GEMMs run on one integer microkernel, `int8_rowmul`: QKᵀ as
-//! `q_i · Kᵀ` (K is transposed once per group) and PV as `p_i · V`. A
-//! block of output columns stays in i32 registers across the contraction,
-//! int8 products are formed at i16 width, and the partial sums fold into
-//! i64 every 2¹⁷ steps, so no key length wraps them. Integer sums are exact
-//! in any order, so the walk matches the scalar loops it replaced bit for
-//! bit; a causal tile stops its PV GEMM at its diagonal and each row's
-//! QKᵀ at the row's own.
+//! Both GEMMs run on the f32 walk's panel kernels, over f32 copies of the
+//! int8 levels. Every int8 product is at most `127² = 16,129` in
+//! magnitude, so a QKᵀ dot of `dk ≤ 1,040` products and a PV sum over
+//! `PV_CHUNK = 1,024` keys both stay below `2²⁴`, where every f32 partial
+//! sum of integers is an exact integer in any order. The logits are then
+//! the integer dot products bit for bit, and each PV chunk's exact sums
+//! fold into i64, so no key length overflows them. The walk rejects a
+//! larger `dk` rather than round.
 //!
-//! As in the f32 walk, each row's snap and softmax passes stop at the
-//! row's diagonal, rounded up to whole `LANES` chunks, and the columns
-//! after it read the exact 0 a masked logit's weight is. The two abs-max
-//! folds (the logit snap's and the per-tile probability scale's) run on
-//! `LANES` lanes; `max` over non-NaN values does not depend on order, so
-//! they are the serial folds' bits.
+//! As in the f32 walk, a causal tile stops both GEMMs at its diagonal,
+//! each row's snap and softmax passes stop at the row's diagonal, rounded
+//! up to whole `LANES` chunks, and the columns after it read the exact 0 a
+//! masked logit's weight is. The two abs-max folds (the logit snap's and
+//! the per-tile probability scale's) run on `LANES` lanes; `max` over
+//! non-NaN values does not depend on order, so they are the serial folds'
+//! bits.
 //!
 //! Like the f32 walk, the rows run in bands of whole tiles on the thread
 //! pool, so each tile keeps its probability scale and the bits do not
 //! depend on the lane count.
 
 use crate::fused::row_bands;
+use crate::mat::{wide_attend_acc, wide_logits_into, KeyPanels};
 use crate::softmax::{lane_abs_max, LANES};
 use crate::softmax_family::softmax_row_kind;
 use crate::{softmax_row, Mask, Mat, MultiHeadInput};
@@ -71,6 +73,11 @@ impl QuantizedMat {
         self.data[i * self.cols + j]
     }
 
+    /// The int8 levels as an unscaled, integer-valued f32 matrix.
+    fn levels(&self) -> Mat {
+        Mat::from_fn(self.rows, self.cols, |i, j| f32::from(self.at(i, j)))
+    }
+
     /// Dequantizes back to an f32 matrix — the values an int8-stored
     /// tensor actually contributes to downstream arithmetic.
     #[must_use]
@@ -81,18 +88,22 @@ impl QuantizedMat {
     }
 }
 
-/// Contraction steps one i32 partial of [`int8_rowmul`] absorbs before it
-/// folds into i64: `2¹⁷ · 127² < 2³¹`, so no partial wraps at any key
-/// length.
-const FOLD: usize = 1 << 17;
+/// Largest head dimension of the int8 walk: a QKᵀ dot of `dk` int8
+/// products is an exact f32 integer while `dk · 127² < 2²⁴`.
+const MAX_DK: usize = 1040;
 
-/// FLAT row-tiled attention over int8-quantized Q/K/V: integer logit
-/// GEMM, fp32 softmax in the slice, integer attend GEMM (with the
+/// Keys per PV chunk: `1024 · 127² < 2²⁴`, so a chunk's f32 sums are
+/// exact integers before they fold into i64.
+const PV_CHUNK: usize = 1024;
+
+/// FLAT row-tiled attention over int8-quantized Q/K/V: exact integer
+/// logits, fp32 softmax in the slice, exact integer attend sums (with the
 /// softmaxed probabilities requantized to int8), fp32 output.
 ///
 /// # Panics
 ///
-/// Panics if `rows_per_tile` is zero.
+/// Panics if `rows_per_tile` is zero, or if `dk` exceeds 1,040, past
+/// which an int8 QKᵀ dot leaves f32's exact integers.
 ///
 /// # Example
 ///
@@ -138,25 +149,10 @@ pub(crate) fn snap_logits_int8(row: &mut [f32]) {
 /// the softmax (the pre-softmax scores now live on the int8 grid, not
 /// just the weights), and the softmax itself runs as the selected
 /// [`SoftmaxKind`]. Stage A requantizes the probabilities as in
-/// [`quantized_flat_attention`].
-///
-/// # Panics
-///
-/// Panics if `rows_per_tile` is zero.
-///
-/// # Example
-///
-/// ```
-/// use flat_kernels::{naive_attention, quantized_flat_attention_with, Mask, MultiHeadInput};
-/// use flat_tensor::SoftmaxKind;
-///
-/// let input = MultiHeadInput::random(1, 2, 32, 32, 8, 5);
-/// let q8 = quantized_flat_attention_with(&input, 8, Mask::None, SoftmaxKind::FlashD);
-/// let f32 = naive_attention(&input, Mask::None);
-/// assert!(q8[0].max_abs_diff(&f32[0]) < 0.1);
-/// ```
-#[must_use]
-pub fn quantized_flat_attention_with(
+/// [`quantized_flat_attention`]. The public path is
+/// [`flat_attention_with`](crate::flat_attention_with) at
+/// [`ComputePrecision::Int8`](crate::ComputePrecision::Int8).
+pub(crate) fn quantized_flat_attention_with(
     input: &MultiHeadInput,
     rows_per_tile: usize,
     mask: Mask,
@@ -171,9 +167,10 @@ pub fn quantized_flat_attention_with(
 /// One (batch, head) group of the int8 walk behind both entry points:
 /// `int8_scores` is `None` for fp32 scores under the exact softmax, or the
 /// softmax kind to run on scores snapped to the int8 grid. Q/K/V are
-/// quantized once and K is transposed once, so both GEMMs run on
-/// [`int8_rowmul`]. Each of the [`row_bands`] allocates its logit tile,
-/// int8 probabilities, accumulators and output block once.
+/// quantized once and K is packed once, so both GEMMs run on the f32
+/// panel kernels over integer levels. Each of the [`row_bands`] allocates
+/// its logit tile, P chunk, chunk sums, accumulators and output block
+/// once.
 fn quantized_group(
     input: &MultiHeadInput,
     g: usize,
@@ -182,50 +179,44 @@ fn quantized_group(
     int8_scores: Option<SoftmaxKind>,
 ) -> Mat {
     let (seq_q, seq_kv, dk) = (input.seq_q, input.seq_kv, input.dk);
-    let q = QuantizedMat::quantize(&input.q[g]);
-    let k = QuantizedMat::quantize(&input.k[g]);
-    let v = QuantizedMat::quantize(&input.v[g]);
-    let mut kt = vec![0i8; dk * seq_kv];
-    for (j, krow) in k.data.chunks_exact(dk).enumerate() {
-        for (d, &x) in krow.iter().enumerate() {
-            kt[d * seq_kv + j] = x;
-        }
-    }
+    assert!(dk <= MAX_DK, "int8 walk takes dk <= {MAX_DK}, got {dk}");
+    let [q, k, v] = input.group(g).map(QuantizedMat::quantize);
+    let (q_levels, v_levels) = (q.levels(), v.levels());
+    let keys = KeyPanels::new(&k.levels());
     let qk_scale = q.scale * k.scale;
     let scale = input.scale();
     let bands = row_bands(seq_q, rows_per_tile, |band| {
         let tile_rows = rows_per_tile.min(band.len());
-        let mut tile = vec![0.0f32; tile_rows * seq_kv];
-        let mut p = vec![0i8; tile_rows * seq_kv];
-        let mut acc = vec![0i64; seq_kv.max(dk)];
+        let mut tile = Mat::zeros(tile_rows, seq_kv);
+        let mut p = Mat::zeros(tile_rows, PV_CHUNK.min(seq_kv));
+        let mut sums = Mat::zeros(tile_rows, dk);
+        let mut acc = vec![0i64; tile_rows * dk];
         let mut out = Mat::zeros(band.len(), dk);
         for row_lo in band.clone().step_by(rows_per_tile) {
             let row_hi = (row_lo + rows_per_tile).min(band.end);
-            let tile = &mut tile[..(row_hi - row_lo) * seq_kv];
+            let nrows = row_hi - row_lo;
             // A causal tile stops at its diagonal: key columns from `live`
-            // on are masked for every row, so the PV GEMM never visits
-            // them, and each row's QKᵀ stops at the row's own diagonal.
+            // on are masked for every row, so neither GEMM visits them.
             let live = mask.live_cols(row_hi, seq_kv);
+            // Stage L: integer logits, exact in f32, each dequantized below
+            // as `(acc · s_q s_k) / √dk`.
+            wide_logits_into(&q_levels, row_lo, row_hi, &keys, 0, live, &mut tile);
             let mut p_max = 0.0f32;
-            for (i, row) in tile.chunks_exact_mut(seq_kv).enumerate() {
-                let qi = row_lo + i;
+            for r in 0..nrows {
+                let qi = row_lo + r;
+                // SFU: fp32 softmax (probabilities need the dynamic range),
+                // optionally over scores on the int8 grid, up to the row's
+                // diagonal rounded up to whole `LANES` chunks.
                 let row_live = mask.live_cols(qi + 1, seq_kv);
-                // Stage L: integer logits, dequantized as `(acc · s_q s_k) / √dk`.
-                let qrow = &q.data[qi * dk..(qi + 1) * dk];
-                int8_rowmul(qrow, &kt, seq_kv, row_live, &mut acc);
-                for (j, (x, &a)) in row.iter_mut().zip(&acc[..row_live]).enumerate() {
+                let end = row_live.next_multiple_of(LANES).min(seq_kv);
+                let (scores, rest) = tile.row_mut(r).split_at_mut(end);
+                for (j, x) in scores.iter_mut().enumerate() {
                     *x = if mask.allows(qi, j) {
-                        (a as f32 * qk_scale) * scale
+                        (*x * qk_scale) * scale
                     } else {
                         f32::NEG_INFINITY
                     };
                 }
-                // SFU: fp32 softmax (probabilities need the dynamic range),
-                // optionally over scores on the int8 grid, up to the row's
-                // diagonal rounded up to whole `LANES` chunks.
-                let end = row_live.next_multiple_of(LANES).min(seq_kv);
-                row[row_live..end].fill(f32::NEG_INFINITY);
-                let (scores, rest) = row.split_at_mut(end);
                 match int8_scores {
                     None => softmax_row(scores),
                     Some(kind) => {
@@ -239,20 +230,29 @@ fn quantized_group(
                 p_max = p_max.max(lane_abs_max(scores));
             }
             // Stage A: requantize the probabilities with one per-tile
-            // scale, then integer PV over the live columns (the rest are
-            // exactly 0).
+            // scale, then sum P·V exactly over the live columns (the rest
+            // are exactly 0), one `PV_CHUNK` of keys at a time.
             let p_scale = if p_max == 0.0 { 1.0 } else { p_max / 127.0 };
-            for (i, (prow, trow)) in p
-                .chunks_exact_mut(seq_kv)
-                .zip(tile.chunks_exact(seq_kv))
-                .enumerate()
-            {
-                for (pv, &x) in prow[..live].iter_mut().zip(&trow[..live]) {
-                    *pv = (x / p_scale).round().clamp(-127.0, 127.0) as i8;
+            let acc = &mut acc[..nrows * dk];
+            acc.fill(0);
+            for c_lo in (0..live).step_by(PV_CHUNK) {
+                let width = (live - c_lo).min(PV_CHUNK);
+                for r in 0..nrows {
+                    let probs = &tile.row(r)[c_lo..c_lo + width];
+                    for (pv, &x) in p.row_mut(r).iter_mut().zip(probs) {
+                        // Through i8, as int8 storage holds it: a NaN weight
+                        // (from non-finite inputs) reads level 0.
+                        *pv = f32::from((x / p_scale).round().clamp(-127.0, 127.0) as i8);
+                    }
+                    sums.row_mut(r).fill(0.0);
                 }
-                int8_rowmul(&prow[..live], &v.data, dk, dk, &mut acc);
-                let orow = out.row_mut(row_lo - band.start + i);
-                for (o, &a) in orow.iter_mut().zip(&acc[..dk]) {
+                wide_attend_acc(&p, nrows, width, &v_levels, c_lo, &mut sums, 0);
+                for (a, &s) in acc.iter_mut().zip(sums.as_slice()) {
+                    *a += s as i64;
+                }
+            }
+            for (r, a) in acc.chunks_exact(dk).enumerate() {
+                for (o, &a) in out.row_mut(row_lo - band.start + r).iter_mut().zip(a) {
                     *o = (a as f32 * p_scale) * v.scale;
                 }
             }
@@ -260,53 +260,6 @@ fn quantized_group(
         out
     });
     Mat::stack_rows(bands)
-}
-
-/// `out[c] = Σ_l a_l · b[l·ldb + c]` for `c < cols`, exact: the one
-/// integer microkernel of the int8 walk (QKᵀ as `q_i · Kᵀ`, PV as
-/// `p_i · V`). Each block of output columns stays in i32 registers while
-/// the contraction walks `b` row by row, widening and multiplying a whole
-/// block per step and skipping zero `a_l`; the i32 partials fold into
-/// `out` every [`FOLD`] steps, so they never wrap.
-fn int8_rowmul(a: &[i8], b: &[i8], ldb: usize, cols: usize, out: &mut [i64]) {
-    let out = &mut out[..cols];
-    out.fill(0);
-    for (f, af) in a.chunks(FOLD).enumerate() {
-        let bf = &b[f * FOLD * ldb..];
-        let mut c0 = 0;
-        while c0 < cols {
-            c0 += match cols - c0 {
-                64.. => int8_block::<64>(af, bf, ldb, c0, out),
-                16.. => int8_block::<16>(af, bf, ldb, c0, out),
-                _ => int8_block::<1>(af, bf, ldb, c0, out),
-            };
-        }
-    }
-}
-
-/// One `NR`-column block of [`int8_rowmul`]; returns `NR`. The product of
-/// two int8 values fits i16, which keeps the multiply narrow.
-#[inline(always)]
-fn int8_block<const NR: usize>(
-    a: &[i8],
-    b: &[i8],
-    ldb: usize,
-    c0: usize,
-    out: &mut [i64],
-) -> usize {
-    let mut acc = [0i32; NR];
-    for (l, &x) in a.iter().enumerate() {
-        if x != 0 {
-            let brow = &b[l * ldb + c0..l * ldb + c0 + NR];
-            for (s, &y) in acc.iter_mut().zip(brow) {
-                *s += i32::from(i16::from(x) * i16::from(y));
-            }
-        }
-    }
-    for (o, s) in out[c0..c0 + NR].iter_mut().zip(acc) {
-        *o += i64::from(s);
-    }
-    NR
 }
 
 #[cfg(test)]

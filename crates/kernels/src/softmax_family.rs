@@ -33,8 +33,8 @@ use std::sync::OnceLock;
 ///
 /// Distinct from [`DataType`] (a pure storage-width descriptor): a
 /// `ComputePrecision` names an executable kernel configuration — f32
-/// reference, 16-bit storage rounding with f32 arithmetic, or int8 with
-/// integer GEMMs and an int8 score matrix.
+/// reference, 16-bit storage rounding with f32 arithmetic, or int8
+/// storage with exact integer sums and an int8 score matrix.
 ///
 /// # Example
 ///
@@ -55,7 +55,8 @@ pub enum ComputePrecision {
     /// IEEE f16 storage: Q/K/V are rounded to f16 once, then the f32
     /// kernels run on the rounded values.
     F16,
-    /// int8 storage with integer GEMMs; the score matrix is quantized too.
+    /// int8 storage: Q/K/V are quantized once, then the f32 kernels sum
+    /// their integer levels exactly; the score matrix is quantized too.
     Int8,
 }
 
@@ -370,12 +371,6 @@ impl LogLutSoftmax {
         } else {
             exp2_lut(old - acc)
         }
-    }
-
-    /// `log2` of the running softmax denominator.
-    #[must_use]
-    pub fn log2_normalizer(&self) -> f32 {
-        self.acc2
     }
 }
 

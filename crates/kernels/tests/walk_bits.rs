@@ -5,7 +5,8 @@
 //! nest with no skipping. Outputs must agree in every bit (`to_bits`), for
 //! shapes that cross every blocking boundary: odd head dims, ragged row
 //! tiles, the 512-column KV chunk, and cross-attention (`seq_q ≠ seq_kv`)
-//! under both masks.
+//! under both masks. The int8 walk is also run at the edges of f32's exact
+//! integer range, where its sums of int8 products must stay exact.
 //!
 //! The streaming and decode kernels run one online-softmax row fold; their
 //! references are verbatim copies of the per-kernel loops that fold
@@ -636,6 +637,62 @@ fn banded_walks_are_bit_identical() {
             }
         }
     }
+}
+
+/// The int8 walk, fp32 scores and int8 scores under every kind, against
+/// its reference at R 2 under both masks.
+fn assert_int8_bits(input: &MultiHeadInput, label: &str) {
+    for mask in [Mask::None, Mask::Causal] {
+        let plain = quantized_flat_attention(input, 2, mask);
+        let reference = int8_reference(input, 2, mask, None);
+        assert_eq!(bits(&plain), bits(&reference), "{label} {mask:?}");
+        for kind in KINDS {
+            let walk = flat_attention_with(input, 2, mask, ComputePrecision::Int8, kind);
+            let reference = int8_reference(input, 2, mask, Some(kind));
+            assert_eq!(bits(&walk), bits(&reference), "{label} {kind} {mask:?}");
+        }
+    }
+}
+
+/// Constant K and V quantize every weight of a row and every value to the
+/// level 127, so an unmasked row's P·V sum over 1,100 keys is
+/// `1100 · 127² > 2²⁴`: past f32's exact integers, unless the walk sums
+/// the keys in chunks whose sums stay exact.
+#[test]
+fn int8_pv_past_f32_exact_range_is_bit_identical() {
+    let (seq_q, seq_kv, dk) = (3, 1100, 8);
+    let mut input = MultiHeadInput::random(1, 1, seq_q, seq_kv, dk, 0x1100);
+    input.k[0] = Mat::from_fn(seq_kv, dk, |_, _| 0.25);
+    input.v[0] = Mat::from_fn(seq_kv, dk, |_, _| 1.0);
+    assert_int8_bits(&input, "PV past 2^24");
+}
+
+/// At the largest `dk` the int8 walk takes, constant Q and key rows that
+/// are each constant put every logit's integer sum at up to
+/// `1040 · 127²`, just below `2²⁴`.
+#[test]
+fn int8_logits_at_the_dk_bound_are_bit_identical() {
+    let (seq_q, seq_kv, dk) = (5, 20, 1040);
+    let key_values = [1.0, -1.0, 0.5, -0.25];
+    let mut input = MultiHeadInput::random(1, 1, seq_q, seq_kv, dk, 0x1040);
+    input.q[0] = Mat::from_fn(seq_q, dk, |_, _| 1.0);
+    input.k[0] = Mat::from_fn(seq_kv, dk, |j, _| key_values[j % key_values.len()]);
+    assert_int8_bits(&input, "dk 1040");
+}
+
+/// Past `dk` 1,040 an int8 QKᵀ dot can leave f32's exact integers, so the
+/// int8 walk refuses the shape rather than round.
+#[test]
+#[should_panic(expected = "dk <= 1040")]
+fn int8_walk_rejects_dk_past_the_exact_range() {
+    let input = MultiHeadInput::random(1, 1, 2, 2, 1041, 1);
+    let _ = flat_attention_with(
+        &input,
+        1,
+        Mask::None,
+        ComputePrecision::Int8,
+        SoftmaxKind::Exact,
+    );
 }
 
 proptest! {

@@ -188,12 +188,6 @@ impl BlockTable {
     pub fn block_count(&self) -> usize {
         self.blocks.len()
     }
-
-    /// Leading blocks that are refcount-shared through the prefix index.
-    #[must_use]
-    pub fn sealed_blocks(&self) -> usize {
-        self.sealed
-    }
 }
 
 /// One physical cache block: `block_tokens` K rows and V rows at the
@@ -645,8 +639,8 @@ mod tests {
         assert_eq!(pool.dedup_hits(), 2);
         assert_eq!(pool.used_blocks(), 2);
         assert_eq!(pool.logical_used_blocks(), 4);
-        assert_eq!(a.sealed_blocks(), 2);
-        assert_eq!(b.sealed_blocks(), 2);
+        assert_eq!(a.sealed, 2);
+        assert_eq!(b.sealed, 2);
         // Both tables read identical rows.
         let ra: Vec<_> = pool.rows(&a).map(|(k, _)| k[0]).collect();
         let rb: Vec<_> = pool.rows(&b).map(|(k, _)| k[0]).collect();

@@ -110,15 +110,6 @@ impl AttentionConfig {
         c
     }
 
-    /// Returns a copy with a different batch size.
-    #[must_use]
-    pub fn with_batch(&self, batch: u64) -> Self {
-        let mut c = *self;
-        assert!(batch > 0, "batch must be positive");
-        c.batch = batch;
-        c
-    }
-
     /// Returns a copy with a different element precision.
     #[must_use]
     pub fn with_dtype(&self, dtype: DataType) -> Self {
