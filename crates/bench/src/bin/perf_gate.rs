@@ -71,7 +71,7 @@ const RATIOS: [Ratio; 4] = [
     },
     Ratio {
         name: "int8_flash_d/naive",
-        numerator: "flat_attention_with(Int8, FlashD) -> quantized::quantized_group",
+        numerator: "flat_attention_with(Int8, FlashD) -> fused::flat_attention_group",
         denominator: NAIVE,
         floors: [1.94, 3.53],
     },

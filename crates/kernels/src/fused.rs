@@ -2,14 +2,13 @@
 //! logit tensor are computed, softmaxed, and consumed without ever
 //! materializing the full `[N, N]` matrix.
 //!
-//! One walk serves f32, bf16 and f16: the 16-bit precisions round Q/K/V
-//! through their storage grid once per group and run the f32 walk on the
-//! rounded values. The walk runs on the wide microkernels of `mat`: QKᵀ
-//! per element on `dot`'s reduction tree, PV with a register-held output
-//! block contracting in ascending order, so the f32 walk is bit-identical
-//! to the `matmul_transposed_rows` + `matmul_into` composition. The int8
-//! walk (`quantized`) keeps its own tile loop for its two scales, but runs
-//! the same two kernels on the integer levels of Q/K/V.
+//! One walk serves every precision: bf16/f16 round Q/K/V through their
+//! storage grid once per group, int8 quantizes them to integer levels once
+//! per group (`quantized` holds its loader and Stage A), and the f32 walk
+//! runs on the result. It runs on the wide microkernels of `mat`: QKᵀ per
+//! element on `dot`'s reduction tree, PV with a register-held output block
+//! contracting in ascending order, so the f32 walk is bit-identical to the
+//! `matmul_transposed_rows` + `matmul_into` composition.
 //!
 //! A causal tile stops at its diagonal, and each row's passes stop at its
 //! own. Both GEMMs end at the tile's last live column. Each row's mask,
@@ -22,12 +21,13 @@
 //!
 //! A FLAT-tile holds complete logit rows, so no tile depends on another;
 //! the paper's cross-loop runs them spatially across PEs. The host walk
-//! (and the int8 one) runs them across cores: bands of whole tiles on
-//! the shared thread pool, so the output bits do not depend on the lane
-//! count.
+//! runs them across cores: bands of whole tiles on the shared thread pool,
+//! so the output bits (int8's per-tile probability scale among them) do
+//! not depend on the lane count.
 
 use crate::mat::{wide_attend_acc, wide_logits_into, KeyPanels};
-use crate::softmax::LANES;
+use crate::quantized::{int8_levels, snap_logits_int8, Int8Attend};
+use crate::softmax::{lane_abs_max, LANES};
 use crate::softmax_family::{storage_snap, FlashDSoftmax, LogLutSoftmax};
 use crate::{softmax_row, ComputePrecision, ExecutionStats, Mask, Mat, MultiHeadInput};
 use flat_tensor::SoftmaxKind;
@@ -93,15 +93,15 @@ pub fn flat_attention(input: &MultiHeadInput, rows_per_tile: usize, mask: Mask) 
 ///   ([`HalfMat`](crate::HalfMat)) once per group, then run the f32 walk
 ///   on the rounded values.
 /// * [`ComputePrecision::Int8`] quantizes Q/K/V once per group and runs
-///   the same panel kernels on their integer levels, exact below `2²⁴`,
-///   with an int8 score matrix.
+///   the same walk on their integer levels, exact below `2²⁴`, with an
+///   int8 score matrix.
 /// * [`SoftmaxKind::FlashD`]/[`SoftmaxKind::LogLut`] fold each row through
 ///   the division-free recurrence, at bf16/f16 in 512-column KV chunks:
 ///   the output rows stay normalized at every step and no per-row
 ///   normalize pass ever runs.
 ///
-/// Every precision runs its tiles in row bands across the thread pool, as
-/// [`flat_attention`] does, after rounding or quantizing once per group.
+/// Every precision runs the tile loop of [`flat_attention`] in row bands
+/// across the thread pool, after rounding or quantizing once per group.
 ///
 /// # Panics
 ///
@@ -132,36 +132,17 @@ pub fn flat_attention_with(
     kind: SoftmaxKind,
 ) -> Vec<Mat> {
     assert!(rows_per_tile > 0, "row tile must be positive");
-    // The 16-bit division-free walks keep the 512-column chunk their
-    // outputs are pinned at; chunking f32 FLASH-D changes its bits, so one
-    // chunk for every precision waits for oracle-derived error bounds.
-    let kv_chunk = match (precision, kind) {
-        (ComputePrecision::F32, _) | (_, SoftmaxKind::Exact) => input.seq_kv,
-        _ => KV_CHUNK,
-    };
-    let walk = |qkv: [&Mat; 3]| {
-        flat_attention_group(qkv, input.scale(), rows_per_tile, mask, kind, kv_chunk).0
-    };
-    match precision {
-        ComputePrecision::F32 => (0..input.groups()).map(|g| walk(input.group(g))).collect(),
-        ComputePrecision::Bf16 | ComputePrecision::F16 => (0..input.groups())
-            .map(|g| {
-                let [q, k, v] = input.group(g).map(|m| storage_snap(m, precision));
-                walk([&q, &k, &v])
-            })
-            .collect(),
-        ComputePrecision::Int8 => {
-            crate::quantized::quantized_flat_attention_with(input, rows_per_tile, mask, kind)
-        }
-    }
+    (0..input.groups())
+        .map(|g| flat_attention_group(input, g, rows_per_tile, mask, precision, kind, true).0)
+        .collect()
 }
 
 /// Masks and scales one logit row in place: `row[j]` covers query row
-/// `qi` and key column `col_lo + j`.
-fn mask_and_scale(row: &mut [f32], qi: usize, col_lo: usize, mask: Mask, scale: f32) {
+/// `qi` and key column `col_lo + j`; an allowed logit `x` becomes `f(x)`.
+fn mask_and_scale(row: &mut [f32], qi: usize, col_lo: usize, mask: Mask, f: impl Fn(f32) -> f32) {
     for (j, x) in row.iter_mut().enumerate() {
         *x = if mask.allows(qi, col_lo + j) {
-            *x * scale
+            f(*x)
         } else {
             f32::NEG_INFINITY
         };
@@ -172,7 +153,7 @@ fn mask_and_scale(row: &mut [f32], qi: usize, col_lo: usize, mask: Mask, scale: 
 /// walk, returning the results in band order. A band is a run of whole
 /// FLAT-tiles, so every tile is the serial walk's. Bands split 4x finer
 /// than the lanes, as the pool does; with one lane there is one band.
-pub(crate) fn row_bands<T: Send>(
+fn row_bands<T: Send>(
     seq_q: usize,
     rows_per_tile: usize,
     band: impl Fn(Range<usize>) -> T + Sync,
@@ -187,33 +168,59 @@ pub(crate) fn row_bands<T: Send>(
         .collect()
 }
 
-/// The fused execution for one (batch, head) group's `[q, k, v]`, with
-/// any softmax kind, and the [`ExecutionStats`] of the tiles it executed.
+/// The fused execution for group `g` of `input` at `precision`, with any
+/// softmax kind, and the [`ExecutionStats`] of the tiles it executed.
 ///
-/// Each of the [`row_bands`] allocates its scratch once, then walks the
-/// key dimension in `kv_chunk`-column chunks, outermost, with its tiles
-/// inside. The exact softmax needs complete rows, so it runs with
-/// one chunk of `seq_kv`. The division-free kinds keep one recurrence
-/// state per query row across chunks and rescale the row's output by the
-/// carry each chunk returns.
+/// Q/K/V load once per group: rounded through 16-bit storage, or as int8
+/// levels, whose logits the mask pass dequantizes (and `int8_scores` snaps
+/// to the int8 grid) and whose Stage A is [`Int8Attend`]'s. Each of the
+/// [`row_bands`] allocates its scratch once, then walks the key dimension
+/// in `kv_chunk`-column chunks, outermost, with its tiles inside. The exact
+/// softmax and int8's tile-wide probability scale need complete rows, so
+/// they run with one chunk of `seq_kv`. The division-free kinds keep one
+/// recurrence state per query row across chunks and rescale the row's
+/// output by the carry each chunk returns.
 pub(crate) fn flat_attention_group(
-    [q, k, v]: [&Mat; 3],
-    scale: f32,
+    input: &MultiHeadInput,
+    g: usize,
     rows_per_tile: usize,
     mask: Mask,
+    precision: ComputePrecision,
     kind: SoftmaxKind,
-    kv_chunk: usize,
+    int8_scores: bool,
 ) -> (Mat, ExecutionStats) {
-    let (seq_q, seq_kv, dk) = (q.rows(), k.rows(), q.cols());
-    debug_assert!(kind != SoftmaxKind::Exact || kv_chunk >= seq_kv);
+    let (seq_q, seq_kv, dk, scale) = (input.seq_q, input.seq_kv, input.dk, input.scale());
+    let loaded: [Mat; 3];
+    let mut int8 = None;
+    let [q, k, v] = match precision {
+        ComputePrecision::F32 => input.group(g),
+        ComputePrecision::Bf16 | ComputePrecision::F16 => {
+            loaded = input.group(g).map(|m| storage_snap(m, precision));
+            loaded.each_ref()
+        }
+        ComputePrecision::Int8 => {
+            let (levels, s_qk, s_v) = int8_levels(input.group(g));
+            (loaded, int8) = (levels, Some((s_qk, s_v)));
+            loaded.each_ref()
+        }
+    };
+    // The 16-bit division-free walks keep the 512-column chunk their
+    // outputs are pinned at; chunking f32 FLASH-D changes its bits, so one
+    // chunk for every precision waits for oracle-derived error bounds.
+    let kv_chunk = match (precision, kind) {
+        (ComputePrecision::F32 | ComputePrecision::Int8, _) | (_, SoftmaxKind::Exact) => seq_kv,
+        _ => KV_CHUNK,
+    };
     let keys = KeyPanels::new(k);
     let bands = row_bands(seq_q, rows_per_tile, |band| {
         let mut stats = ExecutionStats::default();
         let band_rows = band.len();
+        let tile_rows = rows_per_tile.min(band_rows);
         let mut out = Mat::zeros(band_rows, v.cols());
         let mut flash = vec![FlashDSoftmax::new(); band_rows];
         let mut loglut = vec![LogLutSoftmax::new(); band_rows];
-        let mut tile = Mat::zeros(rows_per_tile.min(band_rows), kv_chunk.min(seq_kv));
+        let mut tile = Mat::zeros(tile_rows, kv_chunk.min(seq_kv));
+        let mut int8_attend = int8.map(|(_, s_v)| Int8Attend::new(tile_rows, v, s_v));
         for col_lo in (0..seq_kv).step_by(kv_chunk) {
             let col_hi = (col_lo + kv_chunk).min(seq_kv);
             let width = col_hi - col_lo;
@@ -231,6 +238,8 @@ pub(crate) fn flat_attention_group(
                 // SFU: softmax inside the on-chip slice, each row only up to
                 // its own diagonal rounded up to whole `LANES` chunks (see
                 // the module docs); the columns after it weigh exactly 0.
+                // Int8 also keeps the tile's largest weight for Stage A.
+                let mut p_max = 0.0f32;
                 for r in 0..nrows {
                     let qi = row_lo + r;
                     let end = mask
@@ -239,7 +248,15 @@ pub(crate) fn flat_attention_group(
                         .next_multiple_of(LANES)
                         .min(width);
                     let (row, rest) = tile.row_mut(r).split_at_mut(end);
-                    mask_and_scale(row, qi, col_lo, mask, scale);
+                    match int8 {
+                        None => mask_and_scale(row, qi, col_lo, mask, |x| x * scale),
+                        Some((s_qk, _)) => {
+                            mask_and_scale(row, qi, col_lo, mask, |x| (x * s_qk) * scale);
+                            if int8_scores {
+                                snap_logits_int8(row);
+                            }
+                        }
+                    }
                     let carry = match kind {
                         SoftmaxKind::Exact => {
                             softmax_row(row);
@@ -251,6 +268,9 @@ pub(crate) fn flat_attention_group(
                     if end < live {
                         rest[..live - end].fill(0.0);
                     }
+                    if int8.is_some() {
+                        p_max = p_max.max(lane_abs_max(row));
+                    }
                     if carry != 1.0 {
                         for a in out.row_mut(local + r) {
                             *a *= carry;
@@ -259,7 +279,10 @@ pub(crate) fn flat_attention_group(
                 }
                 // Stage A: consume the slice immediately, accumulating
                 // into the output rows this tile owns.
-                wide_attend_acc(&tile, nrows, live, v, col_lo, &mut out, local);
+                match &mut int8_attend {
+                    None => wide_attend_acc(&tile, nrows, live, v, col_lo, &mut out, local),
+                    Some(a) => a.attend(&tile, nrows, live, p_max, &mut out, local),
+                }
                 stats.count_tile(nrows, live, width, dk);
             }
         }
@@ -378,6 +401,23 @@ mod tests {
                 assert!(d < 2e-2, "{p}/{kind}: diff {d}");
             }
         }
+    }
+
+    #[test]
+    fn int8_walk_executes_the_f32_walks_tiles() {
+        // Ragged causal cross-attention: the last tile is short, and every
+        // tile stops at its own diagonal.
+        let input = MultiHeadInput::random(1, 1, 50, 61, 9, 53);
+        let walk = |p, kind| flat_attention_group(&input, 0, 7, Mask::Causal, p, kind, true).1;
+        let f32_stats = walk(ComputePrecision::F32, SoftmaxKind::Exact);
+        let int8_stats = walk(ComputePrecision::Int8, SoftmaxKind::FlashD);
+        assert_eq!(int8_stats, f32_stats);
+        assert_eq!(int8_stats.iterations, 8);
+        // Stage L writes tile `t`'s 7 rows only up to its diagonal at
+        // `7(t + 1)` (the short last tile's row to 50); the SFU pass
+        // writes every column.
+        let live_writes = 7 * (7 + 14 + 21 + 28 + 35 + 42 + 49) + 50;
+        assert_eq!(int8_stats.logit_writes, live_writes + 50 * 61);
     }
 
     #[test]

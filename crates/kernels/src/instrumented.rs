@@ -4,9 +4,10 @@
 //! real walk executes — not against a copy of it.
 
 use crate::fused::flat_attention_group;
+use crate::ComputePrecision::F32;
 use crate::{Mask, Mat, MultiHeadInput};
 use flat_telemetry::{Event, TraceSink};
-use flat_tensor::SoftmaxKind;
+use flat_tensor::SoftmaxKind::Exact;
 
 /// Memory-touch counters for one execution, in elements.
 ///
@@ -118,9 +119,8 @@ pub fn instrumented_flat_attention(
     mask: Mask,
 ) -> (Vec<Mat>, ExecutionStats) {
     assert!(rows_per_tile > 0, "row tile must be positive");
-    let (scale, kind, kv_chunk) = (input.scale(), SoftmaxKind::Exact, input.seq_kv);
     let (outs, stats): (Vec<_>, Vec<_>) = (0..input.groups())
-        .map(|g| flat_attention_group(input.group(g), scale, rows_per_tile, mask, kind, kv_chunk))
+        .map(|g| flat_attention_group(input, g, rows_per_tile, mask, F32, Exact, false))
         .unzip();
     let stats = stats.into_iter().reduce(ExecutionStats::merge);
     (outs, stats.unwrap_or_default())

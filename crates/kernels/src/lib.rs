@@ -29,9 +29,9 @@
 //!
 //! On top of the f32 reference sits the **mixed-precision kernel family**:
 //! every execution has a `_with` variant taking a [`ComputePrecision`]
-//! (f32, bf16/f16 storage rounding via [`HalfMat`] ahead of the f32 walk,
-//! or int8 quantization, whose integer levels the f32 kernels sum exactly,
-//! with an int8 score matrix) and a
+//! (f32, bf16/f16 storage rounding via [`HalfMat`], or int8 quantization,
+//! whose integer levels the f32 kernels sum exactly, with an int8 score
+//! matrix; at prefill all four run [`flat_attention`]'s one tile loop) and a
 //! [`SoftmaxKind`](flat_tensor::SoftmaxKind) selecting the softmax
 //! algorithm — exact two-pass, [`FlashDSoftmax`] (division folded into the
 //! accumulation recurrence, no normalize pass), or [`LogLutSoftmax`]

@@ -1,37 +1,32 @@
 //! Int8-quantized attention: the §7 orthogonality claim at the numerical
 //! level. FLAT is a dataflow; quantization is a model-level compression —
-//! this module runs the *same fused row-tiled execution* over int8 tensors
-//! (per-tensor symmetric scales, exact integer sums, fp32 softmax) and
-//! measures what the precision costs, proving the two techniques compose
-//! without interfering.
+//! int8 runs the *same fused row-tiled execution*,
+//! [`flat_attention_group`], over int8 tensors (per-tensor symmetric
+//! scales, exact integer sums, fp32 softmax) and measures what the
+//! precision costs, proving the two techniques compose without
+//! interfering. This module holds what int8 adds to that walk: the loader
+//! and Stage A.
 //!
-//! Both GEMMs run on the f32 walk's panel kernels, over f32 copies of the
-//! int8 levels. Every int8 product is at most `127² = 16,129` in
-//! magnitude, so a QKᵀ dot of `dk ≤ 1,040` products and a PV sum over
-//! `PV_CHUNK = 1,024` keys both stay below `2²⁴`, where every f32 partial
-//! sum of integers is an exact integer in any order. The logits are then
-//! the integer dot products bit for bit, and each PV chunk's exact sums
-//! fold into i64, so no key length overflows them. The walk rejects a
-//! larger `dk` rather than round.
+//! The loader quantizes each group once and hands the walk the integer
+//! levels as f32, so both GEMMs run on the f32 panel kernels. Every int8
+//! product is at most `127² = 16,129` in magnitude, so a QKᵀ dot of
+//! `dk ≤ 1,040` products and a PV sum over `PV_CHUNK = 1,024` keys both
+//! stay below `2²⁴`, where every f32 partial sum of integers is an exact
+//! integer in any order. The logits are then the integer dot products bit
+//! for bit, and each PV chunk's exact sums fold into i64, so no key length
+//! overflows them. The loader rejects a larger `dk` rather than round.
 //!
-//! As in the f32 walk, a causal tile stops both GEMMs at its diagonal,
-//! each row's snap and softmax passes stop at the row's diagonal, rounded
-//! up to whole `LANES` chunks, and the columns after it read the exact 0 a
-//! masked logit's weight is. The two abs-max folds (the logit snap's and
-//! the per-tile probability scale's) run on `LANES` lanes; `max` over
-//! non-NaN values does not depend on order, so they are the serial folds'
-//! bits.
-//!
-//! Like the f32 walk, the rows run in bands of whole tiles on the thread
-//! pool, so each tile keeps its probability scale and the bits do not
-//! depend on the lane count.
+//! Stage A requantizes each tile's probabilities with one scale, the
+//! largest weight of the tile. Its abs-max fold (like the logit snap's)
+//! runs on `LANES` lanes; `max` over non-NaN values does not depend on
+//! order, so both are the serial folds' bits.
 
-use crate::fused::row_bands;
-use crate::mat::{wide_attend_acc, wide_logits_into, KeyPanels};
-use crate::softmax::{lane_abs_max, LANES};
-use crate::softmax_family::softmax_row_kind;
-use crate::{softmax_row, Mask, Mat, MultiHeadInput};
-use flat_tensor::SoftmaxKind;
+use crate::fused::flat_attention_group;
+use crate::mat::wide_attend_acc;
+use crate::softmax::lane_abs_max;
+use crate::ComputePrecision::Int8;
+use crate::{Mask, Mat, MultiHeadInput};
+use flat_tensor::SoftmaxKind::Exact;
 
 /// A symmetric per-tensor int8 quantization of a matrix.
 #[derive(Debug, Clone)]
@@ -98,7 +93,10 @@ const PV_CHUNK: usize = 1024;
 
 /// FLAT row-tiled attention over int8-quantized Q/K/V: exact integer
 /// logits, fp32 softmax in the slice, exact integer attend sums (with the
-/// softmaxed probabilities requantized to int8), fp32 output.
+/// softmaxed probabilities requantized to int8), fp32 output. Unlike
+/// [`flat_attention_with`](crate::flat_attention_with) at
+/// [`ComputePrecision::Int8`](crate::ComputePrecision::Int8), the scores
+/// stay fp32: they are not snapped to the int8 grid.
 ///
 /// # Panics
 ///
@@ -124,7 +122,7 @@ pub fn quantized_flat_attention(
 ) -> Vec<Mat> {
     assert!(rows_per_tile > 0, "row tile must be positive");
     (0..input.groups())
-        .map(|g| quantized_group(input, g, rows_per_tile, mask, None))
+        .map(|g| flat_attention_group(input, g, rows_per_tile, mask, Int8, Exact, false).0)
         .collect()
 }
 
@@ -144,122 +142,86 @@ pub(crate) fn snap_logits_int8(row: &mut [f32]) {
     }
 }
 
-/// FLAT row-tiled int8 attention with the score matrix **also** held at
-/// int8: the logit tile is snapped to a symmetric 127-level grid before
-/// the softmax (the pre-softmax scores now live on the int8 grid, not
-/// just the weights), and the softmax itself runs as the selected
-/// [`SoftmaxKind`]. Stage A requantizes the probabilities as in
-/// [`quantized_flat_attention`]. The public path is
-/// [`flat_attention_with`](crate::flat_attention_with) at
-/// [`ComputePrecision::Int8`](crate::ComputePrecision::Int8).
-pub(crate) fn quantized_flat_attention_with(
-    input: &MultiHeadInput,
-    rows_per_tile: usize,
-    mask: Mask,
-    kind: SoftmaxKind,
-) -> Vec<Mat> {
-    assert!(rows_per_tile > 0, "row tile must be positive");
-    (0..input.groups())
-        .map(|g| quantized_group(input, g, rows_per_tile, mask, Some(kind)))
-        .collect()
+/// The int8 loader: quantizes one group's `[q, k, v]` once and returns
+/// their integer levels as f32, with `s_q·s_k`, which dequantizes the
+/// integer logits, and `s_v`, which dequantizes the PV sums. The i8
+/// matrices drop here.
+///
+/// # Panics
+///
+/// Panics if `dk` exceeds [`MAX_DK`].
+pub(crate) fn int8_levels(qkv: [&Mat; 3]) -> ([Mat; 3], f32, f32) {
+    let dk = qkv[0].cols();
+    assert!(dk <= MAX_DK, "int8 walk takes dk <= {MAX_DK}, got {dk}");
+    let [q, k, v] = qkv.map(QuantizedMat::quantize);
+    (
+        [q.levels(), k.levels(), v.levels()],
+        q.scale * k.scale,
+        v.scale,
+    )
 }
 
-/// One (batch, head) group of the int8 walk behind both entry points:
-/// `int8_scores` is `None` for fp32 scores under the exact softmax, or the
-/// softmax kind to run on scores snapped to the int8 grid. Q/K/V are
-/// quantized once and K is packed once, so both GEMMs run on the f32
-/// panel kernels over integer levels. Each of the [`row_bands`] allocates
-/// its logit tile, P chunk, chunk sums, accumulators and output block
-/// once.
-fn quantized_group(
-    input: &MultiHeadInput,
-    g: usize,
-    rows_per_tile: usize,
-    mask: Mask,
-    int8_scores: Option<SoftmaxKind>,
-) -> Mat {
-    let (seq_q, seq_kv, dk) = (input.seq_q, input.seq_kv, input.dk);
-    assert!(dk <= MAX_DK, "int8 walk takes dk <= {MAX_DK}, got {dk}");
-    let [q, k, v] = input.group(g).map(QuantizedMat::quantize);
-    let (q_levels, v_levels) = (q.levels(), v.levels());
-    let keys = KeyPanels::new(&k.levels());
-    let qk_scale = q.scale * k.scale;
-    let scale = input.scale();
-    let bands = row_bands(seq_q, rows_per_tile, |band| {
-        let tile_rows = rows_per_tile.min(band.len());
-        let mut tile = Mat::zeros(tile_rows, seq_kv);
-        let mut p = Mat::zeros(tile_rows, PV_CHUNK.min(seq_kv));
-        let mut sums = Mat::zeros(tile_rows, dk);
-        let mut acc = vec![0i64; tile_rows * dk];
-        let mut out = Mat::zeros(band.len(), dk);
-        for row_lo in band.clone().step_by(rows_per_tile) {
-            let row_hi = (row_lo + rows_per_tile).min(band.end);
-            let nrows = row_hi - row_lo;
-            // A causal tile stops at its diagonal: key columns from `live`
-            // on are masked for every row, so neither GEMM visits them.
-            let live = mask.live_cols(row_hi, seq_kv);
-            // Stage L: integer logits, exact in f32, each dequantized below
-            // as `(acc · s_q s_k) / √dk`.
-            wide_logits_into(&q_levels, row_lo, row_hi, &keys, 0, live, &mut tile);
-            let mut p_max = 0.0f32;
+/// The int8 Stage A of one row band: its P chunk, one chunk's exact f32
+/// sums and their i64 fold, allocated once, over the band's V levels.
+pub(crate) struct Int8Attend<'a> {
+    v: &'a Mat,
+    v_scale: f32,
+    p: Mat,
+    sums: Mat,
+    acc: Vec<i64>,
+}
+
+impl<'a> Int8Attend<'a> {
+    pub(crate) fn new(tile_rows: usize, v: &'a Mat, v_scale: f32) -> Self {
+        let dk = v.cols();
+        Int8Attend {
+            v,
+            v_scale,
+            p: Mat::zeros(tile_rows, PV_CHUNK.min(v.rows())),
+            sums: Mat::zeros(tile_rows, dk),
+            acc: vec![0; tile_rows * dk],
+        }
+    }
+
+    /// Requantizes the tile's probabilities with the one scale its largest
+    /// weight `p_max` sets, sums P·V exactly over the `live` columns (the
+    /// rest are exactly 0), one `PV_CHUNK` of keys at a time, and writes
+    /// the dequantized sums to `out`'s rows from `out_lo`.
+    pub(crate) fn attend(
+        &mut self,
+        tile: &Mat,
+        nrows: usize,
+        live: usize,
+        p_max: f32,
+        out: &mut Mat,
+        out_lo: usize,
+    ) {
+        let dk = self.v.cols();
+        let p_scale = if p_max == 0.0 { 1.0 } else { p_max / 127.0 };
+        let acc = &mut self.acc[..nrows * dk];
+        acc.fill(0);
+        for c_lo in (0..live).step_by(PV_CHUNK) {
+            let width = (live - c_lo).min(PV_CHUNK);
             for r in 0..nrows {
-                let qi = row_lo + r;
-                // SFU: fp32 softmax (probabilities need the dynamic range),
-                // optionally over scores on the int8 grid, up to the row's
-                // diagonal rounded up to whole `LANES` chunks.
-                let row_live = mask.live_cols(qi + 1, seq_kv);
-                let end = row_live.next_multiple_of(LANES).min(seq_kv);
-                let (scores, rest) = tile.row_mut(r).split_at_mut(end);
-                for (j, x) in scores.iter_mut().enumerate() {
-                    *x = if mask.allows(qi, j) {
-                        (*x * qk_scale) * scale
-                    } else {
-                        f32::NEG_INFINITY
-                    };
+                let probs = &tile.row(r)[c_lo..c_lo + width];
+                for (pv, &x) in self.p.row_mut(r).iter_mut().zip(probs) {
+                    // Through i8, as int8 storage holds it: a NaN weight
+                    // (from non-finite inputs) reads level 0.
+                    *pv = f32::from((x / p_scale).round().clamp(-127.0, 127.0) as i8);
                 }
-                match int8_scores {
-                    None => softmax_row(scores),
-                    Some(kind) => {
-                        snap_logits_int8(scores);
-                        softmax_row_kind(scores, kind);
-                    }
-                }
-                if end < live {
-                    rest[..live - end].fill(0.0);
-                }
-                p_max = p_max.max(lane_abs_max(scores));
+                self.sums.row_mut(r).fill(0.0);
             }
-            // Stage A: requantize the probabilities with one per-tile
-            // scale, then sum P·V exactly over the live columns (the rest
-            // are exactly 0), one `PV_CHUNK` of keys at a time.
-            let p_scale = if p_max == 0.0 { 1.0 } else { p_max / 127.0 };
-            let acc = &mut acc[..nrows * dk];
-            acc.fill(0);
-            for c_lo in (0..live).step_by(PV_CHUNK) {
-                let width = (live - c_lo).min(PV_CHUNK);
-                for r in 0..nrows {
-                    let probs = &tile.row(r)[c_lo..c_lo + width];
-                    for (pv, &x) in p.row_mut(r).iter_mut().zip(probs) {
-                        // Through i8, as int8 storage holds it: a NaN weight
-                        // (from non-finite inputs) reads level 0.
-                        *pv = f32::from((x / p_scale).round().clamp(-127.0, 127.0) as i8);
-                    }
-                    sums.row_mut(r).fill(0.0);
-                }
-                wide_attend_acc(&p, nrows, width, &v_levels, c_lo, &mut sums, 0);
-                for (a, &s) in acc.iter_mut().zip(sums.as_slice()) {
-                    *a += s as i64;
-                }
-            }
-            for (r, a) in acc.chunks_exact(dk).enumerate() {
-                for (o, &a) in out.row_mut(row_lo - band.start + r).iter_mut().zip(a) {
-                    *o = (a as f32 * p_scale) * v.scale;
-                }
+            wide_attend_acc(&self.p, nrows, width, self.v, c_lo, &mut self.sums, 0);
+            for (a, &s) in acc.iter_mut().zip(self.sums.as_slice()) {
+                *a += s as i64;
             }
         }
-        out
-    });
-    Mat::stack_rows(bands)
+        for (r, a) in acc.chunks_exact(dk).enumerate() {
+            for (o, &a) in out.row_mut(out_lo + r).iter_mut().zip(a) {
+                *o = (a as f32 * p_scale) * self.v_scale;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -309,19 +271,6 @@ mod tests {
         // Row 0 attends only to key 0 in both.
         for d in 0..4 {
             assert!((q8[0].at(0, d) - input.v[0].at(0, d)).abs() < 0.05);
-        }
-    }
-
-    #[test]
-    fn int8_score_matrix_tracks_fp32_for_every_kind() {
-        let input = MultiHeadInput::random(1, 2, 32, 32, 8, 29);
-        let exact = naive_attention(&input, Mask::None);
-        for kind in [SoftmaxKind::Exact, SoftmaxKind::FlashD, SoftmaxKind::LogLut] {
-            let q8 = quantized_flat_attention_with(&input, 8, Mask::None, kind);
-            for (e, q) in exact.iter().zip(&q8) {
-                let d = e.max_abs_diff(q);
-                assert!(d < 0.12, "{kind}: deviation {d}");
-            }
         }
     }
 
