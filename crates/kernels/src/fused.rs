@@ -190,18 +190,26 @@ pub(crate) fn flat_attention_group(
     int8_scores: bool,
 ) -> (Mat, ExecutionStats) {
     let (seq_q, seq_kv, dk, scale) = (input.seq_q, input.seq_kv, input.dk, input.scale());
-    let loaded: [Mat; 3];
+    // K is read only to pack its panels, so a loaded copy of it is
+    // dropped before the bands start; Q and V stay for the walk.
+    let loaded: [Mat; 2];
     let mut int8 = None;
-    let [q, k, v] = match precision {
-        ComputePrecision::F32 => input.group(g),
+    let (q, keys, v) = match precision {
+        ComputePrecision::F32 => {
+            let [q, k, v] = input.group(g);
+            (q, KeyPanels::new(k), v)
+        }
         ComputePrecision::Bf16 | ComputePrecision::F16 => {
-            loaded = input.group(g).map(|m| storage_snap(m, precision));
-            loaded.each_ref()
+            let [q, k, v] = input.group(g).map(|m| storage_snap(m, precision));
+            let keys = KeyPanels::new(&k);
+            loaded = [q, v];
+            (&loaded[0], keys, &loaded[1])
         }
         ComputePrecision::Int8 => {
-            let (levels, s_qk, s_v) = int8_levels(input.group(g));
-            (loaded, int8) = (levels, Some((s_qk, s_v)));
-            loaded.each_ref()
+            let ([q, k, v], s_qk, s_v) = int8_levels(input.group(g));
+            let keys = KeyPanels::new(&k);
+            (loaded, int8) = ([q, v], Some((s_qk, s_v)));
+            (&loaded[0], keys, &loaded[1])
         }
     };
     // The 16-bit division-free walks keep the 512-column chunk their
@@ -211,7 +219,6 @@ pub(crate) fn flat_attention_group(
         (ComputePrecision::F32 | ComputePrecision::Int8, _) | (_, SoftmaxKind::Exact) => seq_kv,
         _ => KV_CHUNK,
     };
-    let keys = KeyPanels::new(k);
     let bands = row_bands(seq_q, rows_per_tile, |band| {
         let mut stats = ExecutionStats::default();
         let band_rows = band.len();

@@ -15,7 +15,12 @@
 //!   representative head, `dk` lanes), fed one paged KV block at a time
 //!   by [`KvPool::blocks`] — each step's output feeds the next
 //!   step's Q/K/V derivation, so generation is genuinely sequential and
-//!   any scheduling bug shows up in the numeric checksum;
+//!   any scheduling bug shows up in the numeric checksum. The Q/K/V rows
+//!   are seeded pseudo-random embeddings, one xoshiro256** stream per
+//!   row ([`stream_of`]), drawn eight streams per vector op by
+//!   [`embed_rows`] a batch at a time: a prefill group's K/V rows, and
+//!   every decoding request's Q/K/V rows before the tick's decode steps.
+//!   Each row is the same bits a lone `StdRng` stream draws;
 //! * the **accounting plane** prices every tick against the full model on
 //!   the modeled accelerator — weight streaming, KV streaming at the
 //!   all-layer byte cost, and MAC throughput — producing the TTFT/TPOT
@@ -43,8 +48,6 @@ use flat_kernels::{decode_attention_with, ComputePrecision};
 use flat_telemetry::{Event, NoopSink, TraceSink};
 use flat_tensor::{Bytes, SoftmaxKind};
 use flat_workloads::Model;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -186,11 +189,14 @@ pub(crate) struct Engine<'t> {
     layout: KvLayout,
     pool: KvPool,
     scale: f32,
-    /// The numeric plane's Q, K and V rows, `dk` wide: every token embeds
-    /// into these instead of fresh vectors.
-    q_row: Vec<f32>,
-    k_row: Vec<f32>,
-    v_row: Vec<f32>,
+    /// The numeric plane's embedded rows, `dk` wide, filled a batch at a
+    /// time by [`embed_rows`]: a prefill group's K rows then its V rows,
+    /// or the Q, K and V rows of every decoding request. Reused across
+    /// tokens and ticks, never reallocated once large enough.
+    rows: Vec<f32>,
+    /// The `running` indices whose Q/K/V rows the decode batch in `rows`
+    /// holds, in order.
+    decoding: Vec<usize>,
     /// Not-yet-arrived requests, arrival-sorted.
     incoming: VecDeque<Request>,
     /// Arrived (or preempted) requests awaiting admission, arrival-sorted.
@@ -401,9 +407,8 @@ impl<'t> Engine<'t> {
             layout,
             pool: KvPool::new(total_blocks, cfg.block_tokens, cfg.dk),
             scale: 1.0 / (cfg.dk as f32).sqrt(),
-            q_row: vec![0.0; cfg.dk],
-            k_row: vec![0.0; cfg.dk],
-            v_row: vec![0.0; cfg.dk],
+            rows: Vec::new(),
+            decoding: Vec::new(),
             incoming: incoming.into(),
             waiting: VecDeque::new(),
             running: Vec::new(),
@@ -971,33 +976,42 @@ impl<'t> Engine<'t> {
             if self.running[i].phase != Phase::Prefill {
                 continue;
             }
-            let take = budget.min(self.running[i].spec.prompt_len - self.running[i].prefilled);
+            let spec = self.running[i].spec;
+            let take = budget.min(spec.prompt_len - self.running[i].prefilled);
             let mut appended = 0;
-            for _ in 0..take {
+            'take: while appended < take {
+                // The next group of up to `EMBED_LANES` positions: its K
+                // rows, then its V rows, embedded in one batch. Rows left
+                // when `i` is evicted partway are dropped unread.
                 let pos = self.running[i].prefilled;
-                let spec = self.running[i].spec;
-                let seed = self.cfg.seed;
-                embed(seed, &spec, pos, SALT_K, &[], &mut self.k_row);
-                embed(seed, &spec, pos, SALT_V, &[], &mut self.v_row);
-                if !self.append_with_preemption(i) {
-                    break; // `i` itself was preempted.
-                }
-                self.running[i].prefilled += 1;
-                appended += 1;
-                // Copy-on-write dedup: once a block is full and still
-                // entirely inside the shared prefix, seal it — identical
-                // content already published by a sibling replaces the
-                // private copy. Capacity-only: the numeric plane reads
-                // the same bytes either way.
-                if self.cfg.dedup
-                    && self.running[i].prefilled <= spec.shared_prefix_len()
-                    && self.running[i]
-                        .table
-                        .tokens()
-                        .is_multiple_of(self.cfg.block_tokens)
-                {
-                    let table = &mut self.running[i].table;
-                    self.pool.seal_last_block(table);
+                let group = (take - appended).min(EMBED_LANES);
+                let kv = |r: usize| {
+                    let salt = if r < group { SALT_K } else { SALT_V };
+                    let stream = stream_of(self.cfg.seed, &spec, pos + r % group, salt);
+                    (stream, &[][..])
+                };
+                embed_rows(2 * group, self.cfg.dk, kv, &mut self.rows);
+                for t in 0..group {
+                    if !self.append_with_preemption(i, t, group + t) {
+                        break 'take; // `i` itself was preempted.
+                    }
+                    self.running[i].prefilled += 1;
+                    appended += 1;
+                    // Copy-on-write dedup: once a block is full and still
+                    // entirely inside the shared prefix, seal it — identical
+                    // content already published by a sibling replaces the
+                    // private copy. Capacity-only: the numeric plane reads
+                    // the same bytes either way.
+                    if self.cfg.dedup
+                        && self.running[i].prefilled <= spec.shared_prefix_len()
+                        && self.running[i]
+                            .table
+                            .tokens()
+                            .is_multiple_of(self.cfg.block_tokens)
+                    {
+                        let table = &mut self.running[i].table;
+                        self.pool.seal_last_block(table);
+                    }
                 }
             }
             budget -= appended;
@@ -1016,11 +1030,10 @@ impl<'t> Engine<'t> {
             if r.phase == Phase::Prefill && r.prefilled == r.spec.prompt_len {
                 // Prompt fully paged in: probe the prefix once to seed the
                 // sequential generation state, then start decoding.
-                let spec = r.spec;
-                let pos = spec.prompt_len - 1;
-                embed(self.cfg.seed, &spec, pos, SALT_Q, &[], &mut self.q_row);
+                let stream = stream_of(self.cfg.seed, &spec, spec.prompt_len - 1, SALT_Q);
+                embed_rows(1, self.cfg.dk, |_| (stream, &[]), &mut self.rows);
                 let out = decode_attention_with(
-                    &self.q_row,
+                    &self.rows[..self.cfg.dk],
                     self.pool.blocks(&self.running[i].table),
                     self.scale,
                     self.cfg.precision,
@@ -1030,22 +1043,33 @@ impl<'t> Engine<'t> {
                 self.running[i].phase = Phase::Decode;
             }
         }
-        for i in 0..self.running.len() {
+        // Every decoding request's Q, K and V rows, embedded in one batch
+        // before any step runs. Only the prefill loop above moves a
+        // request into Decode, and below a request can only leave it, so
+        // these are the rows each step would draw; a request evicted
+        // before its turn skips its rows.
+        self.decoding.clear();
+        self.decoding
+            .extend((0..self.running.len()).filter(|&i| self.running[i].phase == Phase::Decode));
+        let (running, decoding, seed) = (&self.running, &self.decoding, self.cfg.seed);
+        let qkv = |r: usize| {
+            let req = &running[decoding[r / 3]];
+            let pos = req.spec.prompt_len + req.generated;
+            let stream = stream_of(seed, &req.spec, pos, [SALT_Q, SALT_K, SALT_V][r % 3]);
+            (stream, req.last_out.as_slice())
+        };
+        embed_rows(3 * decoding.len(), self.cfg.dk, qkv, &mut self.rows);
+        for slot in 0..self.decoding.len() {
+            let i = self.decoding[slot];
             if self.running[i].phase != Phase::Decode {
                 continue;
             }
-            let r = &self.running[i];
-            let (spec, pos) = (r.spec, r.spec.prompt_len + r.generated);
-            let id = spec.id;
-            let (seed, prev) = (self.cfg.seed, &r.last_out);
-            embed(seed, &spec, pos, SALT_Q, prev, &mut self.q_row);
-            embed(seed, &spec, pos, SALT_K, prev, &mut self.k_row);
-            embed(seed, &spec, pos, SALT_V, prev, &mut self.v_row);
-            if !self.append_with_preemption(i) {
+            let id = self.running[i].spec.id;
+            if !self.append_with_preemption(i, 3 * slot + 1, 3 * slot + 2) {
                 continue; // `i` itself was preempted; it restarts later.
             }
             let out = decode_attention_with(
-                &self.q_row,
+                &self.rows[3 * slot * self.cfg.dk..][..self.cfg.dk],
                 self.pool.blocks(&self.running[i].table),
                 self.scale,
                 self.cfg.precision,
@@ -1081,14 +1105,19 @@ impl<'t> Engine<'t> {
         work
     }
 
-    /// Appends the embedded K/V rows (`k_row`, `v_row`) for `running[i]`,
+    /// Appends embedded rows `k` and `v` of `rows` for `running[i]`,
     /// evicting by [`victim_order`] (lowest priority class first,
     /// latest-arrived within a class) as long as the pool is exhausted.
     /// Returns `false` if `i` itself was the eviction victim.
-    fn append_with_preemption(&mut self, i: usize) -> bool {
+    fn append_with_preemption(&mut self, i: usize, k: usize, v: usize) -> bool {
+        let dk = self.cfg.dk;
         loop {
-            let (pool, running) = (&mut self.pool, &mut self.running);
-            if pool.try_append(&mut running[i].table, &self.k_row, &self.v_row) {
+            let (pool, running, rows) = (&mut self.pool, &mut self.running, &self.rows);
+            if pool.try_append(
+                &mut running[i].table,
+                &rows[k * dk..][..dk],
+                &rows[v * dk..][..dk],
+            ) {
                 return true;
             }
             // `running[i]` is itself Prefill/Decode when this is called,
@@ -1207,19 +1236,15 @@ impl<'t> Engine<'t> {
     }
 }
 
-/// The numeric plane's token embedding: a seeded pseudo-random row written
-/// into `out` (`dk` wide), blended with the previous step's attention
-/// output when one exists — the dependence that makes generation
-/// sequential.
+/// The embedding stream of `spec`'s row at `pos` for `salt` (Q, K or V).
 ///
-/// Positions inside a request's shared prefix draw from a stream keyed on
-/// the *template* id instead of the request id, so every request carrying
-/// the same template produces byte-identical prefix K/V rows — the
-/// property block-level dedup keys on. The keying is independent of
-/// `cfg.dedup`, which is why dedup-on and dedup-off runs stay
-/// token-identical. Non-template positions keep the historical
-/// per-request stream exactly.
-fn embed(seed: u64, spec: &RequestSpec, pos: usize, salt: u64, prev_out: &[f32], out: &mut [f32]) {
+/// Positions inside a request's shared prefix key on the *template* id
+/// instead of the request id, so every request carrying the same
+/// template produces byte-identical prefix K/V rows — the property
+/// block-level dedup keys on. The keying is independent of `cfg.dedup`,
+/// which is why dedup-on and dedup-off runs stay token-identical.
+/// Non-template positions keep the historical per-request stream.
+fn stream_of(seed: u64, spec: &RequestSpec, pos: usize, salt: u64) -> u64 {
     let ident = if pos < spec.shared_prefix_len() {
         spec.prefix_template
             .unwrap_or_default()
@@ -1228,18 +1253,119 @@ fn embed(seed: u64, spec: &RequestSpec, pos: usize, salt: u64, prev_out: &[f32],
     } else {
         (spec.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     };
-    let stream = seed
-        .wrapping_add(ident)
+    seed.wrapping_add(ident)
         .wrapping_add((pos as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
-        .wrapping_add(salt);
-    let mut rng = StdRng::seed_from_u64(stream);
-    for (lane, x) in out.iter_mut().enumerate() {
-        let noise = rng.gen::<f32>() * 2.0 - 1.0;
-        *x = if prev_out.is_empty() {
-            noise
-        } else {
-            0.5 * noise + 0.5 * prev_out[(lane + 1) % prev_out.len()]
-        };
+        .wrapping_add(salt)
+}
+
+/// Rows one embedding pass draws side by side: one xoshiro256** stream
+/// per vector lane.
+const EMBED_LANES: usize = 8;
+
+/// The numeric plane's token embedding: `n` seeded pseudo-random rows,
+/// `dk` wide, written into `rows`. `row(r)` gives row `r`'s stream (see
+/// [`stream_of`]) and the previous step's attention output to blend in,
+/// or an empty slice — the blend is the dependence that makes generation
+/// sequential.
+///
+/// Row `r` holds exactly the bits `StdRng::seed_from_u64(stream)` draws
+/// one `gen::<f32>() * 2.0 - 1.0` per element for, blended as
+/// `0.5 · noise + 0.5 · prev[(d + 1) % prev.len()]`. The rows run
+/// [`EMBED_LANES`] at a time: each generator state word is a lane array,
+/// so one step of all eight streams is a handful of vector ops.
+fn embed_rows<'p>(
+    n: usize,
+    dk: usize,
+    row: impl Fn(usize) -> (u64, &'p [f32]),
+    rows: &mut Vec<f32>,
+) {
+    // Whole passes: a short last pass fills padding rows nobody reads.
+    rows.resize(n.next_multiple_of(EMBED_LANES) * dk, 0.0);
+    let passes = rows.chunks_exact_mut(EMBED_LANES * dk);
+    for (base, block) in (0..n).step_by(EMBED_LANES).zip(passes) {
+        let keys: [(u64, &[f32]); EMBED_LANES] = std::array::from_fn(|l| {
+            if base + l < n {
+                row(base + l)
+            } else {
+                (0, &[][..])
+            }
+        });
+        let mut rng = Xoshiro8::seed(keys.map(|(stream, _)| stream));
+        // Each step draws one element of every row into a lane-major 8×8
+        // tile, then the tile is transposed into the rows, so the draws
+        // stay whole-vector ops. The last tile is drawn whole even when
+        // `dk` stops inside it (a fixed trip count vectorizes better): its
+        // extra draws come after every value the rows take.
+        for d in (0..dk).step_by(EMBED_LANES) {
+            let w = (dk - d).min(EMBED_LANES);
+            let mut tile = [[0.0f32; EMBED_LANES]; EMBED_LANES];
+            for t in &mut tile {
+                *t = rng.next_noise();
+            }
+            for (l, row) in block.chunks_exact_mut(dk).enumerate() {
+                for (x, t) in row[d..d + w].iter_mut().zip(&tile) {
+                    *x = t[l];
+                }
+            }
+        }
+        // Element `d` blends `prev[(d + 1) % prev.len()]`: `prev[1..]`
+        // first, then whole copies of `prev`.
+        for ((_, prev), row) in keys.into_iter().zip(block.chunks_exact_mut(dk)) {
+            if let Some(wrap) = prev.len().checked_sub(1) {
+                let (head, tail) = row.split_at_mut(wrap.min(dk));
+                blend(head, &prev[1..]);
+                for chunk in tail.chunks_mut(prev.len()) {
+                    blend(chunk, prev);
+                }
+            }
+        }
+    }
+}
+
+/// `row[d] = 0.5 · row[d] + 0.5 · prev[d]` over their common length.
+fn blend(row: &mut [f32], prev: &[f32]) {
+    for (x, &p) in row.iter_mut().zip(prev) {
+        *x = 0.5 * *x + 0.5 * p;
+    }
+}
+
+/// [`EMBED_LANES`] xoshiro256** generators (the workspace `StdRng`), each
+/// state word held as a lane array so every step vectorizes.
+struct Xoshiro8 {
+    s: [[u64; EMBED_LANES]; 4],
+}
+
+impl Xoshiro8 {
+    /// Each lane's `StdRng::seed_from_u64` state: splitmix64 expansion.
+    fn seed(mut x: [u64; EMBED_LANES]) -> Self {
+        let s = std::array::from_fn(|_| {
+            std::array::from_fn(|l| {
+                x[l] = x[l].wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x[l];
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            })
+        });
+        Xoshiro8 { s }
+    }
+
+    /// Each lane's next `gen::<f32>() * 2.0 - 1.0`.
+    fn next_noise(&mut self) -> [f32; EMBED_LANES] {
+        let [s0, s1, s2, s3] = &mut self.s;
+        let mut noise = [0.0; EMBED_LANES];
+        for l in 0..EMBED_LANES {
+            let result = s1[l].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+            let t = s1[l] << 17;
+            s2[l] ^= s0[l];
+            s3[l] ^= s1[l];
+            s1[l] ^= s2[l];
+            s0[l] ^= s3[l];
+            s2[l] ^= t;
+            s3[l] = s3[l].rotate_left(45);
+            noise[l] = (result >> 40) as f32 / (1u64 << 24) as f32 * 2.0 - 1.0;
+        }
+        noise
     }
 }
 
@@ -1461,6 +1587,87 @@ mod tests {
         let b = serve(&Accelerator::edge(), &model, &wl, &c).unwrap();
         assert_eq!(a.checksum, b.checksum);
         assert!(a.checksum.is_finite() && a.checksum != 0.0);
+    }
+
+    /// One embedded row drawn the scalar way: one `StdRng` stream,
+    /// `gen::<f32>() * 2.0 - 1.0` per element, blended with `prev`.
+    fn std_row(stream: u64, prev: &[f32], dk: usize) -> Vec<u32> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(stream);
+        (0..dk)
+            .map(|d| {
+                let noise = rng.gen::<f32>() * 2.0 - 1.0;
+                let x = if prev.is_empty() {
+                    noise
+                } else {
+                    0.5 * noise + 0.5 * prev[(d + 1) % prev.len()]
+                };
+                x.to_bits()
+            })
+            .collect()
+    }
+
+    fn lane_rows(n: usize, dk: usize, row: impl Fn(usize) -> (u64, &'static [f32])) -> Vec<u32> {
+        let mut rows = vec![7.0; 3];
+        embed_rows(n, dk, row, &mut rows);
+        rows[..n * dk].iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn lane_embedding_matches_std_rng_at_every_batch_size() {
+        for n in 1..=17 {
+            for dk in [1, 5, 8, 32, 33] {
+                let stream = |r: usize| (r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ n as u64;
+                let want: Vec<u32> = (0..n).flat_map(|r| std_row(stream(r), &[], dk)).collect();
+                assert_eq!(
+                    lane_rows(n, dk, |r| (stream(r), &[])),
+                    want,
+                    "n {n} dk {dk}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lane_embedding_blends_prev_like_std_rng() {
+        // Decode rows blend the previous output at `(d + 1) % len`: as wide
+        // as the row, narrower (it wraps several times), one element, and
+        // wider; unblended rows mixed into the same passes.
+        static PREV: [f32; 40] = {
+            let mut p = [0.0; 40];
+            let mut i = 0;
+            while i < 40 {
+                p[i] = (i as f32 - 17.5) * 0.031;
+                i += 1;
+            }
+            p
+        };
+        let widths = [32, 7, 1, 40, 0, 31, 2, 32, 0, 13, 5];
+        let prev = |r: usize| &PREV[..widths[r % widths.len()]];
+        let stream = |r: usize| 0xDEAD_BEEF_u64.wrapping_add(r as u64 * 3);
+        for n in [1, 3, 8, 11, 17] {
+            let want: Vec<u32> = (0..n)
+                .flat_map(|r| std_row(stream(r), prev(r), 32))
+                .collect();
+            assert_eq!(lane_rows(n, 32, |r| (stream(r), prev(r))), want, "n {n}");
+        }
+    }
+
+    #[test]
+    fn shared_prefix_rows_key_on_the_template() {
+        let mut a = RequestSpec::new(3, 0.0, 48, 4);
+        (a.prefix_template, a.prefix_len) = (Some(9), 32);
+        let b = RequestSpec { id: 41, ..a };
+        let seed = 61_863;
+        for (pos, shared) in [(0, true), (31, true), (32, false), (47, false)] {
+            let ka = stream_of(seed, &a, pos, SALT_K);
+            let kb = stream_of(seed, &b, pos, SALT_K);
+            assert_eq!(ka == kb, shared, "pos {pos}");
+            let rows = lane_rows(2, 32, |r| ([ka, kb][r], &[]));
+            assert_eq!(rows[..32], std_row(ka, &[], 32)[..], "pos {pos}");
+            assert_eq!(rows[..32] == rows[32..], shared, "pos {pos}");
+        }
     }
 
     /// Satellite pin: a single instantaneous-ish request must not report

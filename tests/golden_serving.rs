@@ -163,6 +163,19 @@ fn serve_bf16_flash_d() {
     serve_case("serve_bf16_flash_d", &workload(16, 3, None), &cfg, None);
 }
 
+/// A 3 MiB pool under a 36-token prefill chunk: the chunk ends groups
+/// off the block grid, so a prefilling request is evicted partway through
+/// a group of embedded prefill rows, and decoding requests are evicted
+/// after the tick's decode rows were embedded for them.
+#[test]
+fn serve_tight_pool_mid_batch_preemption() {
+    let accel = Accelerator::edge();
+    let mut cfg = config(&accel, 19);
+    cfg.prefill_chunk = 36;
+    cfg.kv_budget = Bytes::from_mib(3);
+    serve_case("serve_tight_pool", &workload(24, 19, None), &cfg, None);
+}
+
 fn dist_case(case: &str, dist: &DistServeConfig, plan: &ScalePlan, faults: Option<FaultPlan>) {
     let accel = Accelerator::edge();
     let model = bert();
