@@ -8,7 +8,10 @@
 //! key dimension, one logit at a time. The rows arrive in groups (a
 //! `flat-serve` paged cache block per group): each group's logits are
 //! computed together, then folded row by row, so the grouping never moves
-//! a bit. This is the kernel the `flat-serve` engine calls once per
+//! a bit. At the engine's head width the exact kind takes a group's
+//! weights in vector lanes when the group raises no running max, with an
+//! `exp` that matches libm's `expf` bit for bit, so that never moves a bit
+//! either. This is the kernel the `flat-serve` engine calls once per
 //! scheduled decode token, with the K/V rows streamed straight out of its
 //! paged cache blocks.
 
@@ -245,5 +248,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn decode_bits_are_pinned_for_every_kind() {
+        // FNV-1a over the output bits of every causal step of a 40-row
+        // context fed in 16-row blocks, at the engine's head width (the
+        // exact kind's lane fold) and beside it. The FLASH-D and log-LUT
+        // folds run no lane code, and the exact fold's lanes must give
+        // the one-logit steps' bits, so these stay the bits of the
+        // scalar fold.
+        let kinds = [SoftmaxKind::Exact, SoftmaxKind::FlashD, SoftmaxKind::LogLut];
+        let mut got = Vec::new();
+        for dk in [32, 24] {
+            let input = MultiHeadInput::random(1, 1, 40, 40, dk, 41);
+            let (q, k, v) = (&input.q[0], &input.k[0], &input.v[0]);
+            for kind in kinds {
+                let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+                for p in [ComputePrecision::F32, ComputePrecision::Bf16] {
+                    for i in 0..40 {
+                        let blocks = (0..=i).step_by(16).map(|b| {
+                            let rows = b * dk..(b + 16).min(i + 1) * dk;
+                            (&k.as_slice()[rows.clone()], &v.as_slice()[rows])
+                        });
+                        for x in decode_attention_with(q.row(i), blocks, input.scale(), p, kind) {
+                            hash = (hash ^ u64::from(x.to_bits())).wrapping_mul(0x0100_0000_01b3);
+                        }
+                    }
+                }
+                got.push(format!("{dk} {kind} {hash:#018x}"));
+            }
+        }
+        // Recorded from the scalar fold that predates the lane fold.
+        let want = [
+            "32 exact 0x28aa7c408cb64107",
+            "32 flash-d 0xf0007cb2979e5260",
+            "32 log-lut 0xe116745abee8cfdb",
+            "24 exact 0x7f01f8089d79438a",
+            "24 flash-d 0x09cc667b7c364735",
+            "24 log-lut 0x8af23a5801e4469b",
+        ];
+        assert_eq!(got, want);
     }
 }

@@ -8,8 +8,15 @@
 //! fold, once, for every [`SoftmaxKind`]: the exact online softmax keeps
 //! the accumulator un-normalized (one divide at [`RowFold::finish`]), the
 //! division-free family keeps it normalized after every chunk.
+//!
+//! Decode at the serving engine's head width (32) folds the exact kind in
+//! 16-row steps (`fold_rows_exact`): logits from an 8-row register block,
+//! and, for a step that raises no running max, the weights as one lane
+//! `exp` whose bits are the host libm's `expf`. Every bit equals the
+//! one-logit steps of every other width.
 
 use crate::mat::dot;
+use crate::softmax::{exp_f32, LANES};
 use crate::softmax_family::{FlashDSoftmax, LogLutSoftmax};
 use crate::{Mask, MultiHeadInput, OnlineSoftmax};
 use flat_tensor::SoftmaxKind;
@@ -88,21 +95,84 @@ fn fold_rows<S: ChunkSoftmax>(s: &mut S, acc: &mut [f32], logits: &mut [f32], v:
     }
 }
 
-/// The value width [`fold_rows_exact`] is compiled for: the serving
-/// engine's head width (`EngineConfig::for_platform` sets `dk` to 32).
+/// The value width [`fold_rows_exact`] is compiled for, and the query
+/// width its register-blocked logits are: the serving engine's head width
+/// (`EngineConfig::for_platform` sets `dk` to 32).
 const REGISTER_WIDTH: usize = 32;
 
-/// Rows per step of [`fold_rows_exact`]: their weights and carries sit in
-/// stack arrays.
+/// Rows per step of [`fold_rows_exact`]: their logits and weights sit in
+/// stack arrays, and a step that raises no running max takes its weights
+/// as one lane `exp`.
 const BLOCK_ROWS: usize = 16;
 
+/// Key rows of one register block of [`block_logits`].
+const LOGIT_ROWS: usize = 8;
+
+/// The scaled `q·k` logits of [`LOGIT_ROWS`] key rows (`k` holds that many
+/// rows of [`REGISTER_WIDTH`]) into `out`, to the bits of `dot(q, k_row) *
+/// scale`: each row's [`LANES`] partials take one full-width FMA per
+/// `LANES` columns, then `dot`'s tree folds them, plus its empty tail's
+/// `0.0`, across the rows at once.
+#[inline(always)]
+fn block_logits(q: &[f32; REGISTER_WIDTH], k: &[f32], scale: f32, out: &mut [f32]) {
+    let mut part = [[0.0f32; LANES]; LOGIT_ROWS];
+    for (c, qc) in q.chunks_exact(LANES).enumerate() {
+        for (p, row) in part.iter_mut().zip(k.chunks_exact(REGISTER_WIDTH)) {
+            let kc = &row[c * LANES..][..LANES];
+            for (lane, acc) in p.iter_mut().enumerate() {
+                *acc = qc[lane].mul_add(kc[lane], *acc);
+            }
+        }
+    }
+    // The partials go through memory. Without the barrier LLVM vectorizes
+    // the whole block across rows from the logit stores back, so each
+    // FMA reads a column of K: gathers, or a transpose of every K chunk
+    // (both slower than `dot`). With it, the FMAs run along each row and
+    // only the 8×8 partials are transposed. A hint only: no bit depends
+    // on it.
+    let part = std::hint::black_box(part);
+    for (o, p) in out.iter_mut().zip(&part) {
+        let even = (p[0] + p[4]) + (p[2] + p[6]);
+        let odd = (p[1] + p[5]) + (p[3] + p[7]);
+        *o = ((even + odd) + 0.0) * scale;
+    }
+}
+
+/// The scaled `q·k` logits of the key rows in `k` into `out`, one per row,
+/// to the bits of `dot(q, k_row) * scale`: whole [`LOGIT_ROWS`] blocks of
+/// a [`REGISTER_WIDTH`]-wide query through [`block_logits`], the rest
+/// through `dot`.
+#[inline(always)]
+fn logits_into(q: &[f32], k: &[f32], scale: f32, out: &mut [f32]) {
+    let mut done = 0;
+    if let Ok(q) = <&[f32; REGISTER_WIDTH]>::try_from(q) {
+        let blocks = out.chunks_exact_mut(LOGIT_ROWS);
+        let keys = k.chunks_exact(LOGIT_ROWS * REGISTER_WIDTH);
+        for (o, k) in blocks.zip(keys) {
+            block_logits(q, k, scale, o);
+            done += LOGIT_ROWS;
+        }
+    }
+    let rest = k[done * q.len()..].chunks_exact(q.len());
+    for (o, row) in out[done..].iter_mut().zip(rest) {
+        *o = dot(q, row) * scale;
+    }
+}
+
 /// The scaled `q·k` logits of `k` folded against `v` by the exact kind,
-/// [`BLOCK_ROWS`] rows a step: first the step's dots, then the
-/// online-softmax recurrence over them (weights and carries into stack
-/// arrays, so no `exp` waits on the accumulator), then each row's rescale
-/// and FMA onto the fixed-width accumulator. The state never reads the
-/// accumulator, so each element sees the operations of the one-logit steps
-/// of `fold_rows` in the same order, and the bits are the same.
+/// [`BLOCK_ROWS`] rows a step, to the bits of the one-logit steps of
+/// `fold_rows`.
+///
+/// A step first takes its logits ([`logits_into`]). When the state has a
+/// finite max and no logit of the step exceeds it (the common case once a
+/// context's early rows are in), every one-logit step would carry 1.0 and
+/// weigh its row `exp(x − max)`: the step takes those weights as one lane
+/// `exp`, then adds them to the sum and FMAs them onto the accumulator in
+/// row order, as those steps do. Any other step (the first, a rising max,
+/// a `NaN` or `+∞` logit) runs the one-logit recurrence over its logits
+/// (weights and carries into stack arrays, so no `exp` waits on the
+/// accumulator), then each row's rescale and FMA. Every `exp` is
+/// [`exp_f32`], bit for bit the libm `expf` the other steps take.
 ///
 /// Returns `false`, touching nothing, unless `k` and `v` hold the same
 /// non-zero number of whole rows.
@@ -123,25 +193,44 @@ fn fold_rows_exact(
         return false;
     }
     let dq = q.len();
-    let mut done = 0;
-    while done < n {
-        let m = (n - done).min(BLOCK_ROWS);
-        let mut w = [0.0f32; BLOCK_ROWS];
-        for (j, x) in w[..m].iter_mut().enumerate() {
-            *x = dot(q, &k[(done + j) * dq..][..dq]) * scale;
+    // Local copies, so the state and the accumulator stay in registers
+    // across the rows instead of being stored after every FMA.
+    let (mut st, mut a) = (*s, *acc);
+    let rows = k
+        .chunks(BLOCK_ROWS * dq)
+        .zip(v.chunks(BLOCK_ROWS * REGISTER_WIDTH));
+    for (k, v) in rows {
+        let m = v.len() / REGISTER_WIDTH;
+        // Rows past `m` stay −∞: they pass the test below, weigh 0, and
+        // are never read.
+        let mut w = [f32::NEG_INFINITY; BLOCK_ROWS];
+        logits_into(q, k, scale, &mut w[..m]);
+        let v_rows = v.chunks_exact(REGISTER_WIDTH);
+        let max = st.max;
+        // No short circuit, so the test is one vector compare.
+        if max.is_finite() && w.iter().fold(true, |ok, &x| ok & (x <= max)) {
+            for x in &mut w {
+                *x = exp_f32(*x - max);
+            }
+            for (&x, v_row) in w.iter().zip(v_rows) {
+                st.sum += x;
+                if x > 0.0 {
+                    for (a, &v) in a.iter_mut().zip(v_row) {
+                        *a = x.mul_add(v, *a);
+                    }
+                }
+            }
+        } else {
+            let mut carry = [1.0f32; BLOCK_ROWS];
+            for (x, c) in w[..m].iter_mut().zip(&mut carry) {
+                *c = st.absorb_with(std::slice::from_mut(x), exp_f32);
+            }
+            for ((x, &c), v_row) in w.iter().zip(&carry).zip(v_rows) {
+                rescale_add(&mut a, c, std::slice::from_ref(x), |_| v_row);
+            }
         }
-        let mut carry = [1.0f32; BLOCK_ROWS];
-        for (x, c) in w[..m].iter_mut().zip(&mut carry) {
-            *c = s.absorb(std::slice::from_mut(x));
-        }
-        for (j, (x, &c)) in w[..m].iter().zip(&carry).enumerate() {
-            let row = done + j;
-            rescale_add(acc, c, std::slice::from_ref(x), |_| {
-                &v[row * REGISTER_WIDTH..][..REGISTER_WIDTH]
-            });
-        }
-        done += m;
     }
+    (*s, *acc) = (st, a);
     true
 }
 
@@ -404,6 +493,131 @@ mod tests {
     fn only_the_exact_fold_has_a_partial() {
         assert!(RowFold::new(SoftmaxKind::FlashD, 3).partial().is_none());
         assert!(RowFold::new(SoftmaxKind::LogLut, 3).partial().is_none());
+    }
+
+    /// Pseudo-random values in [−1, 1).
+    fn noise(n: usize, seed: u64) -> Vec<f32> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+            })
+            .collect()
+    }
+
+    /// The state and accumulator bits after folding `(k, v)` from
+    /// `(s, acc)`: through [`fold_rows_exact`] when `lanes`, else through
+    /// the generic one-logit steps (`dot` logits, libm `exp`).
+    fn folded(
+        lanes: bool,
+        (mut s, mut acc): (OnlineSoftmax, [f32; REGISTER_WIDTH]),
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+    ) -> Vec<u32> {
+        let scale = 0.176_776_7;
+        if lanes {
+            assert!(fold_rows_exact(&mut s, &mut acc, q, k, v, scale));
+        } else {
+            let mut logits: Vec<f32> = k.chunks(q.len()).map(|r| dot(q, r) * scale).collect();
+            fold_rows(&mut s, &mut acc, &mut logits, v);
+        }
+        [s.max, s.sum]
+            .iter()
+            .chain(&acc)
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    /// Folds `n` rows of `k`/`v` as one group after a `lead`-row group,
+    /// both ways, and asserts the same bits.
+    fn assert_lane_fold_is_exact(q: &[f32], k: &[f32], v: &[f32], lead: usize, what: &str) {
+        let (dq, dv) = (q.len(), REGISTER_WIDTH);
+        let fresh = (OnlineSoftmax::new(), [0.0; REGISTER_WIDTH]);
+        let start = if lead == 0 {
+            fresh
+        } else {
+            let (mut s, mut acc) = fresh;
+            let mut logits: Vec<f32> = k[..lead * dq].chunks(dq).map(|r| dot(q, r)).collect();
+            fold_rows(&mut s, &mut acc, &mut logits, &v[..lead * dv]);
+            (s, acc)
+        };
+        let (k, v) = (&k[lead * dq..], &v[lead * dv..]);
+        assert_eq!(
+            folded(true, start, q, k, v),
+            folded(false, start, q, k, v),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn lane_fold_matches_the_one_logit_steps() {
+        // Every group size around the 8-row logit block and the 16-row
+        // step, fresh (max −∞) and after a lead-in group, at the register
+        // width and on the `dot` path beside it.
+        for dq in [32, 31, 33, 64] {
+            for n in 1..=33 {
+                for lead in [0, 5] {
+                    let rows = lead + n;
+                    let (q, k, v) = (
+                        noise(dq, 1),
+                        noise(rows * dq, 2 + n as u64),
+                        noise(rows * REGISTER_WIDTH, 3),
+                    );
+                    assert_lane_fold_is_exact(
+                        &q,
+                        &k,
+                        &v,
+                        lead,
+                        &format!("dq {dq} n {n} lead {lead}"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_fold_matches_at_rising_maxima_underflow_and_non_finite_logits() {
+        let dq = REGISTER_WIDTH;
+        let q = noise(dq, 11);
+        let base = |seed| (noise(48 * dq, seed), noise(48 * REGISTER_WIDTH, seed + 1));
+        // A key row `c · q` puts that row's logit near `c · |q|² · scale`.
+        let set = |k: &mut [f32], row: usize, c: f32| {
+            for (x, &y) in k[row * dq..][..dq].iter_mut().zip(&q) {
+                *x = c * y;
+            }
+        };
+        for lead in [0, 16] {
+            // The max rises at rows 0, 7 and 15 of the step.
+            for row in [0, 7, 15] {
+                let (mut k, v) = base(20 + row as u64);
+                set(&mut k, lead + row, 3.0);
+                assert_lane_fold_is_exact(&q, &k, &v, lead, &format!("rise at {row}"));
+            }
+        }
+        // A huge early logit: later weights underflow to 0 and skip
+        // their FMA, in the lane steps too.
+        let (mut k, v) = base(40);
+        set(&mut k, 2, 400.0);
+        set(&mut k, 20, -400.0);
+        assert_lane_fold_is_exact(&q, &k, &v, 16, "underflow");
+        assert_lane_fold_is_exact(&q, &k, &v, 0, "underflow from the first step");
+        // ±∞ and NaN logits.
+        for (bad, what) in [
+            (f32::INFINITY, "+inf"),
+            (f32::NEG_INFINITY, "-inf"),
+            (f32::NAN, "nan"),
+        ] {
+            for row in [3, 17, 30] {
+                let (mut k, v) = base(50 + row as u64);
+                k[row * dq] = bad * q[0].signum();
+                assert_lane_fold_is_exact(&q, &k, &v, 0, &format!("{what} at {row}"));
+                assert_lane_fold_is_exact(&q, &k, &v, 16, &format!("{what} at {row}, lead 16"));
+            }
+        }
     }
 
     #[test]

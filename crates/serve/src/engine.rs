@@ -1311,7 +1311,16 @@ fn embed_rows<'p>(
         // Element `d` blends `prev[(d + 1) % prev.len()]`: `prev[1..]`
         // first, then whole copies of `prev`.
         for ((_, prev), row) in keys.into_iter().zip(block.chunks_exact_mut(dk)) {
-            if let Some(wrap) = prev.len().checked_sub(1) {
+            if let (Ok(row), Ok(prev)) = (
+                <&mut [f32; BLEND_WIDTH]>::try_from(&mut *row),
+                <&[f32; BLEND_WIDTH]>::try_from(prev),
+            ) {
+                // A decode row's `prev` is the last output, as wide as
+                // the row: one fixed-width rotate-by-one pass.
+                let rotated: [f32; BLEND_WIDTH] =
+                    std::array::from_fn(|d| prev[(d + 1) % BLEND_WIDTH]);
+                blend(row, &rotated);
+            } else if let Some(wrap) = prev.len().checked_sub(1) {
                 let (head, tail) = row.split_at_mut(wrap.min(dk));
                 blend(head, &prev[1..]);
                 for chunk in tail.chunks_mut(prev.len()) {
@@ -1321,6 +1330,11 @@ fn embed_rows<'p>(
         }
     }
 }
+
+/// The row width [`embed_rows`] blends a same-width `prev` at in one
+/// fixed-width pass: the engine's head width (`EngineConfig::for_platform`
+/// sets `dk` to 32).
+const BLEND_WIDTH: usize = 32;
 
 /// `row[d] = 0.5 · row[d] + 0.5 · prev[d]` over their common length.
 fn blend(row: &mut [f32], prev: &[f32]) {
