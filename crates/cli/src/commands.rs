@@ -7,7 +7,7 @@ use flat_dist::{
     best_joint, scaling_knee, series, CollectiveAlgo, Link, Partition, Sweep, Topology,
 };
 use flat_dse::{Dse, SpaceKind};
-use flat_serve::{serve_dist_elastic, DistServeConfig, ScalePlan};
+use flat_serve::{serve_dist_elastic, DistServeConfig, EngineConfig, ScalePlan};
 use flat_telemetry::{NoopSink, TraceSink};
 use flat_workloads::{Model, Scope};
 use serde_json::json;
@@ -38,10 +38,13 @@ USAGE:
              [--trace FILE] [--metrics FILE] [--json]
   flat fleet --platform cloud --model bert --requests 512 [--seed N]
              [--rate 200] [--amplitude 0.6] [--period-s 60] [--chips N]
-             [--topology ring|mesh|torus|fc|tree] [--window-ms 1000]
-             [--scale MS:CHIPS,MS:CHIPS] [--no-dedup] [--chaos SEED]
+             [--topology ring|mesh|torus|fc|tree] [--scale MS:CHIPS,MS:CHIPS]
+             [--block-tokens 16] [--kv-mib N] [--chunk 512] [--max-batch 64]
+             [--chaos SEED] [--no-dedup] [--window-ms 1000]
+             [--precision fp32|bf16|fp16|int8] [--softmax exact|flash-d|log-lut]
              [--trace FILE] [--json]   # sustained multi-tenant load with diurnal
-                                       # arrivals, prefix dedup, elastic resizes
+                                       # arrivals, prefix dedup, elastic resizes;
+                                       # the engine flags are flat serve's
   flat dist  --platform cloud --model bert --seq 65536 [--chips 1,2,4,8] [--sweep]
              [--topology ring|mesh|torus|fc|tree|all] [--partition head|seq|kv|all]
              [--algo ring|hd|bucket|all] [--overlap] [--link-gbps N] [--link-us N]
@@ -71,8 +74,8 @@ COMMON OPTIONS:
   --softmax KIND      softmax family the SFU prices/runs: exact (default),
                       flash-d (division folded into the recurrence), or
                       log-lut (exp/div-free log2-domain; cost, trace, serve)
-  --precision P       numeric-plane storage width for serve: fp32 (default),
-                      bf16, fp16, or int8";
+  --precision P       numeric-plane storage width for serve, dist --requests
+                      and fleet: fp32 (default), bf16, fp16, or int8";
 
 /// The streaming sink behind `--trace FILE`.
 type FileSink = flat_telemetry::JsonStreamSink<std::io::BufWriter<std::fs::File>>;
@@ -849,7 +852,9 @@ pub fn serve(args: &Args) -> Result<(), String> {
     let setup = parse::setup(args)?;
     let requests = parse::u64_arg(args, "requests", 256)? as usize;
     let seed = parse::u64_arg(args, "seed", 0xF1A7)?;
-    let (spec, workload, cfg, faults) = parse::serving(args, &setup, requests, seed)?;
+    let (spec, mut workload) = parse::workload(args, requests, seed)?;
+    let base = EngineConfig::for_platform(&setup.accel, &setup.model, seed);
+    let (cfg, faults) = parse::engine(args, base, &mut workload)?;
     let one_chip = DistServeConfig::new(1, Topology::FullyConnected);
     let metrics = traced(args, |sink| {
         serve_dist_elastic(
@@ -959,6 +964,9 @@ fn scale_arg(args: &Args) -> Result<Vec<(f64, usize)>, String> {
 /// prefix, batch, background) on a diurnal arrival curve, served on an
 /// optionally elastic cluster with windowed trajectory sampling.
 ///
+/// The engine flags are `flat serve`'s, with two defaults of its own:
+/// prefix dedup on and 1,000 ms trajectory windows.
+///
 /// Deterministic for a fixed flag set: `--seed S --json` twice is
 /// byte-identical, chaos included — CI holds a smoke to this.
 pub fn fleet(args: &Args) -> Result<(), String> {
@@ -976,17 +984,26 @@ pub fn fleet(args: &Args) -> Result<(), String> {
         spec.curve.period_ms = period_s * 1e3;
     }
     let topology = Topology::by_name(&args.get("topology", "ring"))?;
-    let cfg = flat_fleet::FleetConfig {
-        chips: parse::u64_arg(args, "chips", 1)? as usize,
-        topology,
-        window_ms: parse::opt_f64_arg(args, "window-ms")?.unwrap_or(1_000.0),
-        dedup: !args.flag("no-dedup"),
-        scale: scale_arg(args)?,
-        chaos_seed: parse::opt_u64_arg(args, "chaos")?,
-    };
-    let m = traced(args, |sink| {
-        flat_fleet::run_fleet(&setup.accel, &setup.model, &spec, &cfg, seed, sink)
+    let dist = DistServeConfig::new(parse::u64_arg(args, "chips", 1)? as usize, topology);
+    let plan = ScalePlan::new(&scale_arg(args)?);
+    let mut workload = spec.generate(seed).map_err(|e| e.to_string())?;
+    let mut base = EngineConfig::for_platform(&setup.accel, &setup.model, seed);
+    base.dedup = true;
+    base.window_ms = Some(1_000.0);
+    let (cfg, faults) = parse::engine(args, base, &mut workload)?;
+    let served = traced(args, |sink| {
+        serve_dist_elastic(
+            &setup.accel,
+            &setup.model,
+            &workload,
+            &cfg,
+            &dist,
+            &plan,
+            faults,
+            sink,
+        )
     })?;
+    let m = flat_fleet::FleetMetrics::new(&workload, &cfg, served);
     if args.flag("json") {
         println!("{}", m.to_json());
         return Ok(());
@@ -1065,7 +1082,7 @@ pub fn fleet(args: &Args) -> Result<(), String> {
     println!(
         "trajectory:  {} windows of {:.0} ms (goodput first/peak/last {:.1}/{:.1}/{:.1} tok/s)",
         s.windows.len(),
-        cfg.window_ms,
+        cfg.window_ms.unwrap_or_default(),
         s.windows.first().map_or(0.0, |w| w.goodput_tokens_per_s),
         s.windows
             .iter()
@@ -1490,7 +1507,9 @@ fn dist_serve(
     if !args.get("trace", "").is_empty() && chips.len() > 1 {
         return Err("--trace records one cluster: pass a single --chips value".to_owned());
     }
-    let (spec, workload, cfg, faults) = parse::serving(args, setup, requests, seed)?;
+    let (spec, mut workload) = parse::workload(args, requests, seed)?;
+    let base = EngineConfig::for_platform(&setup.accel, &setup.model, seed);
+    let (cfg, faults) = parse::engine(args, base, &mut workload)?;
     let fixed_size = ScalePlan::default();
     let runs = traced(args, |sink| {
         chips

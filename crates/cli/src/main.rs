@@ -11,8 +11,9 @@
 //! flat serve --platform cloud --model bert --requests 256 --arrival-rate 64 [--slo-ms MS] [--chaos SEED]
 //!            [--trace FILE] [--metrics FILE] [--json]
 //! flat fleet --platform cloud --model bert --requests 512 [--chips N] [--scale MS:CHIPS,...]
+//!            [--kv-mib N] [--max-batch N] [--precision P] [--softmax KIND] [--window-ms MS]
 //!            [--no-dedup] [--chaos SEED] [--json]   # sustained multi-tenant fleet load
-
+//!                                                   # (serve's engine flags, dedup on)
 //! flat dist  --platform cloud --model bert --seq 65536 [--chips 1,2,4,8] [--topology all] [--partition head] [--json]
 //!            [--requests N --trace FILE]   # serve on the cluster (takes serve's flags)
 //! flat insight attr TRACE.json [--json] [--metrics FILE]   # critical-path attribution

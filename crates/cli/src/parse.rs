@@ -210,46 +210,19 @@ pub fn softmax_kind(args: &Args) -> Result<flat_tensor::SoftmaxKind, String> {
     }
 }
 
-/// Parses `--precision fp32|bf16|fp16|int8` (default `fp32`).
-///
-/// # Errors
-///
-/// Lists the valid precisions when the value matches none.
-fn precision(args: &Args) -> Result<flat_serve::ComputePrecision, String> {
-    match optional(args, "precision") {
-        None => Ok(flat_serve::ComputePrecision::F32),
-        Some(s) => flat_serve::ComputePrecision::parse(&s),
-    }
-}
-
-/// The serving flags `flat serve` and `flat dist --requests` share:
-///
-/// * the workload: `--arrival-rate`, `--task`, `--prompt`, `--output`,
-///   `--slo-ms`;
-/// * the engine: `--kv-mib`, `--block-tokens`, `--chunk`, `--max-batch`,
-///   `--precision`, `--softmax`, `--dedup`, `--window-ms`;
-/// * `--chaos SEED`, which also corrupts the generated workload.
-///
-/// Returns the workload spec, the generated (and, under chaos,
-/// corrupted) request stream, the engine config and the fault plan.
+/// The workload half of the serving flags `flat serve` and `flat dist
+/// --requests` share: `--arrival-rate`, `--task`, `--prompt`, `--output`,
+/// `--slo-ms`. Returns the workload spec and the request stream it
+/// generates under `seed`.
 ///
 /// # Errors
 ///
 /// A one-line diagnostic for any malformed value.
-pub fn serving(
+pub fn workload(
     args: &Args,
-    setup: &Setup,
     requests: usize,
     seed: u64,
-) -> Result<
-    (
-        WorkloadSpec,
-        Vec<RequestSpec>,
-        EngineConfig,
-        Option<FaultPlan>,
-    ),
-    String,
-> {
+) -> Result<(WorkloadSpec, Vec<RequestSpec>), String> {
     let rate: f64 = args
         .get("arrival-rate", "64")
         .parse()
@@ -266,23 +239,47 @@ pub fn serving(
         spec.output_mean = output as usize;
     }
     spec.slo_ms = opt_f64_arg(args, "slo-ms")?;
-    let mut cfg = EngineConfig::for_platform(&setup.accel, &setup.model, seed);
+    let workload = spec.generate(seed).map_err(|e| e.to_string())?;
+    Ok((spec, workload))
+}
+
+/// The engine half of the serving flags, shared by `flat serve`, `flat
+/// dist --requests` and `flat fleet`: `--kv-mib`, `--block-tokens`,
+/// `--chunk`, `--max-batch`, `--precision`, `--softmax`,
+/// `--dedup`/`--no-dedup` (`--no-dedup` wins), `--window-ms` and
+/// `--chaos SEED`.
+///
+/// `cfg` carries the command's defaults; each flag given overrides its
+/// knob. Under `--chaos` the fault plan also corrupts `workload`, the one
+/// place a served stream is corrupted.
+///
+/// # Errors
+///
+/// A one-line diagnostic for any malformed value.
+pub fn engine(
+    args: &Args,
+    mut cfg: EngineConfig,
+    workload: &mut [RequestSpec],
+) -> Result<(EngineConfig, Option<FaultPlan>), String> {
     cfg.block_tokens = u64_arg(args, "block-tokens", cfg.block_tokens as u64)? as usize;
     cfg.prefill_chunk = u64_arg(args, "chunk", cfg.prefill_chunk as u64)? as usize;
     cfg.max_batch = u64_arg(args, "max-batch", cfg.max_batch as u64)? as usize;
     if let Some(mib) = opt_u64_arg(args, "kv-mib")? {
         cfg.kv_budget = Bytes::from_mib(mib);
     }
-    cfg.precision = precision(args)?;
-    cfg.softmax = softmax_kind(args)?;
-    cfg.dedup = args.flag("dedup");
-    cfg.window_ms = opt_f64_arg(args, "window-ms")?;
-    let faults = opt_u64_arg(args, "chaos")?.map(FaultPlan::chaos);
-    let mut workload = spec.generate(seed).map_err(|e| e.to_string())?;
-    if let Some(plan) = &faults {
-        plan.corrupt_workload(&mut workload);
+    if let Some(p) = optional(args, "precision") {
+        cfg.precision = flat_serve::ComputePrecision::parse(&p)?;
     }
-    Ok((spec, workload, cfg, faults))
+    if let Some(s) = optional(args, "softmax") {
+        cfg.softmax = flat_tensor::SoftmaxKind::parse(&s)?;
+    }
+    cfg.dedup = (cfg.dedup || args.flag("dedup")) && !args.flag("no-dedup");
+    cfg.window_ms = opt_f64_arg(args, "window-ms")?.or(cfg.window_ms);
+    let faults = opt_u64_arg(args, "chaos")?.map(FaultPlan::chaos);
+    if let Some(plan) = &faults {
+        plan.corrupt_workload(workload);
+    }
+    Ok((cfg, faults))
 }
 
 /// Parses a scope label.
@@ -451,6 +448,31 @@ mod tests {
         assert!(err.contains("--slo-ms"));
         assert_eq!(u64_arg(&args, "absent", 7).unwrap(), 7);
         assert_eq!(opt_u64_arg(&args, "absent").unwrap(), None);
+    }
+
+    #[test]
+    fn engine_flags_override_the_command_defaults() {
+        let args = |flags: &str| Args::parse_from(flags.split_whitespace().map(str::to_owned));
+        let mut base = EngineConfig::for_platform(&Accelerator::edge(), &Model::bert(), 1);
+        base.dedup = true;
+        base.window_ms = Some(1_000.0);
+        let (cfg, faults) = engine(&args(""), base, &mut []).unwrap();
+        assert_eq!((cfg, faults), (base, None), "no flag keeps the defaults");
+        let flags = args("--no-dedup --dedup --window-ms 10 --kv-mib 4");
+        let (cfg, _) = engine(&flags, base, &mut []).unwrap();
+        assert!(!cfg.dedup, "--no-dedup wins");
+        assert_eq!(cfg.window_ms, Some(10.0));
+        assert_eq!(cfg.kv_budget, Bytes::from_mib(4));
+        let (cfg, faults) = engine(&args("--dedup --chaos 3"), base, &mut []).unwrap();
+        assert!(cfg.dedup && faults.is_some());
+        base.softmax = flat_tensor::SoftmaxKind::LogLut;
+        let (cfg, _) = engine(&args(""), base, &mut []).unwrap();
+        assert_eq!(
+            cfg.softmax, base.softmax,
+            "no --softmax keeps the base kind"
+        );
+        let (cfg, _) = engine(&args("--softmax exact"), base, &mut []).unwrap();
+        assert_eq!(cfg.softmax, flat_tensor::SoftmaxKind::Exact);
     }
 
     #[test]

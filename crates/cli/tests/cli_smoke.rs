@@ -258,6 +258,60 @@ fn bad_dist_flags_are_diagnostics() {
     }
 }
 
+/// Hostile `flat fleet` flags, and clusters past the 2^20-chip cap
+/// (which used to abort on an 8 TB allocation), exit 1 with a one-line
+/// diagnostic.
+#[test]
+fn bad_fleet_flags_and_huge_clusters_are_diagnostics() {
+    for args in [
+        ["fleet", "--requests", "16", "--rate", "-1"].as_slice(),
+        &["fleet", "--requests", "16", "--amplitude", "1"],
+        &["fleet", "--requests", "16", "--period-s", "0"],
+        &["fleet", "--requests", "16", "--window-ms", "0"],
+        &["fleet", "--requests", "16", "--scale", "x"],
+        &["fleet", "--requests", "16", "--scale", "5:0"],
+        &["fleet", "--requests", "16", "--chips", "0"],
+        &["fleet", "--requests", "16", "--topology", "bogus"],
+        &["fleet", "--requests", "16", "--chips", "1000000000000"],
+        &["fleet", "--requests", "16", "--scale", "5:1000000000000"],
+        &[
+            "dist",
+            "--requests",
+            "4",
+            "--chips",
+            "1000000000000",
+            "--topology",
+            "ring",
+        ],
+    ] {
+        let out = flat(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(!err.contains("panicked"), "no panic backtrace: {err}");
+        assert_eq!(err.trim().lines().count(), 1, "one-line diagnostic: {err}");
+    }
+}
+
+/// `flat fleet` takes its engine flags through the parser `flat serve`
+/// uses: a 4 MiB KV budget shrinks the served pool.
+#[test]
+fn fleet_engine_flags_reach_the_engine() {
+    let total_blocks = |extra: &[&str]| {
+        let mut args = vec!["fleet", "--requests", "16", "--rate", "800", "--seed", "7"];
+        args.extend(extra);
+        args.push("--json");
+        let out = flat(&args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        let v: serde_json::Value =
+            serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("fleet JSON");
+        v["dist"]["serve"]["kv"]["total_blocks"]
+            .as_u64()
+            .expect("total_blocks")
+    };
+    let (default, small) = (total_blocks(&[]), total_blocks(&["--kv-mib", "4"]));
+    assert!(small < default, "--kv-mib 4: {small} blocks vs {default}");
+}
+
 #[test]
 fn chaos_flag_survives_end_to_end() {
     let out = flat(&[

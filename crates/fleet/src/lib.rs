@@ -1,12 +1,14 @@
-//! `flat-fleet` — a sustained-load fleet harness over the `flat-serve`
-//! runtime.
+//! `flat-fleet` — sustained-load traffic and its report, for the
+//! `flat-serve` runtime.
 //!
 //! `flat-serve` answers "what does one burst of traffic cost?"; capacity
 //! planning asks a different question: what does a *fleet* sustain over
 //! hours of wall-clock under a traffic curve that breathes, with several
 //! tenants competing under different SLOs, and a chip count that is
-//! allowed to follow the load? This crate generates and drives that
-//! shape of experiment, entirely on the deterministic virtual clock:
+//! allowed to follow the load? This crate generates that traffic and
+//! frames the result, entirely on the deterministic virtual clock; the
+//! run itself is one [`serve_dist_elastic`](flat_serve::serve_dist_elastic)
+//! call:
 //!
 //! * [`DiurnalCurve`] — a time-varying (non-homogeneous) Poisson arrival
 //!   process: a base rate modulated by a sinusoidal day/night swing,
@@ -19,27 +21,26 @@
 //! * [`FleetSpec`] — the full experiment description, compiled by
 //!   [`FleetSpec::generate`] into one merged, arrival-ordered request
 //!   stream (10^5–10^6 requests is the intended scale; CI runs small);
-//! * [`run_fleet`] / [`FleetConfig`] — drives the stream through the
-//!   distributed serving engine with windowed trajectory sampling,
-//!   optional prefix dedup, optional seeded chaos, and an elastic
-//!   [`ScalePlan`] that resizes the cluster mid-run (KV re-striping
-//!   priced over the `flat-dist` fabric), every engine event streamed
-//!   into a trace sink;
-//! * [`FleetMetrics`] — the run report: the underlying
-//!   [`DistServeMetrics`] (per-tenant accounting, windowed
-//!   goodput/occupancy trajectory, scale-event log) plus fleet-level
-//!   framing, serialized to JSON for `flat fleet --json` and the bench
+//! * [`FleetMetrics`] — the run report, built by [`FleetMetrics::new`]
+//!   from the stream, the [`EngineConfig`] and the [`DistServeMetrics`]
+//!   that served it (per-tenant accounting, windowed goodput/occupancy
+//!   trajectory, scale-event log) plus fleet-level framing and health
+//!   findings, serialized to JSON for `flat fleet --json` and the bench
 //!   snapshots.
 //!
-//! Everything is seeded: same spec, same seed, same report — byte for
-//! byte. CI holds a determinism smoke to that contract with chaos
-//! enabled.
+//! The engine holds every run knob: [`EngineConfig`] (prefix dedup,
+//! trajectory windows), `DistServeConfig` (chips, topology), `ScalePlan`
+//! (elastic resizes) and `FaultPlan` (seeded chaos). Everything is
+//! seeded: same spec, same seed, same report — byte for byte. CI holds a
+//! determinism smoke to that contract with chaos enabled.
 //!
 //! # Example
 //!
 //! ```
 //! use flat_arch::Accelerator;
-//! use flat_fleet::{run_fleet, FleetConfig, FleetSpec};
+//! use flat_dist::Topology;
+//! use flat_fleet::{FleetMetrics, FleetSpec};
+//! use flat_serve::{serve_dist_elastic, DistServeConfig, EngineConfig, ScalePlan};
 //! use flat_telemetry::NoopSink;
 //! use flat_workloads::Model;
 //!
@@ -47,8 +48,16 @@
 //! let accel = Accelerator::edge();
 //! let mut spec = FleetSpec::sustained(64); // tiny for the doctest
 //! spec.curve.base_rate_per_s = 400.0;
-//! let cfg = FleetConfig::default();
-//! let m = run_fleet(&accel, &model, &spec, &cfg, 42, &mut NoopSink).unwrap();
+//! let workload = spec.generate(42).unwrap();
+//! let mut cfg = EngineConfig::for_platform(&accel, &model, 42);
+//! cfg.dedup = true;
+//! cfg.window_ms = Some(1_000.0);
+//! let one_chip = DistServeConfig::new(1, Topology::Ring);
+//! let dist = serve_dist_elastic(
+//!     &accel, &model, &workload, &cfg, &one_chip, &ScalePlan::default(), None, &mut NoopSink,
+//! )
+//! .unwrap();
+//! let m = FleetMetrics::new(&workload, &cfg, dist);
 //! assert_eq!(m.offered, 64);
 //! assert_eq!(
 //!     (m.dist.serve.finished + m.dist.serve.dropped),
@@ -64,15 +73,8 @@
 // paths. The clippy CI step fails on any violation.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use flat_arch::Accelerator;
-use flat_dist::Topology;
 use flat_insight::InsightFinding;
-use flat_serve::{
-    merge_streams, serve_dist_elastic, DistServeConfig, DistServeMetrics, EngineConfig, FaultPlan,
-    RequestSpec, ScalePlan, ServeError,
-};
-use flat_telemetry::TraceSink;
-use flat_workloads::Model;
+use flat_serve::{merge_streams, DistServeMetrics, EngineConfig, RequestSpec, ServeError};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::Serialize;
 
@@ -98,7 +100,7 @@ pub struct TenantLoad {
     pub slo_ms: Option<f64>,
     /// Prompt-prefix template id shared by all of this tenant's
     /// requests; the engine's copy-on-write pool dedups the shared
-    /// blocks when [`FleetConfig::dedup`] is set.
+    /// blocks when [`EngineConfig::dedup`] is set.
     pub prefix_template: Option<u64>,
     /// Shared-prefix length in tokens (clamped per request to its
     /// prompt).
@@ -341,46 +343,12 @@ fn uniform_about(mean: usize, rng: &mut StdRng) -> usize {
     rng.gen_range(lo..=hi)
 }
 
-/// How the fleet run executes: cluster shape, trajectory sampling,
-/// dedup, elastic plan, chaos.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetConfig {
-    /// Chips in the cluster at the start of the run.
-    pub chips: usize,
-    /// Fabric topology wiring them.
-    pub topology: Topology,
-    /// Trajectory-sampling window in virtual milliseconds.
-    pub window_ms: f64,
-    /// Copy-on-write prefix dedup in the KV pool.
-    pub dedup: bool,
-    /// Elastic scale events as `(at_ms, chips)` pairs; empty keeps the
-    /// cluster fixed.
-    pub scale: Vec<(f64, usize)>,
-    /// Seeded chaos (the full `flat-serve` fault battery); `None` runs
-    /// clean.
-    pub chaos_seed: Option<u64>,
-}
-
-impl Default for FleetConfig {
-    /// Single chip, ring wiring, 1 s windows, dedup on, no elasticity,
-    /// no chaos.
-    fn default() -> Self {
-        FleetConfig {
-            chips: 1,
-            topology: Topology::Ring,
-            window_ms: 1_000.0,
-            dedup: true,
-            scale: Vec::new(),
-            chaos_seed: None,
-        }
-    }
-}
-
 /// The fleet run report: the distributed serving metrics plus
 /// fleet-level framing.
 #[derive(Debug, Clone, Serialize)]
 pub struct FleetMetrics {
-    /// Seed the run was generated and served under.
+    /// Seed the run was served under (`EngineConfig::seed`); `flat
+    /// fleet` generates its stream under the same seed.
     pub seed: u64,
     /// Requests offered (after any chaos spec corruption).
     pub offered: usize,
@@ -399,6 +367,30 @@ pub struct FleetMetrics {
 }
 
 impl FleetMetrics {
+    /// Frames one [`serve_dist_elastic`](flat_serve::serve_dist_elastic)
+    /// run of `workload` under `cfg`:
+    /// the seed and dedup switch come from `cfg`, the offered count from
+    /// `workload`, and the virtual hours and health findings from the
+    /// served trajectory.
+    #[must_use]
+    pub fn new(workload: &[RequestSpec], cfg: &EngineConfig, dist: DistServeMetrics) -> Self {
+        let virtual_hours = if dist.serve.makespan_ms.is_finite() {
+            dist.serve.makespan_ms / 3.6e6
+        } else {
+            0.0
+        };
+        let findings =
+            flat_insight::analyze_windows(&dist.serve.windows, flat_insight::DEFAULT_ERROR_BUDGET);
+        FleetMetrics {
+            seed: cfg.seed,
+            offered: workload.len(),
+            dedup: cfg.dedup,
+            virtual_hours,
+            dist,
+            findings,
+        }
+    }
+
     /// Pretty JSON, schema-stable for the CLI and the bench snapshots.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -406,67 +398,14 @@ impl FleetMetrics {
     }
 }
 
-/// Generates the fleet's request stream and drives it through the
-/// distributed serving engine, streaming every engine event into `sink`
-/// (pass [`flat_telemetry::NoopSink`] for an untraced run).
-///
-/// The run is fully deterministic in `(spec, cfg, seed)`: workload
-/// generation, tenant assignment, scheduling, chaos, and elastic
-/// resizes all draw from seeded streams on the virtual clock, so two
-/// invocations produce byte-identical JSON.
-///
-/// # Errors
-///
-/// Propagates spec validation, scale-plan validation, and any engine
-/// error.
-pub fn run_fleet(
-    accel: &Accelerator,
-    model: &Model,
-    spec: &FleetSpec,
-    cfg: &FleetConfig,
-    seed: u64,
-    sink: &mut dyn TraceSink,
-) -> Result<FleetMetrics, ServeError> {
-    if !(cfg.window_ms.is_finite() && cfg.window_ms > 0.0) {
-        return Err(ServeError::InvalidConfig(
-            "fleet window must be finite and positive".to_owned(),
-        ));
-    }
-    let mut workload = spec.generate(seed)?;
-    let faults = cfg.chaos_seed.map(FaultPlan::chaos);
-    if let Some(plan) = &faults {
-        plan.corrupt_workload(&mut workload);
-    }
-    let mut ecfg = EngineConfig::for_platform(accel, model, seed);
-    ecfg.dedup = cfg.dedup;
-    ecfg.window_ms = Some(cfg.window_ms);
-    let dist = DistServeConfig::new(cfg.chips, cfg.topology);
-    let plan = ScalePlan::new(&cfg.scale);
-    let dist_metrics =
-        serve_dist_elastic(accel, model, &workload, &ecfg, &dist, &plan, faults, sink)?;
-    let virtual_hours = if dist_metrics.serve.makespan_ms.is_finite() {
-        dist_metrics.serve.makespan_ms / 3.6e6
-    } else {
-        0.0
-    };
-    let findings = flat_insight::analyze_windows(
-        &dist_metrics.serve.windows,
-        flat_insight::DEFAULT_ERROR_BUDGET,
-    );
-    Ok(FleetMetrics {
-        seed,
-        offered: workload.len(),
-        dedup: cfg.dedup,
-        virtual_hours,
-        dist: dist_metrics,
-        findings,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flat_arch::Accelerator;
+    use flat_dist::Topology;
+    use flat_serve::{serve_dist_elastic, DistServeConfig, FaultPlan, ScalePlan};
     use flat_telemetry::NoopSink;
+    use flat_workloads::Model;
 
     fn small_spec(requests: usize) -> FleetSpec {
         let mut spec = FleetSpec::sustained(requests);
@@ -582,14 +521,46 @@ mod tests {
         assert!(s.validate().is_err());
     }
 
+    /// Serves `spec` on edge/bert as `flat fleet` does: dedup on,
+    /// `window_ms` windows, a `chips`-chip ring resized by `scale`, and
+    /// the workload corrupted under `chaos`.
+    fn serve_fleet(
+        spec: &FleetSpec,
+        seed: u64,
+        chips: usize,
+        window_ms: f64,
+        scale: &[(f64, usize)],
+        chaos: Option<u64>,
+    ) -> FleetMetrics {
+        let (accel, model) = (Accelerator::edge(), Model::by_name("bert").unwrap());
+        let mut workload = spec.generate(seed).unwrap();
+        let faults = chaos.map(FaultPlan::chaos);
+        if let Some(plan) = &faults {
+            plan.corrupt_workload(&mut workload);
+        }
+        let mut cfg = EngineConfig::for_platform(&accel, &model, seed);
+        cfg.dedup = true;
+        cfg.window_ms = Some(window_ms);
+        let dist = serve_dist_elastic(
+            &accel,
+            &model,
+            &workload,
+            &cfg,
+            &DistServeConfig::new(chips, Topology::Ring),
+            &ScalePlan::new(scale),
+            faults,
+            &mut NoopSink,
+        )
+        .unwrap();
+        FleetMetrics::new(&workload, &cfg, dist)
+    }
+
     #[test]
     fn fleet_run_conserves_requests_and_samples_windows() {
-        let model = Model::by_name("bert").unwrap();
-        let accel = Accelerator::edge();
-        let spec = small_spec(96);
-        let cfg = FleetConfig::default();
-        let m = run_fleet(&accel, &model, &spec, &cfg, 21, &mut NoopSink).unwrap();
+        let m = serve_fleet(&small_spec(96), 21, 1, 1_000.0, &[], None);
         assert_eq!(m.offered, 96);
+        assert_eq!(m.seed, 21);
+        assert!(m.dedup);
         let s = &m.dist.serve;
         assert_eq!(s.finished + s.dropped, m.offered, "conservation");
         assert_eq!(s.drops.total(), s.dropped as u64);
@@ -600,17 +571,9 @@ mod tests {
 
     #[test]
     fn fleet_runs_are_byte_deterministic_even_under_chaos() {
-        let model = Model::by_name("bert").unwrap();
-        let accel = Accelerator::edge();
         let spec = small_spec(64);
-        let cfg = FleetConfig {
-            chips: 2,
-            scale: vec![(5.0, 4), (40.0, 2)],
-            chaos_seed: Some(0xC4A05),
-            ..FleetConfig::default()
-        };
-        let a = run_fleet(&accel, &model, &spec, &cfg, 9, &mut NoopSink).unwrap();
-        let b = run_fleet(&accel, &model, &spec, &cfg, 9, &mut NoopSink).unwrap();
+        let run = || serve_fleet(&spec, 9, 2, 1_000.0, &[(5.0, 4), (40.0, 2)], Some(0xC4A05));
+        let (a, b) = (run(), run());
         assert_eq!(a.to_json(), b.to_json(), "same seed, same bytes");
         let s = &a.dist.serve;
         assert_eq!(s.finished + s.dropped, a.offered, "chaos conserves");
@@ -618,16 +581,8 @@ mod tests {
 
     #[test]
     fn elastic_plan_is_applied_and_logged() {
-        let model = Model::by_name("bert").unwrap();
-        let accel = Accelerator::edge();
-        let spec = small_spec(80);
-        let cfg = FleetConfig {
-            chips: 2,
-            window_ms: 5.0, // fine-grained so windows straddle the resizes
-            scale: vec![(2.0, 4), (30.0, 2)],
-            ..FleetConfig::default()
-        };
-        let m = run_fleet(&accel, &model, &spec, &cfg, 5, &mut NoopSink).unwrap();
+        // Fine-grained windows so they straddle the resizes.
+        let m = serve_fleet(&small_spec(80), 5, 2, 5.0, &[(2.0, 4), (30.0, 2)], None);
         assert_eq!(m.dist.chips, 2);
         assert!(!m.dist.scale_events.is_empty(), "resizes were applied");
         let up = &m.dist.scale_events[0];
@@ -647,27 +602,16 @@ mod tests {
 
     #[test]
     fn dedup_offers_the_same_stream_as_no_dedup() {
-        // The knob must only change KV accounting, never the offered
-        // workload: generation is independent of FleetConfig.
+        // Dedup must only change KV accounting, never the offered
+        // workload: stream generation does not depend on
+        // `EngineConfig::dedup`.
         let spec = small_spec(40);
         assert_eq!(spec.generate(13).unwrap(), spec.generate(13).unwrap());
     }
 
     #[test]
     fn fleet_metrics_serialize() {
-        let model = Model::by_name("bert").unwrap();
-        let accel = Accelerator::edge();
-        let spec = small_spec(24);
-        let m = run_fleet(
-            &accel,
-            &model,
-            &spec,
-            &FleetConfig::default(),
-            2,
-            &mut NoopSink,
-        )
-        .unwrap();
-        let json = m.to_json();
+        let json = serve_fleet(&small_spec(24), 2, 1, 1_000.0, &[], None).to_json();
         for key in [
             "\"seed\"",
             "\"offered\"",
@@ -676,6 +620,7 @@ mod tests {
             "\"windows\"",
             "\"tenants\"",
             "\"scale_events\"",
+            "\"findings\"",
         ] {
             assert!(json.contains(key), "missing {key}");
         }

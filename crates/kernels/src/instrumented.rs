@@ -6,7 +6,6 @@
 use crate::fused::flat_attention_group;
 use crate::ComputePrecision::F32;
 use crate::{Mask, Mat, MultiHeadInput};
-use flat_telemetry::{Event, TraceSink};
 use flat_tensor::SoftmaxKind::Exact;
 
 /// Memory-touch counters for one execution, in elements.
@@ -126,51 +125,10 @@ pub fn instrumented_flat_attention(
     (outs, stats.unwrap_or_default())
 }
 
-/// [`instrumented_flat_attention`], additionally routing the
-/// [`ExecutionStats`] into a [`TraceSink`] as kernel counter events: MAC
-/// work, scratchpad (live-slice) bytes, and off-chip (backing-store)
-/// bytes, plus the tile iteration count and peak live-logit footprint.
-/// The stats are returned unchanged — the sink is a tee, not a
-/// replacement, and a disabled sink skips event construction entirely.
-///
-/// # Panics
-///
-/// Panics if `rows_per_tile` is zero, as
-/// [`instrumented_flat_attention`] does.
-#[must_use]
-pub fn instrumented_flat_attention_traced(
-    input: &MultiHeadInput,
-    rows_per_tile: usize,
-    mask: Mask,
-    sink: &mut dyn TraceSink,
-) -> (Vec<Mat>, ExecutionStats) {
-    let (outs, stats) = instrumented_flat_attention(input, rows_per_tile, mask);
-    if sink.enabled() {
-        // Both matmuls (L = Q·Kᵀ and O = A·V) do seq_q·seq_kv·dk MACs
-        // per group; elements are f32 in this numeric witness.
-        let macs = 2 * (input.groups() * input.seq_q * input.seq_kv * input.dk) as u64;
-        const ELEM_BYTES: u64 = 4;
-        sink.record(
-            Event::counter("kernel", "kernel", 0.0, 0, 0)
-                .arg("macs", macs)
-                .arg("sg_bytes", stats.scratchpad_elements() * ELEM_BYTES)
-                .arg("offchip_bytes", stats.backing_store_elements() * ELEM_BYTES),
-        );
-        sink.record(
-            Event::instant("flat_attention", "kernel", 0.0, 0, 0)
-                .arg("iterations", stats.iterations)
-                .arg("peak_live_logits", stats.peak_live_logits)
-                .arg("rows_per_tile", rows_per_tile as u64),
-        );
-    }
-    (outs, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flat_attention;
-    use flat_telemetry::{MemorySink, NoopSink};
 
     #[test]
     fn output_matches_uninstrumented() {
@@ -268,35 +226,5 @@ mod tests {
             };
             assert_eq!(s, expected, "{mask:?}");
         }
-    }
-
-    #[test]
-    fn traced_variant_tees_stats_into_the_sink() {
-        let input = MultiHeadInput::random(1, 2, 16, 24, 8, 5);
-        let (plain_out, plain_stats) = instrumented_flat_attention(&input, 4, Mask::None);
-        let mut sink = MemorySink::new();
-        let (out, stats) = instrumented_flat_attention_traced(&input, 4, Mask::None, &mut sink);
-        assert_eq!(stats, plain_stats, "the sink must not change the stats");
-        for (a, b) in out.iter().zip(&plain_out) {
-            assert_eq!(a.max_abs_diff(b), 0.0);
-        }
-        assert_eq!(sink.events.len(), 2);
-        let json = sink.to_chrome_trace();
-        let macs = 2 * (2 * 16 * 24 * 8) as u64;
-        assert!(json.contains(&format!("\"macs\":{macs}")));
-        assert!(json.contains(&format!("\"sg_bytes\":{}", stats.scratchpad_elements() * 4)));
-        assert!(json.contains(&format!(
-            "\"offchip_bytes\":{}",
-            stats.backing_store_elements() * 4
-        )));
-    }
-
-    #[test]
-    fn traced_variant_with_noop_sink_records_nothing() {
-        let input = MultiHeadInput::random(1, 1, 8, 8, 4, 3);
-        let mut sink = NoopSink;
-        let (_, stats) = instrumented_flat_attention_traced(&input, 4, Mask::None, &mut sink);
-        let (_, plain) = instrumented_flat_attention(&input, 4, Mask::None);
-        assert_eq!(stats, plain);
     }
 }

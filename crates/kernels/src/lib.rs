@@ -70,9 +70,7 @@ pub use decode::{decode_attention, decode_attention_with};
 pub use fold::RowFold;
 pub use fused::{flat_attention, flat_attention_with};
 pub use halfmat::HalfMat;
-pub use instrumented::{
-    instrumented_flat_attention, instrumented_flat_attention_traced, ExecutionStats,
-};
+pub use instrumented::{instrumented_flat_attention, ExecutionStats};
 pub use mat::Mat;
 pub use quantized::{quantized_flat_attention, QuantizedMat};
 pub use softmax::{softmax_row, OnlineSoftmax};

@@ -83,6 +83,22 @@ pub struct ScaleEvent {
     pub chips: usize,
 }
 
+/// Largest cluster [`serve_dist_elastic`] accepts, at the start or after
+/// a resize. The plane keeps one peak-occupancy lane per chip, so a
+/// request for 10^12 chips would otherwise abort on an 8 TB allocation
+/// instead of returning an error.
+const MAX_CHIPS: usize = 1 << 20;
+
+/// Rejects a cluster of more than [`MAX_CHIPS`] chips.
+fn check_cluster_size(what: &str, chips: usize) -> Result<(), ServeError> {
+    if chips > MAX_CHIPS {
+        return Err(ServeError::InvalidConfig(format!(
+            "{what} of {chips} chips is past the {MAX_CHIPS}-chip limit"
+        )));
+    }
+    Ok(())
+}
+
 /// A schedule of elastic resizes for [`serve_dist_elastic`]. Events are
 /// applied in `at_ms` order; an empty plan is a fixed-size cluster.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -103,7 +119,8 @@ impl ScalePlan {
         }
     }
 
-    /// Rejects non-finite/negative times and zero-chip targets.
+    /// Rejects non-finite/negative times and targets of zero or more
+    /// than 2^20 chips.
     ///
     /// # Errors
     ///
@@ -120,6 +137,7 @@ impl ScalePlan {
                     "scale event must keep at least one chip".to_owned(),
                 ));
             }
+            check_cluster_size("scale event target", ev.chips)?;
         }
         Ok(())
     }
@@ -483,8 +501,9 @@ fn safe_fraction(num_ms: f64, den_ms: f64) -> f64 {
 /// # Errors
 ///
 /// Everything [`crate::serve`] returns, plus
-/// [`ServeError::InvalidConfig`] for a zero-chip cluster or a malformed
-/// plan (non-finite time or zero-chip target).
+/// [`ServeError::InvalidConfig`] for a cluster of zero or more than
+/// 2^20 chips, or a malformed plan (non-finite time, or a target of zero
+/// or more than 2^20 chips).
 #[allow(clippy::too_many_arguments)]
 pub fn serve_dist_elastic(
     accel: &Accelerator,
@@ -501,6 +520,7 @@ pub fn serve_dist_elastic(
             "a cluster needs at least one chip".to_owned(),
         ));
     }
+    check_cluster_size("a cluster", dist.chips)?;
     plan.validate()?;
     let plane = DistPlane::new(model, dist);
     let (serve, plane) = Engine::new(
@@ -760,6 +780,43 @@ mod tests {
         assert_eq!(m.scale_events.len(), 1);
         assert_eq!(m.scale_events[0].migrated_blocks, 3);
         assert_eq!(m.chips_final, 100_000);
+    }
+
+    /// Regression: a cluster or a resize target of 10^12 chips used to
+    /// abort the process on an 8 TB allocation. Both are typed errors
+    /// past the cap, checked before anything is allocated; the cap itself
+    /// is accepted.
+    #[test]
+    fn cluster_size_is_capped_before_any_allocation() {
+        let model = Model::by_name("bert").unwrap();
+        let accel = Accelerator::edge();
+        let (wl, c) = (workload(4), cfg(&accel, &model));
+        let run = |chips: usize, plan: &[(f64, usize)]| {
+            serve_dist_elastic(
+                &accel,
+                &model,
+                &wl,
+                &c,
+                &DistServeConfig::new(chips, Topology::Ring),
+                &ScalePlan::new(plan),
+                None,
+                &mut NoopSink,
+            )
+        };
+        for (chips, plan) in [
+            (1_000_000_000_000, vec![]),
+            (MAX_CHIPS + 1, vec![]),
+            (2, vec![(5.0, 1_000_000_000_000)]),
+            (2, vec![(5.0, 4), (9.0, MAX_CHIPS + 1)]),
+        ] {
+            let err = run(chips, &plan).unwrap_err();
+            assert!(
+                matches!(&err, ServeError::InvalidConfig(why) if why.contains("1048576-chip limit")),
+                "{chips} {plan:?}: {err}"
+            );
+        }
+        let m = run(MAX_CHIPS, &[]).unwrap();
+        assert_eq!(m.per_shard_kv_peak_occupancy.len(), MAX_CHIPS);
     }
 
     /// The epoch peak expands to exactly the per-shard peaks a walk of

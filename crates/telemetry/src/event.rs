@@ -83,7 +83,7 @@ pub struct Event {
     /// Event (or span, or counter-track) name.
     pub name: String,
     /// Category, used by viewers for filtering (`request`, `collective`,
-    /// `dse`, `kernel`, …).
+    /// `dse`, `engine`, …).
     pub cat: &'static str,
     /// Phase.
     pub ph: EventPhase,

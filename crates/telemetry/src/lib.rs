@@ -5,10 +5,10 @@
 //!
 //! The rest of the workspace measures *where time and bytes go* — SG
 //! residency, off-chip round trips, fabric collectives — but before this
-//! crate each layer kept its own dead-end format: `flat-kernels` had a
-//! bare stats struct, `flat-serve` one end-of-run JSON blob, `flat sim`
-//! an ad-hoc trace writer, and `flat-dist` collectives were invisible at
-//! runtime. Everything now records through one [`TraceSink`]:
+//! crate each layer kept its own dead-end format: `flat-serve` had one
+//! end-of-run JSON blob, `flat sim` an ad-hoc trace writer, and
+//! `flat-dist` collectives were invisible at runtime. Everything now
+//! records through one [`TraceSink`]:
 //!
 //! * [`Event`] / [`EventPhase`] — the Chrome trace-event subset the
 //!   exporters write (`ph: B/E/X/C/i/M`, microsecond `ts`, `pid` = chip,

@@ -25,9 +25,10 @@
 //! * [`telemetry`] — the unified observability layer: trace spans and
 //!   counters behind a `TraceSink`, Chrome/Perfetto trace export, and
 //!   Prometheus-style text exposition.
-//! * [`fleet`] — the sustained-load fleet harness: diurnal multi-tenant
-//!   traffic with prefix-template libraries, driven through the serving
-//!   runtime with windowed trajectories and elastic cluster resizes.
+//! * [`fleet`] — sustained-load fleet traffic: diurnal multi-tenant
+//!   request streams with prefix templates, and the report framing one
+//!   [`serve::serve_dist_elastic`] run of them (windowed trajectories,
+//!   elastic resizes, health findings).
 //! * [`insight`] — the analysis layer over the telemetry: per-request
 //!   critical-path attribution of traces, differential run comparison,
 //!   and SLO burn-rate and anomaly findings over trajectories.

@@ -9,7 +9,7 @@
 
 use flat::arch::Accelerator;
 use flat::dist::{CollectiveAlgo, Topology};
-use flat::fleet::{run_fleet, FleetConfig, FleetSpec};
+use flat::fleet::{FleetMetrics, FleetSpec};
 use flat::serve::{
     serve, serve_dist_elastic, ComputePrecision, DistServeConfig, DistServeMetrics, EngineConfig,
     FaultPlan, RequestSpec, ScalePlan, WorkloadSpec,
@@ -239,16 +239,29 @@ fn fleet_chaos_with_resizes() {
         t.prompt_mean = t.prompt_mean.min(48);
         t.output_mean = t.output_mean.min(6);
     }
-    let cfg = FleetConfig {
-        chips: 2,
-        window_ms: 10.0,
-        scale: vec![(5.0, 4), (40.0, 2)],
-        chaos_seed: Some(11),
-        ..FleetConfig::default()
+    let mut workload = spec.generate(7).expect("fleet spec is valid");
+    let faults = FaultPlan::chaos(11);
+    faults.corrupt_workload(&mut workload);
+    let mut cfg = EngineConfig::for_platform(&accel, &model, 7);
+    cfg.dedup = true;
+    cfg.window_ms = Some(10.0);
+    let run = |sink: &mut dyn TraceSink| {
+        let dist = serve_dist_elastic(
+            &accel,
+            &model,
+            &workload,
+            &cfg,
+            &DistServeConfig::new(2, Topology::Ring),
+            &ScalePlan::new(&[(5.0, 4), (40.0, 2)]),
+            Some(faults),
+            sink,
+        )
+        .expect("run terminates");
+        FleetMetrics::new(&workload, &cfg, dist)
     };
     let mut sink = MemorySink::new();
-    let m = run_fleet(&accel, &model, &spec, &cfg, 7, &mut sink).expect("run terminates");
-    let plain = run_fleet(&accel, &model, &spec, &cfg, 7, &mut NoopSink).expect("run terminates");
+    let m = run(&mut sink);
+    let plain = run(&mut NoopSink);
     assert_eq!(
         m.to_json(),
         plain.to_json(),

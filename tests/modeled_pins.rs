@@ -9,8 +9,11 @@
 use flat::arch::Accelerator;
 use flat::core::{FusedDataflow, Granularity, LaExecution};
 use flat::desim::{agreement, EventOptions};
-use flat::fleet::{run_fleet, FleetConfig, FleetSpec};
-use flat::serve::{serve, EngineConfig, WorkloadSpec};
+use flat::dist::Topology;
+use flat::fleet::{FleetMetrics, FleetSpec};
+use flat::serve::{
+    serve, serve_dist_elastic, DistServeConfig, EngineConfig, ScalePlan, WorkloadSpec,
+};
 use flat::telemetry::NoopSink;
 use flat::workloads::{Model, Task};
 
@@ -77,21 +80,23 @@ fn elastic_fleet_run_reproduces_the_snapshot() {
     let mut spec = FleetSpec::sustained(512);
     spec.curve.base_rate_per_s = 800.0;
     spec.curve.period_ms = 200.0;
-    let cfg = FleetConfig {
-        chips: 2,
-        window_ms: 10.0,
-        scale: vec![(20.0, 4), (120.0, 2)],
-        ..FleetConfig::default()
-    };
-    let m = run_fleet(
-        &Accelerator::cloud(),
-        &bert(),
-        &spec,
+    let (accel, model) = (Accelerator::cloud(), bert());
+    let workload = spec.generate(0xF1A7).expect("fleet spec is valid");
+    let mut cfg = EngineConfig::for_platform(&accel, &model, 0xF1A7);
+    cfg.dedup = true;
+    cfg.window_ms = Some(10.0);
+    let dist = serve_dist_elastic(
+        &accel,
+        &model,
+        &workload,
         &cfg,
-        0xF1A7,
+        &DistServeConfig::new(2, Topology::Ring),
+        &ScalePlan::new(&[(20.0, 4), (120.0, 2)]),
+        None,
         &mut NoopSink,
     )
     .expect("fleet serves");
+    let m = FleetMetrics::new(&workload, &cfg, dist);
     let (makespan, _, config) = pr9_entry("fleet", "elastic_goodput_makespan");
     assert_eq!(m.dist.serve.makespan_ms, makespan);
     let windows: Vec<String> = m
