@@ -4,12 +4,16 @@
 //! Each case runs traced into a [`MemorySink`] and pins two files under
 //! `tests/golden/serving/`: `<case>.json` (the metrics document) and
 //! `<case>.trace` (the FNV-1a hash and event count of the exported
-//! Chrome trace). Set `FLAT_BLESS=1` to rewrite them after an
-//! intentional change.
+//! Chrome trace). It also pins `tests/golden/insight/<case>.attr`: the
+//! FNV-1a hashes of the attribution JSON read back from the exported
+//! document (what `flat insight attr --json` prints) and of the one
+//! taken from the in-process events. Set `FLAT_BLESS=1` to rewrite them
+//! after an intentional change.
 
 use flat::arch::Accelerator;
 use flat::dist::{CollectiveAlgo, Topology};
 use flat::fleet::{FleetMetrics, FleetSpec};
+use flat::insight::{Attribution, DiffReport};
 use flat::serve::{
     serve, serve_dist_elastic, ComputePrecision, DistServeConfig, DistServeMetrics, EngineConfig,
     FaultPlan, RequestSpec, ScalePlan, WorkloadSpec,
@@ -17,10 +21,12 @@ use flat::serve::{
 use flat::telemetry::{MemorySink, NoopSink, TraceSink};
 use flat::tensor::{Bytes, SoftmaxKind};
 use flat::workloads::{Model, Task};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serving")
+fn golden_dir(kind: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(kind)
 }
 
 /// 64-bit FNV-1a over the trace document.
@@ -30,34 +36,38 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// Compares (or, under `FLAT_BLESS=1`, rewrites) one case's pinned files.
-fn check(case: &str, json: &str, sink: &MemorySink) {
-    let trace = format!(
-        "fnv1a64 {:016x}\nevents {}\n",
-        fnv1a(&sink.to_chrome_trace()),
-        sink.events.len()
-    );
-    let dir = golden_dir();
-    let files = [
-        (dir.join(format!("{case}.json")), format!("{json}\n")),
-        (dir.join(format!("{case}.trace")), trace),
-    ];
+/// Compares (or, under `FLAT_BLESS=1`, rewrites) one pinned file.
+fn pin(path: &Path, text: &str) {
     if std::env::var_os("FLAT_BLESS").is_some() {
-        std::fs::create_dir_all(&dir).expect("create golden dir");
-        for (path, text) in &files {
-            std::fs::write(path, text).expect("write golden file");
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir).expect("create golden dir");
         }
+        std::fs::write(path, text).expect("write golden file");
         return;
     }
-    for (path, text) in &files {
-        let want = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("{}: {e} (run with FLAT_BLESS=1)", path.display()));
-        assert!(
-            *text == want,
-            "{case}: output drifted from {}",
-            path.display()
-        );
-    }
+    let want = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{}: {e} (run with FLAT_BLESS=1)", path.display()));
+    assert!(text == want, "output drifted from {}", path.display());
+}
+
+/// Pins one case's metrics, trace and attribution files.
+fn check(case: &str, json: &str, sink: &MemorySink) {
+    let doc = sink.to_chrome_trace();
+    let trace = format!(
+        "fnv1a64 {:016x}\nevents {}\n",
+        fnv1a(&doc),
+        sink.events.len()
+    );
+    let parsed = Attribution::parse(&doc).expect("the exported trace parses");
+    let attr = format!(
+        "parse fnv1a64 {:016x}\nof fnv1a64 {:016x}\n",
+        fnv1a(&parsed.to_json()),
+        fnv1a(&Attribution::of(&sink.events).to_json())
+    );
+    let serving = golden_dir("serving");
+    pin(&serving.join(format!("{case}.json")), &format!("{json}\n"));
+    pin(&serving.join(format!("{case}.trace")), &trace);
+    pin(&golden_dir("insight").join(format!("{case}.attr")), &attr);
 }
 
 fn bert() -> Model {
@@ -176,7 +186,13 @@ fn serve_tight_pool_mid_batch_preemption() {
     serve_case("serve_tight_pool", &workload(24, 19, None), &cfg, None);
 }
 
-fn dist_case(case: &str, dist: &DistServeConfig, plan: &ScalePlan, faults: Option<FaultPlan>) {
+/// Runs, pins and returns one cluster case's exported trace document.
+fn dist_case(
+    case: &str,
+    dist: &DistServeConfig,
+    plan: &ScalePlan,
+    faults: Option<FaultPlan>,
+) -> String {
     let accel = Accelerator::edge();
     let model = bert();
     let mut wl = workload(24, 13, None);
@@ -196,18 +212,30 @@ fn dist_case(case: &str, dist: &DistServeConfig, plan: &ScalePlan, faults: Optio
     )
     .expect("run terminates");
     check(case, &m.to_json(), &sink);
+    sink.to_chrome_trace()
 }
 
+/// Also pins the differential report of the 1-chip run against the
+/// 4-chip one, as `flat insight diff --json` prints it.
 #[test]
 fn dist_ring_kv_shard_1_2_4_chips() {
-    for chips in [1, 2, 4] {
-        dist_case(
-            &format!("dist_ring_{chips}chip"),
-            &DistServeConfig::new(chips, Topology::Ring),
-            &ScalePlan::default(),
-            None,
-        );
-    }
+    let docs: Vec<String> = [1, 2, 4]
+        .into_iter()
+        .map(|chips| {
+            dist_case(
+                &format!("dist_ring_{chips}chip"),
+                &DistServeConfig::new(chips, Topology::Ring),
+                &ScalePlan::default(),
+                None,
+            )
+        })
+        .collect();
+    let attr = |doc: &str| Attribution::parse(doc).expect("the exported trace parses");
+    let diff = DiffReport::of(&attr(&docs[0]), &attr(&docs[2]));
+    pin(
+        &golden_dir("insight").join("dist_ring_1chip_vs_4chip.diff"),
+        &format!("{}\n", diff.to_json()),
+    );
 }
 
 #[test]
