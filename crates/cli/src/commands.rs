@@ -139,47 +139,62 @@ pub fn run(args: &Args) -> Result<(), String> {
 
     let mut results = Vec::new();
     for (idx, job) in jobs.iter().enumerate() {
-        let get = |key: &str, default: &str| -> String {
-            job.get(key)
-                .and_then(|v| v.as_str())
-                .unwrap_or(default)
-                .to_owned()
+        // A key that is present must have the right type: a wrong one is
+        // an error, not a silent default.
+        let wrong = |key: &str, kind: &str, v: &serde_json::Value| {
+            let v = serde_json::to_string(v).unwrap_or_default();
+            format!("job {idx}: \"{key}\" expects {kind}, got {v}")
         };
-        let get_u64 = |key: &str, default: u64| -> u64 {
-            job.get(key)
-                .and_then(serde_json::Value::as_u64)
-                .unwrap_or(default)
+        let get = |key: &str, default: &str| -> Result<String, String> {
+            job.get(key).map_or(Ok(default.to_owned()), |v| {
+                v.as_str()
+                    .map(str::to_owned)
+                    .ok_or_else(|| wrong(key, "a string", v))
+            })
+        };
+        let get_u64 = |key: &str| -> Result<Option<u64>, String> {
+            job.get(key).map_or(Ok(None), |v| {
+                v.as_u64()
+                    .map(Some)
+                    .ok_or_else(|| wrong(key, "a non-negative integer", v))
+            })
         };
         // Rebuild an Args so the job shares the CLI's resolution logic.
         let mut argv = vec![
             "--platform".to_owned(),
-            get("platform", "edge"),
+            get("platform", "edge")?,
             "--model".to_owned(),
-            get("model", "bert"),
+            get("model", "bert")?,
             "--seq".to_owned(),
-            get_u64("seq", 4096).to_string(),
+            get_u64("seq")?.unwrap_or(4096).to_string(),
             "--batch".to_owned(),
-            get_u64("batch", 64).to_string(),
+            get_u64("batch")?.unwrap_or(64).to_string(),
         ];
-        if let Some(sg) = job.get("sg_kib").and_then(serde_json::Value::as_u64) {
+        if let Some(sg) = get_u64("sg_kib")? {
             argv.extend(["--sg-kib".to_owned(), sg.to_string()]);
         }
         let job_args = Args::parse_from(argv);
         let setup = parse::setup(&job_args).map_err(|e| format!("job {idx}: {e}"))?;
 
         let mut value = if job.get("space").is_some() || job.get("objective").is_some() {
-            let space = match get("space", "full").as_str() {
-                "base" | "sequential" => SpaceKind::Sequential,
-                "fused" => SpaceKind::Fused,
-                _ => SpaceKind::Full,
+            let label = get("space", "full")?;
+            let parse::Space::Search(space) =
+                parse::space(&label).map_err(|e| format!("job {idx}: {e}"))?
+            else {
+                return Err(format!(
+                    "job {idx}: space {label:?} is a `flat dse` sweep, not a search space \
+                     (base|base-m|fused|full)"
+                ));
             };
-            let obj_args =
-                Args::parse_from(vec!["--objective".to_owned(), get("objective", "max-util")]);
+            let obj_args = Args::parse_from(vec![
+                "--objective".to_owned(),
+                get("objective", "max-util")?,
+            ]);
             let objective = parse::objective(&obj_args).map_err(|e| format!("job {idx}: {e}"))?;
             let best = Dse::new(&setup.accel, &setup.block).best_la(space, objective);
             report_json(&best.report, &la_label(&best.la), Scope::LogitAttend)
         } else {
-            let df = parse::dataflow(&get("dataflow", "flat-r64"))
+            let df = parse::dataflow(&get("dataflow", "flat-r64")?)
                 .map_err(|e| format!("job {idx}: {e}"))?;
             let report =
                 CostModel::new(&setup.accel).scope_cost(&setup.block, &df, Scope::LogitAttend);
@@ -299,18 +314,10 @@ fn la_label(la: &LaExecution) -> String {
 pub fn dse(args: &Args) -> Result<(), String> {
     let setup = parse::setup(args)?;
     let objective = parse::objective(args)?;
-    let space = match args.get("space", "full").as_str() {
-        "base" | "sequential" => SpaceKind::Sequential,
-        "base-m" => SpaceKind::SequentialMGran,
-        "fused" => SpaceKind::Fused,
-        "full" => SpaceKind::Full,
-        "precision" => return dse_precision(&setup, args, objective),
-        "collective" => return dse_collective(&setup, args),
-        other => {
-            return Err(format!(
-                "unknown space {other:?} (base|base-m|fused|full|precision|collective)"
-            ))
-        }
+    let space = match parse::space(&args.get("space", "full"))? {
+        parse::Space::Search(space) => space,
+        parse::Space::Precision => return dse_precision(&setup, args, objective),
+        parse::Space::Collective => return dse_collective(&setup, args),
     };
     let dse = Dse::new(&setup.accel, &setup.block);
     let best = match open_trace(args)? {
@@ -526,11 +533,19 @@ pub fn loopnest(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Widest Gantt chart `flat trace` renders, in columns.
+const MAX_TRACE_WIDTH: u64 = 1000;
+
 /// `flat trace` — print the execution timeline.
 pub fn trace(args: &Args) -> Result<(), String> {
     let setup = parse::setup(args)?;
     let df = parse::dataflow(&args.get("dataflow", "flat-r64"))?;
-    let width = parse::u64_arg(args, "width", 48)? as usize;
+    let width = parse::u64_arg(args, "width", 48)?;
+    if width > MAX_TRACE_WIDTH {
+        return Err(format!(
+            "--width {width} is past the {MAX_TRACE_WIDTH}-column limit"
+        ));
+    }
     let cm = CostModel::new(&setup.accel);
     let schedule = cm.la_schedule(&setup.block, &df);
     println!(
@@ -546,7 +561,7 @@ pub fn trace(args: &Args) -> Result<(), String> {
         schedule.makespan(),
         schedule.total.util()
     );
-    print!("{}", schedule.render(width));
+    print!("{}", schedule.render(width as usize));
     Ok(())
 }
 

@@ -3,7 +3,7 @@
 use flat_arch::Accelerator;
 use flat_bench::args::Args;
 use flat_core::BlockDataflow;
-use flat_dse::Objective;
+use flat_dse::{Objective, SpaceKind};
 use flat_serve::{EngineConfig, FaultPlan, RequestSpec, WorkloadSpec};
 use flat_tensor::Bytes;
 use flat_workloads::{AttentionBlock, Model, Scope};
@@ -165,7 +165,10 @@ pub fn accelerator(args: &Args) -> Result<Accelerator, String> {
         let kib: u64 = kib
             .parse()
             .map_err(|_| "--sg-kib expects an integer".to_owned())?;
-        accel = accel.with_sg(Bytes::from_kib(kib));
+        let bytes = kib
+            .checked_mul(1 << 10)
+            .ok_or_else(|| format!("--sg-kib {kib} is past 2^64 bytes"))?;
+        accel = accel.with_sg(Bytes::new(bytes));
     }
     if let Some(gbps) = optional(args, "offchip-gbps") {
         let gbps: f64 = gbps
@@ -265,7 +268,10 @@ pub fn engine(
     cfg.prefill_chunk = u64_arg(args, "chunk", cfg.prefill_chunk as u64)? as usize;
     cfg.max_batch = u64_arg(args, "max-batch", cfg.max_batch as u64)? as usize;
     if let Some(mib) = opt_u64_arg(args, "kv-mib")? {
-        cfg.kv_budget = Bytes::from_mib(mib);
+        let bytes = mib
+            .checked_mul(1 << 20)
+            .ok_or_else(|| format!("--kv-mib {mib} is past 2^64 bytes"))?;
+        cfg.kv_budget = Bytes::new(bytes);
     }
     if let Some(p) = optional(args, "precision") {
         cfg.precision = flat_serve::ComputePrecision::parse(&p)?;
@@ -289,6 +295,29 @@ pub fn scope(args: &Args) -> Result<Scope, String> {
         "block" => Ok(Scope::Block),
         "model" => Ok(Scope::Model),
         other => Err(format!("unknown scope {other:?} (la|block|model)")),
+    }
+}
+
+/// A `--space` value: a dataflow search space, or one of `flat dse`'s
+/// two sweeps.
+pub enum Space {
+    Search(SpaceKind),
+    Precision,
+    Collective,
+}
+
+/// Parses a `--space` label (`base|base-m|fused|full|precision|collective`).
+pub fn space(label: &str) -> Result<Space, String> {
+    match label {
+        "base" | "sequential" => Ok(Space::Search(SpaceKind::Sequential)),
+        "base-m" => Ok(Space::Search(SpaceKind::SequentialMGran)),
+        "fused" => Ok(Space::Search(SpaceKind::Fused)),
+        "full" => Ok(Space::Search(SpaceKind::Full)),
+        "precision" => Ok(Space::Precision),
+        "collective" => Ok(Space::Collective),
+        other => Err(format!(
+            "unknown space {other:?} (base|base-m|fused|full|precision|collective)"
+        )),
     }
 }
 

@@ -415,6 +415,17 @@ fn hostile_sizes_and_analytical_trace_are_diagnostics() {
             &["sim", "--engine", "analytical", "--trace-json", &trace],
             "--trace-json",
         ),
+        // 2^44 MiB is 2^64 bytes: the KV budget must not wrap to zero.
+        (
+            &["serve", "--requests", "4", "--kv-mib", "17592186044416"],
+            "--kv-mib",
+        ),
+        (
+            &["trace", "--seq", "512", "--width", "18446744073709551615"],
+            "--width",
+        ),
+        // 2^54 KiB is 2^64 bytes: the SG buffer must not wrap to zero.
+        (&["cost", "--sg-kib", "18014398509481984"], "--sg-kib"),
     ] {
         let out = flat(args);
         assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
@@ -424,6 +435,55 @@ fn hostile_sizes_and_analytical_trace_are_diagnostics() {
             "{args:?}: diagnostic names {needle}: {err}"
         );
         assert!(!err.contains("panicked"), "no panic backtrace: {err}");
+        assert_eq!(err.trim().lines().count(), 1, "one-line diagnostic: {err}");
+    }
+}
+
+/// `flat run` resolves a job's `space` like `flat dse --space` does, and
+/// a job key of the wrong type or an unknown space is a one-line
+/// diagnostic naming the job, not a silent default.
+#[test]
+fn run_jobs_take_dse_spaces_and_reject_bad_fields() {
+    let config = |name: &str, job: &str| {
+        let path = std::env::temp_dir().join(format!("flat_cli_test_run_{name}.json"));
+        let text =
+            format!(r#"{{"jobs": [{{"platform": "edge", "model": "bert", "seq": 512}}, {job}]}}"#);
+        std::fs::write(&path, text).expect("write run config");
+        path.display().to_string()
+    };
+    let base_m = config("base_m", r#"{"seq": 512, "space": "base-m"}"#);
+    let out = flat(&["run", "--config", &base_m]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let results: serde_json::Value =
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("run prints JSON");
+    let dataflow = results
+        .as_array()
+        .and_then(|jobs| jobs.get(1))
+        .and_then(|job| job.get("dataflow"))
+        .and_then(serde_json::Value::as_str);
+    assert_eq!(
+        dataflow,
+        Some("Base"),
+        "the base-m space holds only sequential dataflows"
+    );
+    for (name, job, needle) in [
+        ("bogus", r#"{"seq": 512, "space": "bogus"}"#, "bogus"),
+        (
+            "sweep",
+            r#"{"seq": 512, "space": "precision"}"#,
+            "precision",
+        ),
+        ("seq", r#"{"seq": 512.5}"#, "\"seq\""),
+        ("batch", r#"{"batch": -1}"#, "\"batch\""),
+        ("sg_kib", r#"{"sg_kib": "big"}"#, "\"sg_kib\""),
+    ] {
+        let out = flat(&["run", "--config", &config(name, job)]);
+        assert_eq!(out.status.code(), Some(1), "{job} must exit 1");
+        let err = stderr(&out);
+        assert!(
+            err.contains("job 1") && err.contains(needle),
+            "{job}: diagnostic names the job and {needle}: {err}"
+        );
         assert_eq!(err.trim().lines().count(), 1, "one-line diagnostic: {err}");
     }
 }

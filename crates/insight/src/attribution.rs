@@ -21,8 +21,9 @@
 //! `collective_exposed` phase and the remaining compute time is split
 //! over the request's slices in token proportion.
 
-use crate::trace::TraceEvent;
+use crate::trace::{arg_str, arg_u64, has_arg, parse_chrome_trace};
 use flat_serve::Percentiles;
+use flat_telemetry::{Event, EventPhase};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -226,41 +227,39 @@ struct Tick {
 }
 
 impl Attribution {
-    /// Attributes an in-process event stream (e.g. a
-    /// [`flat_telemetry::MemorySink`]'s contents).
-    #[must_use]
-    pub fn of(events: &[flat_telemetry::Event]) -> Self {
-        Self::from_trace_events(&crate::trace::from_events(events))
-    }
-
-    /// Parses and attributes a Chrome trace JSON document.
+    /// Parses and attributes a Chrome trace JSON document (the
+    /// `--trace FILE` output).
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::trace::parse_chrome_trace`] errors.
+    /// Describes the first malformed construct: unparseable JSON, a
+    /// missing `traceEvents` array, or an event missing one of the
+    /// `name`/`ph`/`ts`/`pid`/`tid` fields.
     pub fn parse(text: &str) -> Result<Self, String> {
-        Ok(Self::from_trace_events(&crate::trace::parse_chrome_trace(
-            text,
-        )?))
+        Ok(Self::of(&parse_chrome_trace(text)?))
     }
 
-    /// Attributes an owned event stream.
+    /// Attributes an event stream (e.g. a
+    /// [`flat_telemetry::MemorySink`]'s contents).
     ///
     /// Events may arrive in any order; they are stably sorted by
     /// timestamp first, which restores the per-lane B/E pairing order
     /// the producers emit (equal-timestamp events on one lane keep
     /// their relative order under a stable sort).
     #[must_use]
-    pub fn from_trace_events(events: &[TraceEvent]) -> Self {
-        let mut ordered: Vec<&TraceEvent> = events.iter().collect();
+    pub fn of(events: &[Event]) -> Self {
+        let mut ordered: Vec<&Event> = events.iter().collect();
         ordered.sort_by(|a, b| a.ts_us.total_cmp(&b.ts_us));
 
         // Exposed-collective intervals on the scheduler lane, in ts
         // order.
         let exposed: Vec<(f64, f64)> = ordered
             .iter()
-            .filter(|e| e.pid == PID_ENGINE && e.tid == 0 && e.ph == 'X' && e.name == "exposed")
-            .map(|e| (e.ts_us, e.ts_us + e.dur_us))
+            .filter(|e| e.pid == PID_ENGINE && e.tid == 0 && e.name == "exposed")
+            .filter_map(|e| match e.ph {
+                EventPhase::Complete { dur_us } => Some((e.ts_us, e.ts_us + dur_us)),
+                _ => None,
+            })
             .collect();
 
         let mut lanes: BTreeMap<u64, Lane> = BTreeMap::new();
@@ -270,32 +269,32 @@ impl Attribution {
             }
             let lane = lanes.entry(e.tid - 1).or_default();
             match (e.ph, e.name.as_str()) {
-                ('B', "request") => {
+                (EventPhase::Begin, "request") => {
                     lane.arrival_us = Some(e.ts_us);
-                    if let Some(t) = e.arg_u64("tenant") {
+                    if let Some(t) = arg_u64(e, "tenant") {
                         lane.tenant = u32::try_from(t).unwrap_or(u32::MAX);
                     }
                 }
-                ('E', "request") => {
+                (EventPhase::End, "request") => {
                     lane.end_us = Some(e.ts_us);
-                    if let Some(g) = e.arg_u64("generated") {
+                    if let Some(g) = arg_u64(e, "generated") {
                         lane.generated = g;
                     }
                 }
-                ('B', "queued") => lane.queued_open = Some(e.ts_us),
-                ('E', "queued") => {
+                (EventPhase::Begin, "queued") => lane.queued_open = Some(e.ts_us),
+                (EventPhase::End, "queued") => {
                     if let Some(open) = lane.queued_open.take() {
                         lane.queued_us += (e.ts_us - open).max(0.0);
                     }
                 }
-                ('i', "preempted") => {
-                    lane.preemptions = lane.preemptions.max(e.arg_u64("count").unwrap_or(0));
+                (EventPhase::Instant, "preempted") => {
+                    lane.preemptions = lane.preemptions.max(arg_u64(e, "count").unwrap_or(0));
                 }
-                ('i', "dropped") => {
-                    lane.drop_reason = Some(e.arg_str("reason").unwrap_or("unknown").to_owned());
+                (EventPhase::Instant, "dropped") => {
+                    lane.drop_reason = Some(arg_str(e, "reason").unwrap_or("unknown").to_owned());
                 }
-                ('X', "prefill" | "decode") => {
-                    let tokens = e.arg_u64("tokens").unwrap_or(0) as f64;
+                (EventPhase::Complete { dur_us }, "prefill" | "decode") => {
+                    let tokens = arg_u64(e, "tokens").unwrap_or(0) as f64;
                     let same_tick = lane
                         .ticks
                         .last()
@@ -303,17 +302,17 @@ impl Attribution {
                     if !same_tick {
                         lane.ticks.push(Tick {
                             ts_us: e.ts_us,
-                            dur_us: e.dur_us,
+                            dur_us,
                             prefill_tok: 0.0,
                             recompute_tok: 0.0,
                             decode_tok: 0.0,
                         });
                     }
                     if let Some(tick) = lane.ticks.last_mut() {
-                        tick.dur_us = tick.dur_us.max(e.dur_us);
+                        tick.dur_us = tick.dur_us.max(dur_us);
                         if e.name == "decode" {
                             tick.decode_tok += tokens;
-                        } else if e.has_arg("recompute") {
+                        } else if has_arg(e, "recompute") {
                             tick.recompute_tok += tokens;
                         } else {
                             tick.prefill_tok += tokens;
@@ -528,7 +527,6 @@ fn finish_lane(id: u64, lane: Lane, exposed: &[(f64, f64)]) -> RequestPhases {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flat_telemetry::Event;
 
     /// A hand-built two-request trace: request 0 queues 1 ms, prefills
     /// one 2 ms tick, decodes one 3 ms tick (1 ms of it exposed

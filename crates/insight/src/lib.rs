@@ -4,13 +4,17 @@
 //! Chrome trace documents from the serving engine (`--trace FILE` or an
 //! in-process [`MemorySink`](flat_telemetry::MemorySink)) and windowed
 //! [`WindowSample`](flat_serve::WindowSample) trajectories from
-//! sustained runs. This crate turns those artifacts into answers:
+//! sustained runs. This crate turns those artifacts into answers. It
+//! reads traces as the producers write them: an in-process stream is a
+//! slice of [`flat_telemetry::Event`], and a `--trace FILE` document is
+//! parsed back into the same record, so both go through one analysis:
 //!
 //! * [`Attribution`] — critical-path attribution: decompose each traced
 //!   request's end-to-end latency into queued / prefill / recompute /
 //!   decode / collective-exposed / other phases, with per-phase
 //!   percentile distributions overall and per tenant
-//!   (`flat insight attr TRACE.json`);
+//!   (`flat insight attr TRACE.json`); [`Attribution::of`] takes the
+//!   events, [`Attribution::parse`] the document;
 //! * [`DiffReport`] — differential analysis: align two traced runs by
 //!   request id and attribute the latency delta to phases, drop-reason
 //!   shifts, and the most-moved requests
@@ -30,11 +34,10 @@
 pub mod attribution;
 pub mod diff;
 pub mod health;
-pub mod trace;
+mod trace;
 
 pub use attribution::{
     Attribution, DropTally, PhaseBreakdown, PhaseStat, RequestPhases, TenantPhases, PHASE_NAMES,
 };
 pub use diff::{DiffReport, DropShift, PhaseDelta, RequestDelta};
 pub use health::{analyze_windows, InsightFinding, DEFAULT_ERROR_BUDGET};
-pub use trace::{from_events, parse_chrome_trace, ArgScalar, TraceEvent};

@@ -1,145 +1,57 @@
-//! Owned trace-event model and the two readers that produce it: a
-//! Chrome-trace JSON parser (for `--trace FILE` documents written by the
-//! serving engine) and a lossless converter from in-process
-//! [`flat_telemetry::Event`] streams (for [`MemorySink`] consumers).
+//! Reads a Chrome-trace JSON document (the `--trace FILE` output of the
+//! serving engine) back into [`flat_telemetry::Event`]s, the record the
+//! producers write, plus the argument lookups attribution needs.
 //!
-//! The telemetry crate's [`Event`] keeps categories and argument keys as
-//! `&'static str` so the producer side stays allocation-light; a parsed
-//! document cannot round-trip into that type, so analysis works on this
-//! crate's owned [`TraceEvent`] instead.
-//!
-//! [`MemorySink`]: flat_telemetry::MemorySink
-//! [`Event`]: flat_telemetry::Event
+//! The reader lives here rather than in `flat-telemetry` because parsing
+//! needs `serde_json`, and the telemetry crate depends on std alone.
 
 use flat_telemetry::{ArgValue, Event, EventPhase};
+use std::borrow::Cow;
 
-/// One owned event argument.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArgScalar {
-    /// An integer.
-    U64(u64),
-    /// A float.
-    F64(f64),
-    /// A string.
-    Str(String),
+/// The integer argument `key`, accepting integral floats (the JSON
+/// round trip may widen).
+pub(crate) fn arg_u64(e: &Event, key: &str) -> Option<u64> {
+    arg(e, key).and_then(|v| match v {
+        ArgValue::U64(u) => Some(*u),
+        ArgValue::F64(f) if f.is_finite() && *f >= 0.0 && f.fract() == 0.0 => Some(*f as u64),
+        _ => None,
+    })
 }
 
-/// One trace event in owned form: the Chrome trace-event subset the
-/// `flat-serve` / `flat-desim` producers emit, reconstructed from JSON
-/// or converted from an in-process stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Event (or span) name.
-    pub name: String,
-    /// Category (`request`, `collective`, `engine`, …).
-    pub cat: String,
-    /// Phase code: `B`, `E`, `X`, `C`, `i`, or `M`.
-    pub ph: char,
-    /// Timestamp in microseconds on the producer's clock.
-    pub ts_us: f64,
-    /// Span duration in microseconds (`X` events only; 0 otherwise).
-    pub dur_us: f64,
-    /// Process lane.
-    pub pid: u32,
-    /// Thread lane.
-    pub tid: u64,
-    /// Ordered key/value arguments.
-    pub args: Vec<(String, ArgScalar)>,
+/// The string argument `key`.
+pub(crate) fn arg_str<'e>(e: &'e Event, key: &str) -> Option<&'e str> {
+    arg(e, key).and_then(|v| match v {
+        ArgValue::Str(s) => Some(s.as_str()),
+        _ => None,
+    })
 }
 
-impl TraceEvent {
-    /// The integer argument `key`, accepting integral floats (the JSON
-    /// round trip may widen).
-    #[must_use]
-    pub fn arg_u64(&self, key: &str) -> Option<u64> {
-        self.args
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| match v {
-                ArgScalar::U64(u) => Some(*u),
-                ArgScalar::F64(f) if f.is_finite() && *f >= 0.0 && f.fract() == 0.0 => {
-                    Some(*f as u64)
-                }
-                _ => None,
-            })
-    }
-
-    /// The string argument `key`.
-    #[must_use]
-    pub fn arg_str(&self, key: &str) -> Option<&str> {
-        self.args
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| match v {
-                ArgScalar::Str(s) => Some(s.as_str()),
-                _ => None,
-            })
-    }
-
-    /// Whether the event carries argument `key` at all.
-    #[must_use]
-    pub fn has_arg(&self, key: &str) -> bool {
-        self.args.iter().any(|(k, _)| k == key)
-    }
+/// Whether the event carries argument `key` at all.
+pub(crate) fn has_arg(e: &Event, key: &str) -> bool {
+    arg(e, key).is_some()
 }
 
-/// Converts an in-process event stream (e.g. the contents of a
-/// [`flat_telemetry::MemorySink`]) into the owned analysis model.
-/// Lossless: every field and argument carries over.
-#[must_use]
-pub fn from_events(events: &[Event]) -> Vec<TraceEvent> {
-    events
-        .iter()
-        .map(|e| {
-            let (ph, dur_us) = match e.ph {
-                EventPhase::Begin => ('B', 0.0),
-                EventPhase::End => ('E', 0.0),
-                EventPhase::Complete { dur_us } => ('X', dur_us),
-                EventPhase::Counter => ('C', 0.0),
-                EventPhase::Instant => ('i', 0.0),
-                EventPhase::Metadata => ('M', 0.0),
-            };
-            TraceEvent {
-                name: e.name.clone(),
-                cat: e.cat.to_owned(),
-                ph,
-                ts_us: e.ts_us,
-                dur_us,
-                pid: e.pid,
-                tid: e.tid,
-                args: e
-                    .args
-                    .iter()
-                    .map(|(k, v)| {
-                        let v = match v {
-                            ArgValue::U64(u) => ArgScalar::U64(*u),
-                            ArgValue::F64(f) => ArgScalar::F64(*f),
-                            ArgValue::Str(s) => ArgScalar::Str(s.clone()),
-                        };
-                        ((*k).to_owned(), v)
-                    })
-                    .collect(),
-            }
-        })
-        .collect()
+fn arg<'e>(e: &'e Event, key: &str) -> Option<&'e ArgValue> {
+    e.args.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-/// Parses a Chrome trace JSON document (the `--trace FILE` output) into
-/// owned events.
+/// Parses a Chrome trace JSON document into events.
 ///
 /// Tolerant of the exporter's lossy spots: non-finite numeric arguments
 /// are serialized as strings (`"NaN"`) and parse back as strings;
 /// `dur` was clamped to ≥ 1 ns on export. Events missing any of the
 /// required `name`/`ph`/`ts`/`pid`/`tid` fields are rejected with a
 /// description rather than skipped — a malformed document should be
-/// loud, not quietly half-analyzed.
+/// loud, not quietly half-analyzed. Well-formed events whose `ph` is
+/// none of `B/E/X/C/i/M` (keyed on its first character) are skipped:
+/// no analysis reads them.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed construct: unparseable
 /// JSON, a missing `traceEvents` array, or an event missing required
 /// fields.
-pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
+pub(crate) fn parse_chrome_trace(text: &str) -> Result<Vec<Event>, String> {
     let doc: serde_json::Value =
         serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
     let events = doc
@@ -149,11 +61,15 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
     events
         .iter()
         .enumerate()
-        .map(|(i, ev)| parse_event(ev).map_err(|e| format!("traceEvents[{i}]: {e}")))
+        .filter_map(|(i, ev)| {
+            parse_event(ev)
+                .map_err(|e| format!("traceEvents[{i}]: {e}"))
+                .transpose()
+        })
         .collect()
 }
 
-fn parse_event(ev: &serde_json::Value) -> Result<TraceEvent, String> {
+fn parse_event(ev: &serde_json::Value) -> Result<Option<Event>, String> {
     let name = ev
         .get("name")
         .and_then(|v| v.as_str())
@@ -173,7 +89,6 @@ fn parse_event(ev: &serde_json::Value) -> Result<TraceEvent, String> {
         .get("ts")
         .and_then(|v| v.as_f64())
         .ok_or("missing \"ts\"")?;
-    let dur_us = ev.get("dur").and_then(|v| v.as_f64()).unwrap_or(0.0);
     let pid = ev
         .get("pid")
         .and_then(|v| v.as_u64())
@@ -183,34 +98,42 @@ fn parse_event(ev: &serde_json::Value) -> Result<TraceEvent, String> {
         .get("tid")
         .and_then(|v| v.as_u64())
         .ok_or("missing \"tid\"")?;
+    let ph = match ph {
+        'B' => EventPhase::Begin,
+        'E' => EventPhase::End,
+        'X' => EventPhase::Complete {
+            dur_us: ev.get("dur").and_then(|v| v.as_f64()).unwrap_or(0.0),
+        },
+        'C' => EventPhase::Counter,
+        'i' => EventPhase::Instant,
+        'M' => EventPhase::Metadata,
+        _ => return Ok(None),
+    };
     let args = match ev.get("args").and_then(|v| v.as_object()) {
         None => Vec::new(),
         Some(map) => map
             .iter()
             .map(|(k, v)| {
-                let scalar = if let Some(u) = v.as_u64() {
-                    ArgScalar::U64(u)
+                let value = if let Some(u) = v.as_u64() {
+                    ArgValue::U64(u)
                 } else if let Some(f) = v.as_f64() {
-                    ArgScalar::F64(f)
-                } else if let Some(s) = v.as_str() {
-                    ArgScalar::Str(s.to_owned())
+                    ArgValue::F64(f)
                 } else {
-                    ArgScalar::Str(String::new())
+                    ArgValue::Str(v.as_str().unwrap_or_default().to_owned())
                 };
-                (k.clone(), scalar)
+                (Cow::Owned(k.clone()), value)
             })
             .collect(),
     };
-    Ok(TraceEvent {
+    Ok(Some(Event {
         name,
-        cat,
+        cat: Cow::Owned(cat),
         ph,
         ts_us,
-        dur_us,
         pid,
         tid,
         args,
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -218,36 +141,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn in_process_conversion_is_lossless() {
-        let events = vec![
-            Event::begin("request", "request", 10.0, 0, 3).arg("tenant", 2u64),
-            Event::complete("prefill", "request", 10.0, 5.5, 0, 3).arg("tokens", 64u64),
-            Event::instant("dropped", "request", 20.0, 0, 4).arg("reason", "deadline-exceeded"),
-        ];
-        let owned = from_events(&events);
-        assert_eq!(owned.len(), 3);
-        assert_eq!(owned[0].ph, 'B');
-        assert_eq!(owned[0].arg_u64("tenant"), Some(2));
-        assert_eq!(owned[1].ph, 'X');
-        assert!((owned[1].dur_us - 5.5).abs() < 1e-12);
-        assert_eq!(owned[2].arg_str("reason"), Some("deadline-exceeded"));
-    }
-
-    #[test]
     fn parses_what_the_exporter_writes() {
         let events = vec![
             Event::begin("request", "request", 10.0, 0, 3).arg("tenant", 1u64),
             Event::complete("decode", "request", 10.0, 2.0, 0, 3)
-                .arg("tokens", 1u64)
-                .arg("ctx_tokens", 17u64),
+                .arg("ctx_tokens", 17u64)
+                .arg("tokens", 1u64),
+            Event::instant("dropped", "request", 20.0, 0, 4).arg("reason", "deadline-exceeded"),
         ];
         let doc = flat_telemetry::chrome_trace_json(&events);
         let parsed = parse_chrome_trace(&doc).expect("round trip");
-        assert_eq!(parsed.len(), 2);
+        assert_eq!(parsed.len(), 3);
         assert_eq!(parsed[0].name, "request");
-        assert_eq!(parsed[0].arg_u64("tenant"), Some(1));
-        assert_eq!(parsed[1].arg_u64("ctx_tokens"), Some(17));
-        assert!((parsed[1].dur_us - 2.0).abs() < 1e-9);
+        assert_eq!(parsed[0].ph, EventPhase::Begin);
+        assert_eq!(arg_u64(&parsed[0], "tenant"), Some(1));
+        assert_eq!(parsed[1].ph, EventPhase::Complete { dur_us: 2.0 });
+        assert_eq!(arg_u64(&parsed[1], "ctx_tokens"), Some(17));
+        assert_eq!(arg_str(&parsed[2], "reason"), Some("deadline-exceeded"));
+        assert!(!has_arg(&parsed[2], "tokens"));
+        // With each event's arguments in key order (the order the reader
+        // yields them), the parsed events export to the same bytes.
+        assert_eq!(flat_telemetry::chrome_trace_json(&parsed), doc);
+    }
+
+    #[test]
+    fn skips_unknown_phases() {
+        let doc = "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"b\",\"ts\":1,\"pid\":0,\"tid\":0},\
+                   {\"name\":\"b\",\"ph\":\"i\",\"ts\":2,\"pid\":0,\"tid\":0}]}";
+        let parsed = parse_chrome_trace(doc).expect("well-formed");
+        assert_eq!(parsed.len(), 1);
+        assert_eq!(parsed[0].name, "b");
     }
 
     #[test]

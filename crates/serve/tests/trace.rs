@@ -200,7 +200,7 @@ fn dist_trace_carries_collective_spans_per_chip() {
         for ev in &coll {
             assert!(matches!(ev.ph, EventPhase::Complete { .. }));
             assert!(ev.pid >= 1 && ev.pid as usize <= chips, "chip lane pid");
-            let keys: Vec<_> = ev.args.iter().map(|(k, _)| *k).collect();
+            let keys: Vec<&str> = ev.args.iter().map(|(k, _)| k.as_ref()).collect();
             assert!(
                 keys.contains(&"bytes") && keys.contains(&"energy_pj"),
                 "{keys:?}"

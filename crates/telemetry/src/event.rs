@@ -9,7 +9,13 @@
 //! simulator's cycle counter, a search's candidate index): the schema is
 //! clock-agnostic, and byte-reproducibility is the producer's clock's
 //! property, preserved verbatim here.
+//!
+//! The category and argument keys are [`Cow`]s: producers pass
+//! `&'static str` literals, which the constructors store borrowed, and a
+//! reader of an exported document (`flat-insight`) stores them owned, so
+//! one record type serves both sides.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// The event phase — the `ph` field of the Chrome trace-event format.
@@ -84,7 +90,7 @@ pub struct Event {
     pub name: String,
     /// Category, used by viewers for filtering (`request`, `collective`,
     /// `dse`, `engine`, …).
-    pub cat: &'static str,
+    pub cat: Cow<'static, str>,
     /// Phase.
     pub ph: EventPhase,
     /// Timestamp in microseconds on the producer's clock.
@@ -97,7 +103,7 @@ pub struct Event {
     pub tid: u64,
     /// Ordered key/value arguments (order is preserved in the export, so
     /// output stays byte-deterministic).
-    pub args: Vec<(&'static str, ArgValue)>,
+    pub args: Vec<(Cow<'static, str>, ArgValue)>,
 }
 
 impl Event {
@@ -169,7 +175,7 @@ impl Event {
     fn new(name: &str, cat: &'static str, ph: EventPhase, ts_us: f64, pid: u32, tid: u64) -> Self {
         Event {
             name: name.to_owned(),
-            cat,
+            cat: Cow::Borrowed(cat),
             ph,
             ts_us,
             pid,
@@ -181,7 +187,7 @@ impl Event {
     /// Appends one argument (builder-style).
     #[must_use]
     pub fn arg(mut self, key: &'static str, value: impl Into<ArgValue>) -> Self {
-        self.args.push((key, value.into()));
+        self.args.push((Cow::Borrowed(key), value.into()));
         self
     }
 
@@ -194,7 +200,7 @@ impl Event {
         out.push_str("{\"name\":\"");
         escape_into(&mut out, &self.name);
         out.push_str("\",\"cat\":\"");
-        escape_into(&mut out, self.cat);
+        escape_into(&mut out, &self.cat);
         let _ = write!(
             out,
             "\",\"ph\":\"{}\",\"ts\":{:.3},\"pid\":{},\"tid\":{}",

@@ -1,5 +1,5 @@
 //! `flat-telemetry` — the unified observability layer of the FLAT stack:
-//! virtual-clock-aware spans, monotonic counters, log-linear histograms,
+//! virtual-clock-aware spans, monotonic counters, gauges and summaries,
 //! a Chrome trace-event / Perfetto-compatible JSON exporter, and a
 //! Prometheus-style text exposition dump.
 //!
@@ -12,7 +12,9 @@
 //!
 //! * [`Event`] / [`EventPhase`] — the Chrome trace-event subset the
 //!   exporters write (`ph: B/E/X/C/i/M`, microsecond `ts`, `pid` = chip,
-//!   `tid` = request or engine lane);
+//!   `tid` = request or engine lane), and the one trace record from
+//!   producer to analysis: `flat-insight` reads exported documents back
+//!   into it;
 //! * [`TraceSink`] — the producer-facing trait, with three
 //!   implementations: [`NoopSink`] (disabled, compiles away behind the
 //!   [`TraceSink::enabled`] guard), [`MemorySink`] (buffering, for tests
@@ -20,9 +22,8 @@
 //!   an `io::Write` so long runs never hold their trace in memory);
 //! * [`chrome_trace_json`] — the buffered exporter; the streaming sink
 //!   produces byte-identical documents;
-//! * [`Registry`] / [`Histogram`] — the aggregate side: counters,
-//!   gauges, summaries, and log-linear histograms rendered as Prometheus
-//!   text exposition by [`Registry::prometheus`].
+//! * [`Registry`] — the aggregate side: counters, gauges, and summaries
+//!   rendered as Prometheus text exposition by [`Registry::prometheus`].
 //!
 //! Timestamps are whatever clock the producer owns — the serving
 //! engine's deterministic virtual clock, the simulator's cycle counter,
@@ -57,5 +58,5 @@ mod sink;
 
 pub use event::{ArgValue, Event, EventPhase};
 pub use export::{chrome_trace_json, sort_events};
-pub use registry::{Histogram, Registry};
+pub use registry::Registry;
 pub use sink::{JsonStreamSink, MemorySink, NoopSink, TraceSink};

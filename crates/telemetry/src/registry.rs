@@ -1,5 +1,5 @@
-//! Metrics registry: monotonic counters, gauges, summaries, and
-//! log-linear histograms, with a Prometheus-style text exposition dump.
+//! Metrics registry: monotonic counters, gauges, and summaries, with a
+//! Prometheus-style text exposition dump.
 //!
 //! The registry is the *aggregate* side of the telemetry layer — where
 //! the trace sinks record every event, the registry records totals and
@@ -10,112 +10,11 @@
 
 use std::fmt::Write as _;
 
-/// A log-linear histogram: `buckets` upper bounds growing geometrically
-/// from `first_bound` by `growth` per bucket, plus the implicit `+Inf`
-/// bucket — constant memory for any sample range, with relative error
-/// bounded by the growth factor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    /// `counts[i]` tallies samples `<= bounds[i]`; the last entry is the
-    /// overflow (`+Inf`) bucket.
-    counts: Vec<u64>,
-    sum: f64,
-    total: u64,
-    /// Samples ignored for being NaN (a histogram of times must absorb a
-    /// corrupted stamp, not poison the sum).
-    nonfinite: u64,
-}
-
-impl Histogram {
-    /// A histogram with `buckets` log-spaced bounds starting at
-    /// `first_bound` and growing by `growth` per bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `first_bound` or `growth` is not finite and positive,
-    /// if `growth <= 1`, or if `buckets` is zero.
-    #[must_use]
-    pub fn log_linear(first_bound: f64, growth: f64, buckets: usize) -> Self {
-        assert!(
-            first_bound.is_finite() && first_bound > 0.0,
-            "first bound must be positive"
-        );
-        assert!(growth.is_finite() && growth > 1.0, "growth must exceed 1");
-        assert!(buckets > 0, "need at least one bucket");
-        let mut bounds = Vec::with_capacity(buckets);
-        let mut b = first_bound;
-        for _ in 0..buckets {
-            bounds.push(b);
-            b *= growth;
-        }
-        let counts = vec![0; buckets + 1];
-        Histogram {
-            bounds,
-            counts,
-            sum: 0.0,
-            total: 0,
-            nonfinite: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn observe(&mut self, v: f64) {
-        if v.is_nan() {
-            self.nonfinite += 1;
-            return;
-        }
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.total += 1;
-        if v.is_finite() {
-            self.sum += v;
-        }
-    }
-
-    /// Total samples recorded (excluding NaN).
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Sum of all finite samples.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// NaN samples absorbed.
-    #[must_use]
-    pub fn nonfinite(&self) -> u64 {
-        self.nonfinite
-    }
-
-    /// The `(upper_bound, cumulative_count)` rows of the exposition,
-    /// ending with the `+Inf` bucket.
-    #[must_use]
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        let mut acc = 0;
-        let mut rows = Vec::with_capacity(self.counts.len());
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            let bound = self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            rows.push((bound, acc));
-        }
-        rows
-    }
-}
-
 /// One registered metric.
 #[derive(Debug, Clone, PartialEq)]
 enum Metric {
     Counter(f64),
     Gauge(f64),
-    Histogram(Histogram),
     /// Pre-computed quantiles, rendered with Prometheus `quantile`
     /// labels (the summary exposition type).
     Summary(Vec<(&'static str, f64)>),
@@ -126,7 +25,6 @@ impl Metric {
         match self {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
             Metric::Summary(_) => "summary",
         }
     }
@@ -176,18 +74,6 @@ impl Registry {
         self.metrics[i].2 = Metric::Gauge(v);
     }
 
-    /// Records `v` into the histogram `name`, creating it with the given
-    /// shape on first use.
-    pub fn observe(&mut self, name: &str, help: &str, shape: &Histogram, v: f64) {
-        let i = self.slot(name, help);
-        if !matches!(self.metrics[i].2, Metric::Histogram(_)) {
-            self.metrics[i].2 = Metric::Histogram(shape.clone());
-        }
-        if let Metric::Histogram(h) = &mut self.metrics[i].2 {
-            h.observe(v);
-        }
-    }
-
     /// Registers pre-computed quantiles as a summary metric.
     pub fn summary(&mut self, name: &str, help: &str, quantiles: Vec<(&'static str, f64)>) {
         let i = self.slot(name, help);
@@ -230,18 +116,6 @@ impl Registry {
                             fmt_value(*v)
                         );
                     }
-                }
-                Metric::Histogram(h) => {
-                    for (bound, cum) in h.cumulative_buckets() {
-                        let le = if bound.is_finite() {
-                            fmt_value(bound)
-                        } else {
-                            "+Inf".to_owned()
-                        };
-                        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}");
-                    }
-                    let _ = writeln!(out, "{name}_sum {}", fmt_value(h.sum()));
-                    let _ = writeln!(out, "{name}_count {}", h.count());
                 }
             }
         }
@@ -324,51 +198,15 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_grow_geometrically_and_accumulate() {
-        let mut h = Histogram::log_linear(1.0, 2.0, 4); // bounds 1,2,4,8
-        for v in [0.5, 1.5, 3.0, 100.0] {
-            h.observe(v);
-        }
-        let rows = h.cumulative_buckets();
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[0], (1.0, 1));
-        assert_eq!(rows[1], (2.0, 2));
-        assert_eq!(rows[2], (4.0, 3));
-        assert_eq!(rows[3], (8.0, 3));
-        assert_eq!(rows[4].1, 4); // +Inf
-        assert!(rows[4].0.is_infinite());
-        assert_eq!(h.count(), 4);
-        assert!((h.sum() - 105.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_absorbs_nan_and_counts_infinite_in_overflow() {
-        let mut h = Histogram::log_linear(1.0, 10.0, 2);
-        h.observe(f64::NAN);
-        h.observe(f64::INFINITY);
-        assert_eq!(h.nonfinite(), 1);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.cumulative_buckets()[2].1, 1);
-        assert_eq!(h.sum(), 0.0, "infinite samples do not poison the sum");
-    }
-
-    #[test]
-    fn exposition_covers_all_four_types() {
+    fn exposition_covers_all_three_types() {
         let mut r = Registry::new();
         r.counter_add("a_total", "A.", 1.0);
         r.gauge_set("b", "B.", 0.25);
-        let shape = Histogram::log_linear(0.1, 10.0, 3);
-        r.observe("c_ms", "C.", &shape, 0.05);
-        r.observe("c_ms", "C.", &shape, 50.0);
         r.summary("d_ms", "D.", vec![("0.5", 10.0), ("0.99", 42.5)]);
         let text = r.prometheus();
         assert!(text.contains("# TYPE a_total counter"));
         assert!(text.contains("# TYPE b gauge"));
         assert!(text.contains("\nb 0.25\n"));
-        assert!(text.contains("# TYPE c_ms histogram"));
-        assert!(text.contains("c_ms_bucket{le=\"0.1\"} 1"));
-        assert!(text.contains("c_ms_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("c_ms_count 2"));
         assert!(text.contains("# TYPE d_ms summary"));
         assert!(text.contains("d_ms{quantile=\"0.99\"} 42.5"));
     }

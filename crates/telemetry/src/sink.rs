@@ -41,7 +41,7 @@ impl TraceSink for NoopSink {
 }
 
 /// An in-memory sink: buffers every event, for tests and for callers
-/// that post-process (schema checks, histogram extraction).
+/// that post-process (schema checks, `flat-insight` attribution).
 #[derive(Debug, Clone, Default)]
 pub struct MemorySink {
     /// The recorded events, in arrival order.

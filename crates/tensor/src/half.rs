@@ -1,15 +1,11 @@
 //! Software half-width floating point: `f16`/`bf16` bit conversions and
-//! packed storage.
+//! rounding.
 //!
 //! The workspace is vendored-only (no `half` crate), so the conversions are
 //! implemented directly on the IEEE 754 bit patterns. All narrowing uses
-//! round-to-nearest-even, matching hardware convert units. [`PackedBuf`]
-//! holds a tensor's elements at 16 bits each; compute kernels stream the
-//! raw `u16` words and widen to `f32` in registers, so a cache line carries
-//! twice the elements of an `f32` layout (the "widening load" the FLAT
-//! microkernels exploit for QK^T and PV panels).
+//! round-to-nearest-even, matching hardware convert units.
 
-use crate::{Bytes, DataType};
+use crate::DataType;
 
 /// Narrows an `f32` to IEEE 754 binary16 bits (round-to-nearest-even).
 ///
@@ -132,117 +128,6 @@ pub fn round_to(dtype: DataType, x: f32) -> f32 {
     }
 }
 
-/// A tensor's elements packed at 16 bits per element.
-///
-/// This is real narrow storage, not rounded-`f32` emulation: the buffer
-/// holds `u16` words in row-major order, half the bytes of the `f32`
-/// equivalent. Kernels read the words and widen in registers.
-///
-/// # Example
-///
-/// ```
-/// use flat_tensor::half::PackedBuf;
-/// use flat_tensor::{Bytes, DataType};
-///
-/// let p = PackedBuf::from_f32(DataType::Bf16, &[1.0, -2.5, 0.125]);
-/// assert_eq!(p.len(), 3);
-/// assert_eq!(p.size(), Bytes::new(6));
-/// assert_eq!(p.get(2), 0.125);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedBuf {
-    dtype: DataType,
-    bits: Vec<u16>,
-}
-
-impl PackedBuf {
-    /// Packs a slice of `f32` values at the given 16-bit precision.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `dtype` is [`DataType::Fp16`] or [`DataType::Bf16`].
-    #[must_use]
-    pub fn from_f32(dtype: DataType, values: &[f32]) -> Self {
-        let bits = match dtype {
-            DataType::Fp16 => values.iter().map(|&x| f32_to_f16_bits(x)).collect(),
-            DataType::Bf16 => values.iter().map(|&x| f32_to_bf16_bits(x)).collect(),
-            other => panic!("PackedBuf holds 16-bit floats, not {other}"),
-        };
-        PackedBuf { dtype, bits }
-    }
-
-    /// The storage precision.
-    #[must_use]
-    pub fn dtype(&self) -> DataType {
-        self.dtype
-    }
-
-    /// Number of elements.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// True when the buffer holds no elements.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// Storage footprint of the packed buffer.
-    #[must_use]
-    pub fn size(&self) -> Bytes {
-        Bytes::new(self.bits.len() as u64 * self.dtype.size_bytes())
-    }
-
-    /// The raw packed words (what a widening load streams).
-    #[must_use]
-    pub fn as_bits(&self) -> &[u16] {
-        &self.bits
-    }
-
-    /// Decodes one element.
-    #[must_use]
-    pub fn get(&self, i: usize) -> f32 {
-        match self.dtype {
-            DataType::Bf16 => bf16_bits_to_f32(self.bits[i]),
-            _ => f16_bits_to_f32(self.bits[i]),
-        }
-    }
-
-    /// Widens `bits[offset..offset + out.len()]` into `out`.
-    ///
-    /// This is the software model of a widening load: one pass over packed
-    /// words producing `f32` lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn decode_into(&self, offset: usize, out: &mut [f32]) {
-        let src = &self.bits[offset..offset + out.len()];
-        match self.dtype {
-            DataType::Bf16 => {
-                for (o, &b) in out.iter_mut().zip(src) {
-                    *o = bf16_bits_to_f32(b);
-                }
-            }
-            _ => {
-                for (o, &b) in out.iter_mut().zip(src) {
-                    *o = f16_bits_to_f32(b);
-                }
-            }
-        }
-    }
-
-    /// Decodes the whole buffer into a fresh `f32` vector.
-    #[must_use]
-    pub fn to_f32(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.bits.len()];
-        self.decode_into(0, &mut out);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,26 +199,6 @@ mod tests {
             assert!(((r - x) / x).abs() <= 1.0 / 256.0, "{x} -> {r}");
             x *= 3.7;
         }
-    }
-
-    #[test]
-    fn packed_buf_halves_the_footprint() {
-        let vals: Vec<f32> = (0..64).map(|i| (i as f32 * 0.37).sin()).collect();
-        for dt in [DataType::Fp16, DataType::Bf16] {
-            let p = PackedBuf::from_f32(dt, &vals);
-            assert_eq!(p.size().as_u64() * 2, vals.len() as u64 * 4);
-            let back = p.to_f32();
-            for (a, b) in vals.iter().zip(&back) {
-                assert!((a - b).abs() <= 1.0 / 128.0, "{a} vs {b}");
-                assert_eq!(round_to(dt, *a), *b);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "16-bit")]
-    fn packed_buf_rejects_f32() {
-        let _ = PackedBuf::from_f32(DataType::Fp32, &[1.0]);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   every operator in an attention layer (Q/K/V/L/A/O and the FFN FCs),
 //! * [`OperationalIntensity`] — the FLOPs-per-byte figure of §2.2 of the
 //!   paper that separates compute-bound from bandwidth-bound operators,
-//! * [`half`] — software f16/bf16 conversions and 16-bit packed storage
-//!   (the workspace is vendored-only, so no `half` crate),
+//! * [`half`] — software f16/bf16 conversions and rounding (the
+//!   workspace is vendored-only, so no `half` crate; 16-bit storage for
+//!   the kernels is `flat_kernels::HalfMat`),
 //! * [`SoftmaxKind`] — which member of the softmax algorithm family a
 //!   kernel uses (exact two-pass, FLASH-D division-free, H-FA log-domain),
 //!   shared here so the hardware cost model can price it.
@@ -43,7 +44,6 @@ mod util;
 pub use bytes::Bytes;
 pub use dtype::DataType;
 pub use gemm::{Gemm, OperationalIntensity};
-pub use half::PackedBuf;
 pub use shape::Shape;
 pub use softmax_kind::SoftmaxKind;
 pub use util::{ceil_div, round_up_to};
