@@ -18,7 +18,10 @@ const CASES: &[(&str, &[&str])] = &[
     ("r64-seq1024", &["--seq", "1024"]),
     ("r64-seq1024-batch1", &["--seq", "1024", "--batch", "1"]),
     ("r64-buffers1", &["--seq", "1024", "--buffers", "1"]),
-    ("r64-no-double-buffer", &["--seq", "1024", "--no-double-buffer"]),
+    (
+        "r64-no-double-buffer",
+        &["--seq", "1024", "--no-double-buffer"],
+    ),
     ("base-seq1024", &["--seq", "1024", "--dataflow", "base"]),
     (
         "base-serial-softmax",

@@ -1,6 +1,6 @@
-//! The FLAT executor: maps the tiled attention walk onto contexts.
+//! The FLAT executor: maps the tiled attention walk onto lanes.
 //!
-//! One context per hardware lane — the DMA/NoC lane (off-chip link),
+//! One scripted lane per hardware lane — the DMA/NoC lane (off-chip link),
 //! the SG buffer port (on-chip link), the optional L2 link, the PE
 //! array, and the SFU — connected by bounded channels. The executor
 //! replays exactly the per-iteration lane demands the analytical model
@@ -21,15 +21,14 @@
 //!    └──tiles_l2──▶ l2 ──l2_done──▶ pe    concurrent with compute)
 //! ```
 //!
-//! The PE context software-pipelines the two stages the way §4.3
+//! The PE lane software-pipelines the two stages the way §4.3
 //! describes: iteration `i` runs `A(i-1)` then `L(i)`, so the SFU
 //! softmaxes tile `i` while the array works on tile `i+1`.
 //!
 //! [`CostModel::fused_lane_demands`]: flat_core::CostModel::fused_lane_demands
 
-use crate::engine::{Engine, EngineError, RunStats};
+use crate::engine::{Engine, EngineError, Op, RunStats, Script};
 use crate::report::{merge_lanes, BufferUsage, EventReport, LaneUsage};
-use crate::script::{Op, Script, ScriptContext};
 use flat_arch::Accelerator;
 use flat_core::{
     CostModel, FusedDataflow, FusedLaneDemands, LaExecution, ModelOptions, OperatorDataflow,
@@ -127,12 +126,10 @@ fn run_fused(
         first_fetch.extend(fetch.iter().copied());
         eng.spawn(
             "dma",
-            ScriptContext::new(Script {
+            Script {
                 prelude: first_fetch,
-                body: fetch,
-                body_repeats: n - 1,
-                epilogue: vec![],
-            }),
+                ..Script::repeat(fetch, n - 1)
+            },
         );
 
         // The §4.3 software pipeline: iteration j computes L(j), hands
@@ -163,7 +160,7 @@ fn run_fused(
         pe_body.push(Op::Send(credits));
         eng.spawn(
             "pe",
-            ScriptContext::new(Script {
+            Script {
                 prelude: pe_first,
                 body: pe_body,
                 body_repeats: n - 1,
@@ -171,7 +168,7 @@ fn run_fused(
                     Op::Recv(sfu_out),
                     Op::Busy(d.attend_compute_cycles, "attend"),
                 ],
-            }),
+            },
         );
     } else {
         // Serialized wiring: one buffer, nothing overlaps — fetch,
@@ -179,16 +176,17 @@ fn run_fused(
         // way the analytical model's no-double-buffering sum charges.
         eng.spawn(
             "dma",
-            ScriptContext::new(Script {
+            Script {
                 prelude: vec![Op::Busy(d.warmup_cycles, "warmup")],
-                body: vec![
-                    Op::Recv(credits),
-                    Op::Busy(t_off, "fetch"),
-                    Op::Send(tiles_pe),
-                ],
-                body_repeats: n,
-                epilogue: vec![],
-            }),
+                ..Script::repeat(
+                    vec![
+                        Op::Recv(credits),
+                        Op::Busy(t_off, "fetch"),
+                        Op::Send(tiles_pe),
+                    ],
+                    n,
+                )
+            },
         );
         let mut pe_body = vec![
             Op::Recv(tiles_pe),
@@ -204,57 +202,43 @@ fn run_fused(
             pe_body.push(Op::Recv(l2_done));
         }
         pe_body.push(Op::Send(credits));
-        eng.spawn(
-            "pe",
-            ScriptContext::new(Script {
-                prelude: vec![],
-                body: pe_body,
-                body_repeats: n,
-                epilogue: vec![],
-            }),
-        );
+        eng.spawn("pe", Script::repeat(pe_body, n));
     }
 
     eng.spawn(
         "sg",
-        ScriptContext::new(Script {
-            prelude: vec![],
-            body: vec![
+        Script::repeat(
+            vec![
                 Op::Recv(tiles_sg),
                 Op::Busy(t_on, "stream"),
                 Op::Send(sg_done),
             ],
-            body_repeats: n,
-            epilogue: vec![],
-        }),
+            n,
+        ),
     );
     if has_l2 {
         eng.spawn(
             "l2",
-            ScriptContext::new(Script {
-                prelude: vec![],
-                body: vec![
+            Script::repeat(
+                vec![
                     Op::Recv(tiles_l2),
                     Op::Busy(d.l2_cycles, "l2"),
                     Op::Send(l2_done),
                 ],
-                body_repeats: n,
-                epilogue: vec![],
-            }),
+                n,
+            ),
         );
     }
     eng.spawn(
         "sfu",
-        ScriptContext::new(Script {
-            prelude: vec![],
-            body: vec![
+        Script::repeat(
+            vec![
                 Op::Recv(sfu_in),
                 Op::Busy(d.sfu_cycles, "softmax"),
                 Op::Send(sfu_out),
             ],
-            body_repeats: n,
-            epilogue: vec![],
-        }),
+            n,
+        ),
     );
 
     eng.run(120 * n + 10_000)
@@ -339,25 +323,26 @@ fn run_phase(
 
     eng.spawn(
         "dma",
-        ScriptContext::new(Script {
+        Script {
             prelude: vec![Op::Busy(p.warmup, "warmup")],
-            body: if db {
-                vec![
-                    Op::Recv(credits),
-                    Op::Busy(p.t_off / sf, "fetch"),
-                    Op::Send(tiles_work),
-                    Op::Send(tiles_sg),
-                ]
-            } else {
-                vec![
-                    Op::Recv(credits),
-                    Op::Busy(p.t_off / sf, "fetch"),
-                    Op::Send(tiles_work),
-                ]
-            },
-            body_repeats: s,
-            epilogue: vec![],
-        }),
+            ..Script::repeat(
+                if db {
+                    vec![
+                        Op::Recv(credits),
+                        Op::Busy(p.t_off / sf, "fetch"),
+                        Op::Send(tiles_work),
+                        Op::Send(tiles_sg),
+                    ]
+                } else {
+                    vec![
+                        Op::Recv(credits),
+                        Op::Busy(p.t_off / sf, "fetch"),
+                        Op::Send(tiles_work),
+                    ]
+                },
+                s,
+            )
+        },
     );
 
     let mut work = vec![Op::Recv(tiles_work), Op::Busy(p.compute / sf, p.work_label)];
@@ -371,38 +356,26 @@ fn run_phase(
         work.push(Op::Recv(sg_done));
     }
     work.push(Op::Send(credits));
-    eng.spawn(
-        p.work_lane,
-        ScriptContext::new(Script {
-            prelude: vec![],
-            body: work,
-            body_repeats: s,
-            epilogue: vec![],
-        }),
-    );
+    eng.spawn(p.work_lane, Script::repeat(work, s));
 
     eng.spawn(
         "sg",
-        ScriptContext::new(Script {
-            prelude: vec![],
-            body: vec![
+        Script::repeat(
+            vec![
                 Op::Recv(tiles_sg),
                 Op::Busy(p.t_on / sf, "stream"),
                 Op::Send(sg_done),
             ],
-            body_repeats: s,
-            epilogue: vec![],
-        }),
+            s,
+        ),
     );
     if has_aux {
         eng.spawn(
             "sfu",
-            ScriptContext::new(Script {
-                prelude: vec![],
-                body: vec![Op::Recv(sfu_in), Op::Busy(p.sfu_aux / sf, "softmax")],
-                body_repeats: s,
-                epilogue: vec![],
-            }),
+            Script::repeat(
+                vec![Op::Recv(sfu_in), Op::Busy(p.sfu_aux / sf, "softmax")],
+                s,
+            ),
         );
     }
     eng.run(80 * s + 10_000)

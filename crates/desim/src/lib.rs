@@ -8,13 +8,12 @@
 //! the prefetch always hides, a softmax unit that never backs the array
 //! up. This crate checks the assumption by executing the same walk:
 //!
-//! * [`Engine`] — a virtual-time event queue scheduling [`Context`]
-//!   actors connected by bounded channels with blocking send/recv
-//!   backpressure. Deterministic: `f64` time ordered by `total_cmp`,
-//!   equal timestamps resolved in insertion order, no hash containers.
-//! * [`ScriptContext`] — pipeline actors as declarative op lists
-//!   (recv / send / busy), so every executor lane is data, not code.
-//! * [`simulate_la_event`] — the FLAT executor: one context per
+//! * the engine — a virtual-time event queue running one scripted
+//!   lane per hardware lane (recv / send / busy op lists) over bounded
+//!   channels with blocking send/recv backpressure. Deterministic: `f64`
+//!   time ordered by `total_cmp`, equal timestamps resolved in insertion
+//!   order, no hash containers.
+//! * [`simulate_la_event`] — the FLAT executor: one lane script per
 //!   hardware lane (PE array, SFU, SG buffer port, L2 link, DMA/NoC
 //!   lane), fed by exactly the per-iteration lane demands the
 //!   analytical model priced ([`flat_core::FusedLaneDemands`]).
@@ -66,15 +65,10 @@ mod agreement;
 mod engine;
 mod executor;
 mod report;
-mod script;
 
 pub use agreement::{agreement, agreement_sweep, Agreement, AgreementRow};
-pub use engine::{
-    ChannelId, ChannelStats, Context, ContextId, ContextStats, Engine, EngineError, Io, Poll,
-    RunStats, TraceSlice,
-};
+pub use engine::EngineError;
 pub use executor::{
     simulate_fused_event, simulate_la_event, simulate_sequential_event, EventOptions,
 };
 pub use report::{BufferUsage, EventReport, LaneUsage};
-pub use script::{Op, Script, ScriptContext};

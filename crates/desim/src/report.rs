@@ -5,7 +5,7 @@ use crate::engine::{ContextStats, RunStats};
 use crate::executor::lane_tid;
 use flat_telemetry::{sort_events, Event};
 
-/// Busy time of one hardware lane (context) over the run.
+/// Busy time of one hardware lane over the run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneUsage {
     /// Lane name (`"dma"`, `"pe"`, `"sg"`, `"sfu"`, `"l2"`).
@@ -51,7 +51,7 @@ pub struct EventReport {
     pub(crate) counter_samples: Vec<(f64, u32)>,
 }
 
-/// Merges per-context busy time into a lane list keyed by name (phases
+/// Merges per-lane busy time into a lane list keyed by name (phases
 /// of a sequential run reuse the same lanes).
 pub(crate) fn merge_lanes(lanes: &mut Vec<LaneUsage>, contexts: &[ContextStats]) {
     for c in contexts {
