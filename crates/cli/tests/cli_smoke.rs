@@ -405,6 +405,14 @@ fn hostile_sizes_and_analytical_trace_are_diagnostics() {
     )
     .expect("write model config");
     let zero_heads = zero_heads.display().to_string();
+    // 4 B per token per layer: 2^57 layers make a 32-token block 2^64 B.
+    let deep = std::env::temp_dir().join("flat_cli_test_deep_model.json");
+    std::fs::write(
+        &deep,
+        r#"{"hidden_size": 1, "num_attention_heads": 1, "num_hidden_layers": 144115188075855872, "intermediate_size": 1}"#,
+    )
+    .expect("write model config");
+    let deep = deep.display().to_string();
     let trace = std::env::temp_dir().join("flat_cli_test_analytical_trace.json");
     let trace = trace.display().to_string();
     for (args, needle) in [
@@ -426,6 +434,72 @@ fn hostile_sizes_and_analytical_trace_are_diagnostics() {
         ),
         // 2^54 KiB is 2^64 bytes: the SG buffer must not wrap to zero.
         (&["cost", "--sg-kib", "18014398509481984"], "--sg-kib"),
+        // A KV block is allocated whole: its float count must neither
+        // overflow nor ask for 512 GiB.
+        (
+            &[
+                "serve",
+                "--requests",
+                "4",
+                "--block-tokens",
+                "18446744073709551615",
+            ],
+            "block_tokens",
+        ),
+        (
+            &["serve", "--requests", "4", "--block-tokens", "4294967296"],
+            "block_tokens",
+        ),
+        (
+            &[
+                "serve",
+                "--requests",
+                "2",
+                "--model-json",
+                &deep,
+                "--seq",
+                "1",
+                "--batch",
+                "1",
+                "--block-tokens",
+                "32",
+            ],
+            "overflows",
+        ),
+        // Per-chip blocks times the cluster size (or a scale target) must
+        // not wrap the pool size.
+        (
+            &[
+                "dist",
+                "--requests",
+                "4",
+                "--chips",
+                "65536",
+                "--topology",
+                "ring",
+                "--kv-mib",
+                "17592186044415",
+                "--block-tokens",
+                "1",
+            ],
+            "overflows",
+        ),
+        (
+            &[
+                "fleet",
+                "--requests",
+                "4",
+                "--chips",
+                "2",
+                "--scale",
+                "0:65536",
+                "--kv-mib",
+                "17592186044415",
+                "--block-tokens",
+                "1",
+            ],
+            "overflows",
+        ),
     ] {
         let out = flat(args);
         assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");

@@ -57,6 +57,11 @@ pub(crate) const TRACE_PID_ENGINE: u32 = 0;
 /// Milliseconds (the engine clock) to microseconds (the trace clock).
 const US_PER_MS: f64 = 1e3;
 
+/// Largest K or V buffer of one physical KV block, in f32s (64 MiB). A
+/// block is allocated whole on first use, so a `block_tokens` past this
+/// would only abort the process there.
+const MAX_BLOCK_FLOATS: usize = 1 << 24;
+
 /// Scheduler and execution knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
@@ -126,6 +131,13 @@ impl EngineConfig {
         }
         if self.dk == 0 {
             return bad("dk must be at least 1");
+        }
+        if self
+            .block_tokens
+            .checked_mul(self.dk)
+            .is_none_or(|floats| floats > MAX_BLOCK_FLOATS)
+        {
+            return bad("block_tokens x dk must be at most 2^24 floats per K or V block");
         }
         if self.window_ms.is_some_and(|w| !(w > 0.0 && w.is_finite())) {
             return bad("window_ms must be positive and finite when set");
@@ -350,11 +362,28 @@ impl<'t> Engine<'t> {
         }
         cfg.validate()?;
         let layout = KvLayout::for_model(model, cfg.block_tokens);
+        if (layout.bytes_per_token.as_u64())
+            .checked_mul(cfg.block_tokens as u64)
+            .is_none()
+        {
+            return Err(ServeError::InvalidConfig(format!(
+                "one KV block of {} tokens overflows a 64-bit byte count",
+                cfg.block_tokens
+            )));
+        }
         // A cluster pools every chip's KV budget (pages striped across
         // shards) and executes tensor-parallel, so compute and bandwidth
         // scale with the chip count. One chip leaves everything exact.
         let chips = plane.chips();
         let blocks_per_chip = layout.blocks_in_budget(cfg.kv_budget);
+        // Every pool size the run can reach, checked once: a scale event
+        // resizes the pool to `blocks_per_chip` times its target.
+        let max_chips = scale.iter().map(|ev| ev.chips).fold(chips, usize::max);
+        if blocks_per_chip.checked_mul(max_chips).is_none() {
+            return Err(ServeError::InvalidConfig(format!(
+                "a KV pool of {blocks_per_chip} blocks per chip overflows at {max_chips} chips"
+            )));
+        }
         let total_blocks = blocks_per_chip * chips;
         // Malformed specs (non-finite arrival, zero lengths) can never be
         // scheduled — shed them before they can poison the arrival sort
