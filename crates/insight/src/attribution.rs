@@ -127,7 +127,8 @@ impl PhaseBreakdown {
         let stat = |f: &dyn Fn(&RequestPhases) -> f64| {
             let samples: Vec<f64> = requests.iter().map(|r| f(r)).collect();
             PhaseStat {
-                total_ms: samples.iter().sum(),
+                // `Sum` starts from -0.0, which no request set should print.
+                total_ms: samples.iter().fold(0.0, |acc, x| acc + x),
                 dist: Percentiles::of(samples),
             }
         };
@@ -615,5 +616,15 @@ mod tests {
         assert_eq!(a.requests, 0);
         assert_eq!(a.makespan_ms, 0.0);
         assert!(a.per_request.is_empty());
+    }
+
+    /// Over zero requests every total is +0, so `attr` never prints `-0`.
+    #[test]
+    fn empty_totals_are_positive_zero() {
+        let a = Attribution::of(&[]);
+        for total in a.phases.totals().into_iter().chain([a.phases.e2e.total_ms]) {
+            assert_eq!(total.to_bits(), 0.0f64.to_bits());
+        }
+        assert!(!a.to_json().contains("-0"), "{}", a.to_json());
     }
 }
