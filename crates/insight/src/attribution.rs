@@ -127,7 +127,7 @@ impl PhaseBreakdown {
         let stat = |f: &dyn Fn(&RequestPhases) -> f64| {
             let samples: Vec<f64> = requests.iter().map(|r| f(r)).collect();
             PhaseStat {
-                // `Sum` starts from -0.0, which no request set should print.
+                // Float `Sum` starts from -0.0; no requests must total +0.
                 total_ms: samples.iter().fold(0.0, |acc, x| acc + x),
                 dist: Percentiles::of(samples),
             }

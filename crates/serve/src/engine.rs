@@ -362,7 +362,9 @@ impl<'t> Engine<'t> {
         }
         cfg.validate()?;
         let layout = KvLayout::for_model(model, cfg.block_tokens);
-        if (layout.bytes_per_token.as_u64())
+        if layout
+            .bytes_per_token
+            .as_u64()
             .checked_mul(cfg.block_tokens as u64)
             .is_none()
         {
