@@ -31,19 +31,14 @@ fn main() {
             f.report.footprint == p.report.footprint
                 && (f.report.util() - p.report.util()).abs() < 1e-12
         });
-        let (kind, label) = match p.la {
-            flat_core::LaExecution::Fused(f) => ("fused", format!("FLAT-{}", f.granularity)),
-            flat_core::LaExecution::Sequential { logit, .. } => (
-                "sequential",
-                match logit.l3 {
-                    None => "Base".to_owned(),
-                    Some(l3) => format!("Base-{}", l3.granularity),
-                },
-            ),
+        let kind = if p.la.is_fused() {
+            "fused"
+        } else {
+            "sequential"
         };
         row([
             kind.to_owned(),
-            label,
+            p.la.label(),
             p.report.footprint.as_u64().to_string(),
             format!("{:.4}", p.report.util()),
             if on_frontier {

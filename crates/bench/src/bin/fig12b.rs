@@ -5,45 +5,8 @@
 //! Run: `cargo run --release -p flat-bench --bin fig12b -- [--quick]
 //!       [--target-milli 950]`
 
-use flat_arch::Accelerator;
 use flat_bench::{args::Args, model, platform, row, seq_label, BATCH};
-use flat_dse::{AccelClass, Dse, Objective};
-use flat_workloads::Model;
-
-/// Best achievable L-A utilization of a class at a given off-chip
-/// bandwidth (the class re-optimizes its dataflow for every bandwidth).
-fn best_util_at_bw(base: &Accelerator, model: &Model, seq: u64, class: AccelClass, bw: f64) -> f64 {
-    let accel = base.with_offchip_bw(bw);
-    let block = model.block(BATCH, seq);
-    Dse::new(&accel, &block)
-        .best_la(class.space(), Objective::MaxUtil)
-        .report
-        .util()
-}
-
-/// Minimum bandwidth reaching `target` utilization, by bisection over
-/// 100 MB/s – 100 TB/s. `None` when unreachable.
-fn required_bw(
-    base: &Accelerator,
-    model: &Model,
-    seq: u64,
-    class: AccelClass,
-    target: f64,
-) -> Option<f64> {
-    let (mut lo, mut hi) = (1.0e8f64, 1.0e14f64);
-    if best_util_at_bw(base, model, seq, class, hi) < target {
-        return None;
-    }
-    while hi / lo > 1.05 {
-        let mid = (lo * hi).sqrt();
-        if best_util_at_bw(base, model, seq, class, mid) >= target {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Some(hi)
-}
+use flat_dse::{required_offchip_bw, AccelClass};
 
 fn main() {
     let args = Args::parse();
@@ -79,7 +42,7 @@ fn main() {
     for seq in seqs {
         let bws: Vec<Option<f64>> = classes
             .iter()
-            .map(|&c| required_bw(&accel, &model, seq, c, target))
+            .map(|&c| required_offchip_bw(&accel, &model.block(BATCH, seq), c.space(), target))
             .collect();
         let fmt =
             |b: &Option<f64>| b.map_or("unreachable".to_owned(), |v| format!("{:.1}", v / 1e9));

@@ -192,7 +192,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             ]);
             let objective = parse::objective(&obj_args).map_err(|e| format!("job {idx}: {e}"))?;
             let best = Dse::new(&setup.accel, &setup.block).best_la(space, objective);
-            report_json(&best.report, &la_label(&best.la), Scope::LogitAttend)
+            report_json(&best.report, &best.la.label(), Scope::LogitAttend)
         } else {
             let df = parse::dataflow(&get("dataflow", "flat-r64")?)
                 .map_err(|e| format!("job {idx}: {e}"))?;
@@ -300,16 +300,6 @@ pub fn cost(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn la_label(la: &LaExecution) -> String {
-    match la {
-        LaExecution::Fused(f) => format!("FLAT-{}", f.granularity),
-        LaExecution::Sequential { logit, .. } => match logit.l3 {
-            None => "Base".to_owned(),
-            Some(l3) => format!("Base-{}", l3.granularity),
-        },
-    }
-}
-
 /// `flat dse` — search a design space.
 pub fn dse(args: &Args) -> Result<(), String> {
     let setup = parse::setup(args)?;
@@ -330,7 +320,7 @@ pub fn dse(args: &Args) -> Result<(), String> {
     };
     let (others, _) = dse.best_others(objective);
     if args.flag("json") {
-        let mut v = report_json(&best.report, &la_label(&best.la), Scope::LogitAttend);
+        let mut v = report_json(&best.report, &best.la.label(), Scope::LogitAttend);
         v["objective"] = json!(objective.to_string());
         v["others_dataflow"] = json!(others.to_string());
         println!("{}", serde_json::to_string_pretty(&v).expect("serializes"));
@@ -342,7 +332,7 @@ pub fn dse(args: &Args) -> Result<(), String> {
         );
         println!("objective:   {objective}");
         println!();
-        println!("best L-A dataflow:   {}", la_label(&best.la));
+        println!("best L-A dataflow:   {}", best.la.label());
         println!(
             "  util {:.4}, off-chip {}, footprint {}",
             best.report.util(),
@@ -374,7 +364,7 @@ fn dse_precision(
                     "choice": p.choice.label(),
                     "dtype": p.choice.dtype.to_string(),
                     "softmax": p.choice.softmax.to_string(),
-                    "dataflow": la_label(&p.la),
+                    "dataflow": p.la.label(),
                     "cycles": p.report.cycles,
                     "energy_pj": p.report.energy.total_pj(),
                     "util": p.report.util(),
@@ -400,7 +390,7 @@ fn dse_precision(
             println!(
                 "{:16} {:14} {:>12.4e} {:>14.4e} {:>8.4}  {}",
                 p.choice.label(),
-                la_label(&p.la),
+                p.la.label(),
                 p.report.cycles,
                 p.report.energy.total_pj(),
                 p.report.util(),
@@ -777,8 +767,9 @@ fn sim_both(
     trace_path: &str,
 ) -> Result<(), String> {
     let opts = event_options(args, buffers, trace_path)?;
-    let agreement = flat_desim::agreement(&setup.accel, &setup.block, &df.la, opts)
-        .map_err(|e| e.to_string())?;
+    let (agreement, report) =
+        flat_desim::agreement_with_report(&setup.accel, &setup.block, &df.la, opts)
+            .map_err(|e| e.to_string())?;
     let sweep = if args.flag("sweep") {
         flat_desim::agreement_sweep(&setup.accel, &[512, 1024, 4096], opts)
             .map_err(|e| e.to_string())?
@@ -786,8 +777,6 @@ fn sim_both(
         Vec::new()
     };
     if !trace_path.is_empty() {
-        let report = flat_desim::simulate_la_event(&setup.accel, &setup.block, &df.la, opts)
-            .map_err(|e| e.to_string())?;
         std::fs::write(trace_path, report.to_chrome_trace())
             .map_err(|e| format!("{trace_path}: {e}"))?;
         eprintln!("wrote Chrome trace to {trace_path} (open in https://ui.perfetto.dev)");
@@ -1597,34 +1586,11 @@ fn dist_serve(
 pub fn bw(args: &Args) -> Result<(), String> {
     let setup = parse::setup(args)?;
     let target = parse::u64_arg(args, "target-milli", 950)? as f64 / 1000.0;
-    for (name, df) in [
+    for (name, space) in [
         ("Base-opt", SpaceKind::Sequential),
         ("FLAT-opt", SpaceKind::Full),
     ] {
-        let need = {
-            let (mut lo, mut hi) = (1.0e8f64, 1.0e14f64);
-            let util_at = |bw: f64| {
-                let a = setup.accel.with_offchip_bw(bw);
-                Dse::new(&a, &setup.block)
-                    .best_la(df, flat_dse::Objective::MaxUtil)
-                    .report
-                    .util()
-            };
-            if util_at(hi) < target {
-                None
-            } else {
-                while hi / lo > 1.05 {
-                    let mid = (lo * hi).sqrt();
-                    if util_at(mid) >= target {
-                        hi = mid;
-                    } else {
-                        lo = mid;
-                    }
-                }
-                Some(hi)
-            }
-        };
-        match need {
+        match flat_dse::required_offchip_bw(&setup.accel, &setup.block, space, target) {
             Some(bw) => println!("{name:9} needs {:.1} GB/s for util >= {target}", bw / 1e9),
             None => println!("{name:9} cannot reach util {target} at any bandwidth"),
         }

@@ -168,6 +168,18 @@ impl LaExecution {
     pub const fn is_fused(&self) -> bool {
         matches!(self, LaExecution::Fused(_))
     }
+
+    /// Short label for reports (`Base`, `Base-B`, `FLAT-R64`, …).
+    #[must_use]
+    pub fn label(&self) -> String {
+        match self {
+            LaExecution::Sequential { logit, .. } => match logit.l3 {
+                None => "Base".to_owned(),
+                Some(l3) => format!("Base-{}", l3.granularity),
+            },
+            LaExecution::Fused(fused) => format!("FLAT-{}", fused.granularity),
+        }
+    }
 }
 
 /// A complete dataflow assignment for an attention block: how L-A runs and
@@ -241,16 +253,11 @@ impl BlockDataflow {
         }
     }
 
-    /// Short label for reports (`Base`, `Base-B`, `FLAT-R64`, …).
+    /// Short label for reports (`Base`, `Base-B`, `FLAT-R64`, …): the
+    /// label of its L-A execution.
     #[must_use]
     pub fn label(&self) -> String {
-        match &self.la {
-            LaExecution::Sequential { logit, .. } => match logit.l3 {
-                None => "Base".to_owned(),
-                Some(l3) => format!("Base-{}", l3.granularity),
-            },
-            LaExecution::Fused(fused) => format!("FLAT-{}", fused.granularity),
-        }
+        self.la.label()
     }
 }
 

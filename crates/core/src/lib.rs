@@ -19,8 +19,7 @@
 //!   [`FusedSlices`]),
 //! * the analytical cost model ([`CostModel`]) pricing workloads on
 //!   `flat-arch` accelerators,
-//! * roofline analysis ([`roofline`]) for Figure 2,
-//! * the off-chip bandwidth-requirement search ([`bw`]) for Figure 12(b).
+//! * roofline analysis ([`roofline`]) for Figure 2.
 //!
 //! # Quick start
 //!
@@ -43,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bw;
 mod dataflow;
 mod footprint;
 mod loopnest;

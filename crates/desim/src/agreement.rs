@@ -1,11 +1,12 @@
 //! The analytical/event agreement harness.
 //!
 //! [`agreement`] runs the closed-form pricing and an event simulation of
-//! one configuration and reports their relative divergence;
+//! one configuration and reports their relative divergence
+//! ([`agreement_with_report`] also returns the event run);
 //! [`agreement_sweep`] does so across the seq-len × dataflow grid the
 //! validation suite and `flat sim --engine both --sweep` report.
 
-use crate::{simulate_la_event, EngineError, EventOptions};
+use crate::{simulate_la_event, EngineError, EventOptions, EventReport};
 use flat_arch::Accelerator;
 use flat_core::{
     CostModel, FusedDataflow, Granularity, LaExecution, OperatorDataflow, Stationarity,
@@ -46,15 +47,32 @@ pub fn agreement(
     la: &LaExecution,
     opts: EventOptions,
 ) -> Result<Agreement, EngineError> {
+    agreement_with_report(accel, block, la, opts).map(|(agreement, _)| agreement)
+}
+
+/// [`agreement`], also handing back the event run it compared, so a
+/// caller that wants that run's trace simulates once.
+///
+/// # Errors
+///
+/// As [`agreement`].
+pub fn agreement_with_report(
+    accel: &Accelerator,
+    block: &AttentionBlock,
+    la: &LaExecution,
+    opts: EventOptions,
+) -> Result<(Agreement, EventReport), EngineError> {
     let analytical = CostModel::with_options(accel, opts.model)
         .la_cost(block, la)
         .cycles;
-    let event = simulate_la_event(accel, block, la, opts)?.cycles;
-    Ok(Agreement {
+    let report = simulate_la_event(accel, block, la, opts)?;
+    let event = report.cycles;
+    let agreement = Agreement {
         analytical_cycles: analytical,
         event_cycles: event,
         divergence: (event - analytical) / analytical,
-    })
+    };
+    Ok((agreement, report))
 }
 
 /// One row of an [`agreement_sweep`].

@@ -23,7 +23,8 @@
 //!   tiles-in-flight counter track).
 //! * [`agreement`] / [`agreement_sweep`] — the closed form against the
 //!   event backend, one configuration or the validation grid, as signed
-//!   relative divergence.
+//!   relative divergence; [`agreement_with_report`] also returns the one
+//!   configuration's event run.
 //!
 //! On an uncontended machine (buffers ≥ 2, the double-buffering the
 //! model assumes) the pipeline's steady-state iteration period converges
@@ -66,7 +67,7 @@ mod engine;
 mod executor;
 mod report;
 
-pub use agreement::{agreement, agreement_sweep, Agreement, AgreementRow};
+pub use agreement::{agreement, agreement_sweep, agreement_with_report, Agreement, AgreementRow};
 pub use engine::EngineError;
 pub use executor::{
     simulate_fused_event, simulate_la_event, simulate_sequential_event, EventOptions,

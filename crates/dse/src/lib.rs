@@ -11,6 +11,9 @@
 //! [`SpaceKind`] restricts the search to what a given accelerator's
 //! controller can express; [`AccelClass`] packages the Figure 7(c)
 //! comparison matrix (BaseAccel / FlexAccel-M / FlexAccel / ATTACC-*).
+//! [`required_offchip_bw`] finds the smallest off-chip bandwidth at which
+//! a space's best dataflow reaches a target utilization (Figure 12(b),
+//! `flat bw`).
 //!
 //! # Example
 //!
@@ -32,6 +35,7 @@
 #![warn(missing_docs)]
 
 mod accel;
+mod bw;
 mod hw;
 mod objective;
 mod precision;
@@ -39,6 +43,7 @@ mod search;
 mod space;
 
 pub use accel::{AccelClass, AccelEvaluation};
+pub use bw::required_offchip_bw;
 pub use hw::{best_hardware, HwCandidate, HwSearchResult, HwSearchSpec};
 pub use objective::Objective;
 pub use precision::{precision_pareto, PrecisionChoice, PrecisionPoint};

@@ -74,8 +74,5 @@ pub use instrumented::{instrumented_flat_attention, ExecutionStats};
 pub use mat::Mat;
 pub use quantized::{quantized_flat_attention, QuantizedMat};
 pub use softmax::{softmax_row, OnlineSoftmax};
-pub use softmax_family::{
-    exp2_lut, fast_exp, fast_exp2, log2_add_lut, softmax_row_kind, ComputePrecision, FlashDSoftmax,
-    LogLutSoftmax,
-};
+pub use softmax_family::{softmax_row_kind, ComputePrecision, FlashDSoftmax, LogLutSoftmax};
 pub use streaming::{streaming_attention, streaming_attention_with};

@@ -125,7 +125,7 @@ const LOG2_E: f32 = std::f32::consts::LOG2_E;
 /// show their wall-clock win.
 #[inline]
 #[must_use]
-pub fn fast_exp2(x: f32) -> f32 {
+pub(crate) fn fast_exp2(x: f32) -> f32 {
     // Straight-line select form (no early return) so loops over logit
     // rows auto-vectorize: clamp, evaluate, then mask the saturated ends.
     let xc = x.clamp(-126.0, 127.0);
@@ -152,7 +152,7 @@ pub fn fast_exp2(x: f32) -> f32 {
 /// `e^x` through [`fast_exp2`].
 #[inline]
 #[must_use]
-pub fn fast_exp(x: f32) -> f32 {
+pub(crate) fn fast_exp(x: f32) -> f32 {
     fast_exp2(x * LOG2_E)
 }
 
@@ -191,7 +191,7 @@ fn log2_1p_table() -> &'static [f32; LOG2_1P_N] {
 /// ~`(ln2/64)²/8 ≈ 1.5e-5`, far inside the bf16 noise floor.
 #[inline]
 #[must_use]
-pub fn exp2_lut(x: f32) -> f32 {
+pub(crate) fn exp2_lut(x: f32) -> f32 {
     if x < -126.0 {
         return 0.0;
     }
@@ -212,7 +212,7 @@ pub fn exp2_lut(x: f32) -> f32 {
 /// (linear interpolation between the 1/16-step entries).
 #[inline]
 #[must_use]
-pub fn log2_add_lut(a: f32, b: f32) -> f32 {
+pub(crate) fn log2_add_lut(a: f32, b: f32) -> f32 {
     if a == f32::NEG_INFINITY {
         return b;
     }

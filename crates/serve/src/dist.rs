@@ -178,9 +178,10 @@ pub struct ScaleEventRecord {
 
 /// Per-tick collective pricing, precomputed from the model's dimensions.
 ///
-/// Built by [`serve_dist_elastic`], consumed inside the engine loop: each tick
-/// reports its scheduled token count and gets back the fabric seconds to
-/// add to the virtual clock.
+/// Built by [`serve_dist_elastic`], consumed inside the engine loop: each
+/// tick hands [`charge_tick`](Self::charge_tick) its scheduled token count
+/// and compute time and gets back the fabric seconds to add to the
+/// virtual clock.
 #[derive(Debug, Clone)]
 pub struct DistPlane {
     fabric: Fabric,
@@ -188,8 +189,6 @@ pub struct DistPlane {
     /// (operation + bytes for a single token's activations/state).
     per_token_calls: Vec<flat_dist::CollectiveCall>,
     layers: u64,
-    /// Whether ticks price collectives overlapped with compute.
-    overlap: bool,
     /// The cluster knobs, kept so elastic rescales can rebuild the fabric
     /// and the partition's collective calls for a new chip count.
     cfg: DistServeConfig,
@@ -230,7 +229,6 @@ impl DistPlane {
             fabric,
             per_token_calls: cfg.partition.collectives(&token_cfg, cfg.chips),
             layers: model.blocks(),
-            overlap: cfg.overlap,
             cfg: *cfg,
             token_cfg,
             fabric_busy_ms: 0.0,
@@ -306,72 +304,66 @@ impl DistPlane {
         (blocks, blocks as f64 * block_bytes, stall_s)
     }
 
+    /// Whether ticks price collectives overlapped with compute.
     pub(crate) fn overlap(&self) -> bool {
-        self.overlap
+        self.cfg.overlap
     }
 
-    /// Fabric seconds one tick owes for `tokens` scheduled tokens: each
-    /// model layer runs one batched collective round per call kind.
-    pub(crate) fn collective_s(&self, tokens: u64) -> f64 {
+    /// Charges one tick's collectives: `tokens` scheduled tokens owe their
+    /// partition's per-token calls, batched into one round per call kind
+    /// and model layer (α amortizes across the batch, β does not). Serial
+    /// pricing exposes the whole fabric time; overlap pricing only what
+    /// `compute_s` cannot hide, `max(0, fabric − compute)`. The fabric-busy,
+    /// exposed and payload totals grow by the tick's share, and the
+    /// exposed seconds the tick adds to the virtual clock come back. One
+    /// chip owes no collectives, so its ticks are pure compute.
+    ///
+    /// With `trace` set, each call kind also comes back as one
+    /// [`CollectiveSlice`]; their durations sum to the tick's fabric time
+    /// (up to rounding), so traced ticks close flush with the virtual
+    /// clock.
+    pub(crate) fn charge_tick(
+        &mut self,
+        tokens: u64,
+        compute_s: f64,
+        trace: bool,
+    ) -> (f64, Vec<CollectiveSlice>) {
+        let mut slices = Vec::new();
         if tokens == 0 || self.per_token_calls.is_empty() {
-            return 0.0;
+            return (0.0, slices);
         }
-        let per_layer: f64 = self
-            .per_token_calls
-            .iter()
-            .map(|c| {
-                flat_dist::CollectiveCall {
+        let layers = self.layers as f64;
+        let (mut per_layer_s, mut token_bytes) = (0.0, 0.0);
+        for c in &self.per_token_calls {
+            let batched = flat_dist::CollectiveCall {
+                op: c.op,
+                bytes: c.bytes.saturating_mul(tokens),
+            };
+            let call_s = batched.cost_s(&self.fabric);
+            per_layer_s += call_s;
+            token_bytes += c.bytes as f64;
+            if trace {
+                slices.push(CollectiveSlice {
                     op: c.op,
-                    bytes: c.bytes.saturating_mul(tokens),
-                }
-                .cost_s(&self.fabric)
-            })
-            .sum();
-        self.layers as f64 * per_layer
-    }
-
-    /// Payload bytes those collectives carried (before schedule
-    /// expansion — the logical tensor sizes).
-    pub(crate) fn tick_payload_bytes(&self, tokens: u64) -> f64 {
-        self.layers as f64
-            * tokens as f64
-            * self
-                .per_token_calls
-                .iter()
-                .map(|c| c.bytes as f64)
-                .sum::<f64>()
-    }
-
-    /// Per-collective breakdown of one tick's fabric work, for the trace:
-    /// each call kind becomes one slice per chip lane, with its batched
-    /// duration, logical payload, and link energy. The slice durations
-    /// sum to exactly [`collective_s`](Self::collective_s) for the same
-    /// token count, so traced ticks close flush with the virtual clock.
-    pub(crate) fn collective_slices(&self, tokens: u64) -> Vec<CollectiveSlice> {
-        if tokens == 0 || self.per_token_calls.is_empty() {
-            return Vec::new();
-        }
-        self.per_token_calls
-            .iter()
-            .map(|c| {
-                let batched = flat_dist::CollectiveCall {
-                    op: c.op,
-                    bytes: c.bytes.saturating_mul(tokens),
-                };
-                CollectiveSlice {
-                    op: match c.op {
-                        flat_dist::CollectiveOp::AllReduce => "all-reduce",
-                        flat_dist::CollectiveOp::AllGather => "all-gather",
-                        flat_dist::CollectiveOp::ReduceScatter => "reduce-scatter",
-                    },
-                    dur_s: self.layers as f64 * batched.cost_s(&self.fabric),
+                    dur_s: layers * call_s,
                     bytes: batched.bytes.saturating_mul(self.layers),
-                    energy_pj: self.layers as f64
+                    energy_pj: layers
                         * batched.traversed_bytes(&self.fabric)
                         * self.fabric.link.pj_per_byte,
-                }
-            })
-            .collect()
+                });
+            }
+        }
+        let fabric_s = layers * per_layer_s;
+        let exposed_s = if self.cfg.overlap {
+            (fabric_s - compute_s).max(0.0)
+        } else {
+            fabric_s
+        };
+        self.fabric_busy_ms += fabric_s * 1e3;
+        self.exposed_ms += exposed_s * 1e3;
+        // The logical tensor sizes, before schedule expansion.
+        self.payload_bytes += layers * tokens as f64 * token_bytes;
+        (exposed_s, slices)
     }
 
     /// Records this tick's pool usage. Only the epoch's peak is kept:
@@ -396,12 +388,13 @@ impl DistPlane {
     }
 }
 
-/// One tick's worth of a single collective kind, ready to stamp on each
-/// chip's trace lane.
+/// One tick's worth of a single collective kind, ready to stamp on the
+/// fabric trace lane.
 #[derive(Debug, Clone)]
 pub(crate) struct CollectiveSlice {
-    /// Operation label (`all-reduce`, `all-gather`, `reduce-scatter`).
-    pub(crate) op: &'static str,
+    /// The operation; its display form (`all-reduce`, `all-gather`,
+    /// `reduce-scatter`) names the slice.
+    pub(crate) op: flat_dist::CollectiveOp,
     /// Fabric seconds for the batched call across all model layers.
     pub(crate) dur_s: f64,
     /// Logical payload carried, in bytes (all layers).
@@ -489,9 +482,11 @@ fn safe_fraction(num_ms: f64, den_ms: f64) -> f64 {
 ///   the chaos suite pins it.
 /// * `sink` records the run: per-request lifecycle spans (queued →
 ///   prefill chunks → decode steps → finished/dropped/preempted),
-///   per-tick KV/queue counter tracks, and on clusters of more than one
-///   chip one process lane per chip with the tick's collective slices
-///   (operation, payload bytes, link energy). Every stamp comes from the
+///   per-tick KV/queue counter tracks, and, when the cluster starts or
+///   is resized above one chip, one fabric lane with each tick's
+///   collective slices (operation, payload bytes, link energy, and the
+///   tick's chip count), recorded once per tick whatever the cluster
+///   size. Every stamp comes from the
 ///   deterministic virtual clock, so fixed seeds yield byte-identical
 ///   traces. A [`flat_telemetry::NoopSink`] leaves the metrics untouched.
 ///
@@ -852,6 +847,39 @@ mod tests {
         }
         plane.close_epoch();
         assert_eq!(plane.per_shard_peak, want);
+    }
+
+    /// One tick's charge: serial pricing exposes the whole fabric time,
+    /// overlap pricing hides it behind enough compute, both add the same
+    /// busy time and payload, and slices come back only when tracing.
+    #[test]
+    fn charge_tick_applies_the_overlap_rule_and_accumulates() {
+        let model = Model::by_name("bert").unwrap();
+        let mut serial = DistPlane::new(&model, &DistServeConfig::new(4, Topology::Ring));
+        let (exposed, slices) = serial.charge_tick(8, 1.0, false);
+        assert!(exposed > 0.0 && slices.is_empty());
+        assert_eq!(serial.exposed_ms, serial.fabric_busy_ms);
+        assert_eq!(serial.fabric_busy_ms, exposed * 1e3);
+        let (again, slices) = serial.charge_tick(8, 1.0, true);
+        assert_eq!(again.to_bits(), exposed.to_bits());
+        assert_eq!(slices.len(), 2, "kv-shard: all-gather + all-reduce");
+        let traced_s: f64 = slices.iter().map(|s| s.dur_s).sum();
+        assert!((traced_s - exposed).abs() <= 1e-12 * exposed);
+        assert!(slices.iter().all(|s| s.bytes > 0 && s.energy_pj > 0.0));
+
+        let mut cfg = DistServeConfig::new(4, Topology::Ring);
+        cfg.overlap = true;
+        let mut overlapped = DistPlane::new(&model, &cfg);
+        assert_eq!(overlapped.charge_tick(8, 1.0, false).0, 0.0);
+        assert_eq!(overlapped.exposed_ms, 0.0);
+        assert_eq!(overlapped.fabric_busy_ms, exposed * 1e3);
+        assert_eq!(overlapped.payload_bytes * 2.0, serial.payload_bytes);
+        assert!(overlapped.charge_tick(0, 0.0, true).1.is_empty());
+
+        let mut one = DistPlane::new(&model, &DistServeConfig::new(1, Topology::Ring));
+        let (exposed, slices) = one.charge_tick(8, 0.0, true);
+        assert!(exposed == 0.0 && slices.is_empty());
+        assert_eq!(one.payload_bytes, 0.0);
     }
 
     /// The sparse move count prices exactly what the dense matrix did:

@@ -51,8 +51,12 @@ use flat_workloads::Model;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 
-/// The engine's process lane in exported traces; chips are `1 + chip`.
+/// The engine's process lane in exported traces.
 pub(crate) const TRACE_PID_ENGINE: u32 = 0;
+
+/// The fabric's process lane: each tick's collectives, once per tick,
+/// whatever the cluster size.
+const TRACE_PID_FABRIC: u32 = 1;
 
 /// Milliseconds (the engine clock) to microseconds (the trace clock).
 const US_PER_MS: f64 = 1e3;
@@ -256,14 +260,12 @@ pub(crate) struct Engine<'t> {
     next_window_end: f64,
     /// Cumulative counters at the last closed window boundary.
     win_cursor: WindowCursor,
-    // Accounting-plane constants (the `base_*` values are per chip;
-    // elastic resizes re-derive the effective ones).
+    // Accounting-plane constants (the `base_*` rates are per chip; a tick
+    // is priced against them times the plane's current chip count).
     weight_bytes: f64,
     weight_macs_per_token: f64,
     kv_bytes_per_token: f64,
     attn_macs_per_ctx_token: f64,
-    peak_flops: f64,
-    offchip_bytes_per_s: f64,
     base_peak_flops: f64,
     base_offchip_bytes_per_s: f64,
 }
@@ -410,12 +412,9 @@ impl<'t> Engine<'t> {
         if sink.enabled() {
             sink.record(Event::process_name(TRACE_PID_ENGINE, "flat-serve engine"));
             sink.record(Event::thread_name(TRACE_PID_ENGINE, 0, "scheduler"));
-            if chips > 1 {
-                for c in 0..chips {
-                    let pid = 1 + c as u32;
-                    sink.record(Event::process_name(pid, &format!("chip {c}")));
-                    sink.record(Event::thread_name(pid, 0, "fabric"));
-                }
+            if max_chips > 1 {
+                sink.record(Event::process_name(TRACE_PID_FABRIC, "fabric"));
+                sink.record(Event::thread_name(TRACE_PID_FABRIC, 0, "collectives"));
             }
             // Corrupt specs never enter the queues: a lone instant marker
             // is their whole lifecycle.
@@ -471,8 +470,6 @@ impl<'t> Engine<'t> {
             kv_bytes_per_token: layout.bytes_per_token.as_f64()
                 * (cfg.precision.dtype().size_bytes() as f64 / 4.0),
             attn_macs_per_ctx_token: 2.0 * model.blocks() as f64 * h,
-            peak_flops: accel.peak_flops() * chips as f64,
-            offchip_bytes_per_s: accel.mem.offchip_bytes_per_s * chips as f64,
             base_peak_flops: accel.peak_flops(),
             base_offchip_bytes_per_s: accel.mem.offchip_bytes_per_s,
         })
@@ -503,30 +500,16 @@ impl<'t> Engine<'t> {
             self.shed_expired();
             self.admit_waiting();
             let work = self.execute_tick();
-            let mut cost_s = self.tick_cost_s(&work);
+            let compute_s = self.tick_cost_s(&work);
             // Collective time rides the same virtual clock as compute: the
-            // tick is not done until the fabric is. Under overlap pricing
-            // only the part compute cannot hide extends the tick —
-            // `max(compute, collective)` instead of their sum. One chip
-            // owes no collectives, so its ticks are pure compute.
-            let tokens = work.prefill_tokens + work.decode_steps;
-            let plane = &mut self.plane;
-            let coll_s = plane.collective_s(tokens);
-            let exposed_s = if plane.overlap() {
-                (coll_s - cost_s).max(0.0)
-            } else {
-                coll_s
-            };
-            plane.fabric_busy_ms += coll_s * 1e3;
-            plane.exposed_ms += exposed_s * 1e3;
-            plane.payload_bytes += plane.tick_payload_bytes(tokens);
-            cost_s += exposed_s;
+            // tick is not done until the fabric is.
+            let (exposed_s, coll_slices) = self.plane.charge_tick(
+                work.prefill_tokens + work.decode_steps,
+                compute_s,
+                self.sink.enabled(),
+            );
+            let cost_s = compute_s + exposed_s;
             let tick_exposed_ms = exposed_s * 1e3;
-            let coll_slices: Vec<CollectiveSlice> = if self.sink.enabled() {
-                plane.collective_slices(tokens)
-            } else {
-                Vec::new()
-            };
             let skew = self
                 .injector
                 .as_mut()
@@ -712,8 +695,6 @@ impl<'t> Engine<'t> {
                 }
             }
             self.plane.rescale(to);
-            self.peak_flops = self.base_peak_flops * to as f64;
-            self.offchip_bytes_per_s = self.base_offchip_bytes_per_s * to as f64;
             let migration_ms = stall_s * 1e3;
             self.now_ms += migration_ms;
             if self.sink.enabled() {
@@ -744,7 +725,7 @@ impl<'t> Engine<'t> {
     }
 
     /// Emits this tick's trace events: the buffered per-request work
-    /// slices as complete spans covering the whole tick, the per-chip
+    /// slices as complete spans covering the whole tick, the fabric lane's
     /// collective slices packed against the tick's end, and the KV /
     /// queue / scheduler counter samples at the tick's close. Only called
     /// when the sink is enabled.
@@ -773,11 +754,11 @@ impl<'t> Engine<'t> {
         }
         // The fabric time compute could not hide: one slice on the
         // scheduler lane, packed against the tick's end exactly like the
-        // per-chip collective slices (it *is* their unhidden tail).
+        // fabric lane's collective slices (it *is* their unhidden tail).
         // Attribution reads this to price the collective-exposed phase.
         // Category "engine", not "collective": the collective category
-        // is reserved for per-chip fabric lanes carrying bytes/energy
-        // args (a pinned trace contract).
+        // is reserved for the fabric lane's slices carrying bytes, energy
+        // and chips args (a pinned trace contract).
         if exposed_ms > 0.0 {
             let d = exposed_ms * US_PER_MS * skew;
             self.sink.record(
@@ -794,18 +775,17 @@ impl<'t> Engine<'t> {
         }
         // Collectives close flush with the tick: stack the slices (skew
         // scales them exactly as it scaled the tick) back from `stamp`.
-        let chips = self.plane.chips();
+        let chips = self.plane.chips() as u64;
         let total_us: f64 = coll.iter().map(|s| s.dur_s * 1e3 * US_PER_MS * skew).sum();
         let mut t0 = stamp_ms * US_PER_MS - total_us;
         for s in coll {
             let d = s.dur_s * 1e3 * US_PER_MS * skew;
-            for chip in 0..chips {
-                self.sink.record(
-                    Event::complete(s.op, "collective", t0, d, 1 + chip as u32, 0)
-                        .arg("bytes", s.bytes)
-                        .arg("energy_pj", s.energy_pj),
-                );
-            }
+            self.sink.record(
+                Event::complete(&s.op.to_string(), "collective", t0, d, TRACE_PID_FABRIC, 0)
+                    .arg("bytes", s.bytes)
+                    .arg("energy_pj", s.energy_pj)
+                    .arg("chips", chips),
+            );
             t0 += d;
         }
         let end = stamp_ms * US_PER_MS;
@@ -1258,11 +1238,14 @@ impl<'t> Engine<'t> {
         let macs = tokens as f64 * self.weight_macs_per_token
             + ctx * self.attn_macs_per_ctx_token
             + work.prefill_tokens as f64 * self.attn_macs_per_ctx_token;
-        let compute_s = 2.0 * macs / self.peak_flops;
+        // Tensor-parallel execution: every chip adds its compute and
+        // bandwidth.
+        let chips = self.plane.chips() as f64;
+        let compute_s = 2.0 * macs / (self.base_peak_flops * chips);
         let bytes = self.weight_bytes
             + ctx * self.kv_bytes_per_token
             + work.prefill_tokens as f64 * self.kv_bytes_per_token;
-        let memory_s = bytes / self.offchip_bytes_per_s;
+        let memory_s = bytes / (self.base_offchip_bytes_per_s * chips);
         compute_s.max(memory_s) + TICK_OVERHEAD_S
     }
 }

@@ -134,16 +134,26 @@ impl KvLayout {
         tokens.div_ceil(self.block_tokens)
     }
 
-    /// Modeled bytes of one block.
+    /// Modeled bytes of one block, saturating at `u64::MAX` for a block
+    /// too large to count.
     #[must_use]
     pub fn block_bytes(&self) -> Bytes {
-        self.bytes_per_token * self.block_tokens as u64
+        Bytes::new(
+            self.bytes_per_token
+                .as_u64()
+                .saturating_mul(self.block_tokens as u64),
+        )
     }
 
-    /// How many whole blocks a memory budget affords (at least one).
+    /// How many whole blocks a memory budget affords (at least one). A
+    /// zero-byte block, which only a hand-built layout can have, affords
+    /// that one.
     #[must_use]
     pub fn blocks_in_budget(&self, budget: Bytes) -> usize {
-        ((budget.as_u64() / self.block_bytes().as_u64()) as usize).max(1)
+        budget
+            .as_u64()
+            .checked_div(self.block_bytes().as_u64())
+            .map_or(1, |n| usize::try_from(n).unwrap_or(usize::MAX).max(1))
     }
 }
 
@@ -540,6 +550,25 @@ mod tests {
         assert_eq!(l.blocks_in_budget(Bytes::new(4096 * 3 + 100)), 3);
         // Degenerate budgets still admit one block so a pool can exist.
         assert_eq!(l.blocks_in_budget(Bytes::new(10)), 1);
+    }
+
+    /// A block whose modeled size passes `u64` saturates instead of
+    /// wrapping to 0 (which divided by zero in `blocks_in_budget`), and
+    /// a zero-byte block yields the one-block floor.
+    #[test]
+    fn oversized_and_empty_blocks_are_total() {
+        let huge = Model::custom(1 << 57, 1, 1, 1);
+        let l = KvLayout::for_model(&huge, 32);
+        assert_eq!(l.bytes_per_token.as_u64(), 1 << 59);
+        assert_eq!(l.block_bytes(), Bytes::new(u64::MAX));
+        assert_eq!(l.blocks_in_budget(Bytes::new(u64::MAX)), 1);
+        assert_eq!(l.blocks_in_budget(Bytes::from_mib(8)), 1);
+        let empty = KvLayout {
+            block_tokens: 0,
+            bytes_per_token: Bytes::new(1024),
+        };
+        assert_eq!(empty.block_bytes(), Bytes::new(0));
+        assert_eq!(empty.blocks_in_budget(Bytes::from_mib(8)), 1);
     }
 
     #[test]

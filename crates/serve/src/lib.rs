@@ -39,7 +39,8 @@
 //!   - a [`flat_telemetry::TraceSink`] that records per-request
 //!     lifecycle spans (queued → prefill → decode →
 //!     finished/dropped/preempted), KV/queue/scheduler counter tracks,
-//!     and per-chip collective slices, stamped on the deterministic
+//!     and one fabric lane of collective slices (once per tick, tagged
+//!     with the tick's chip count), stamped on the deterministic
 //!     virtual clock so fixed seeds give byte-identical Perfetto traces.
 //!
 //! [`serve`] is [`serve_dist_elastic`] on a 1-chip cluster with no

@@ -18,7 +18,7 @@ use flat_serve::{
     serve, serve_dist_elastic, DistServeConfig, DistServeMetrics, EngineConfig, FaultPlan,
     RequestSpec, ScalePlan, WorkloadSpec,
 };
-use flat_telemetry::{EventPhase, MemorySink, NoopSink, TraceSink};
+use flat_telemetry::{ArgValue, Event, EventPhase, MemorySink, NoopSink, TraceSink};
 use flat_tensor::Bytes;
 use flat_workloads::{Model, Task};
 use std::collections::HashMap;
@@ -168,10 +168,11 @@ fn noop_sink_run_matches_untraced_metrics_byte_for_byte() {
     assert_eq!(plain.to_json(), traced.to_json());
 }
 
-/// Multi-chip serving traces fabric collectives: per-chip lanes carrying
-/// `bytes` and `energy_pj` arguments, absent on a 1-chip cluster.
+/// Multi-chip serving traces fabric collectives on one fabric lane:
+/// `X` slices carrying `bytes`, `energy_pj` and the tick's `chips`,
+/// absent on a 1-chip cluster.
 #[test]
-fn dist_trace_carries_collective_spans_per_chip() {
+fn dist_trace_carries_collective_spans_on_the_fabric_lane() {
     let model = Model::by_name("bert").expect("bert exists");
     let accel = Accelerator::edge();
     let wl = workload(16, 5);
@@ -199,15 +200,89 @@ fn dist_trace_carries_collective_spans_per_chip() {
         );
         for ev in &coll {
             assert!(matches!(ev.ph, EventPhase::Complete { .. }));
-            assert!(ev.pid >= 1 && ev.pid as usize <= chips, "chip lane pid");
+            assert_eq!(ev.pid, 1, "fabric lane pid");
             let keys: Vec<&str> = ev.args.iter().map(|(k, _)| k.as_ref()).collect();
             assert!(
                 keys.contains(&"bytes") && keys.contains(&"energy_pj"),
                 "{keys:?}"
             );
+            assert_eq!(arg(ev, "chips"), Some(&ArgValue::U64(chips as u64)));
         }
         // Tracing the dist run does not change its metrics either.
         let plain = run(&wl, &cfg, &dcfg, None, &mut NoopSink);
         assert_eq!(plain.serve.to_json(), traced.serve.to_json());
+    }
+}
+
+/// The value of `ev`'s argument `key`.
+fn arg<'e>(ev: &'e Event, key: &str) -> Option<&'e ArgValue> {
+    ev.args.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// Collective events recorded by a traced 2-request ring run. The
+/// requests arrive a second apart, so no cluster size batches them into
+/// fewer ticks.
+fn collective_events(chips: usize) -> usize {
+    let model = Model::by_name("bert").expect("bert exists");
+    let accel = Accelerator::edge();
+    let mut spec = WorkloadSpec::from_task(Task::ShortNlp, 2, 1.0);
+    spec.prompt_mean = 8;
+    spec.output_mean = 2;
+    let wl = spec.generate(3).expect("spec is valid");
+    let mut sink = MemorySink::new();
+    run(
+        &wl,
+        &config(&accel, &model, 3),
+        &DistServeConfig::new(chips, Topology::Ring),
+        None,
+        &mut sink,
+    );
+    sink.events.iter().filter(|e| e.cat == "collective").count()
+}
+
+/// Each tick's collectives are recorded once, not once per chip: a
+/// fixed run's collective count does not grow with the cluster.
+#[test]
+fn collective_event_count_does_not_grow_with_the_cluster() {
+    let two = collective_events(2);
+    assert!(two > 0, "a 2-chip run traces collectives");
+    assert_eq!(collective_events(64), two);
+}
+
+/// Every process lane that carries an event is named, including the
+/// fabric lane of a run that starts on one chip and grows.
+#[test]
+fn every_traced_pid_of_an_elastic_run_is_named() {
+    let model = Model::by_name("bert").expect("bert exists");
+    let accel = Accelerator::edge();
+    let wl = workload(24, 7);
+    let mut sink = MemorySink::new();
+    serve_dist_elastic(
+        &accel,
+        &model,
+        &wl,
+        &config(&accel, &model, 7),
+        &DistServeConfig::new(1, Topology::Ring),
+        &ScalePlan::new(&[(2.0, 4), (30.0, 2)]),
+        None,
+        &mut sink,
+    )
+    .expect("engine terminates");
+    let named: Vec<u32> = sink
+        .events
+        .iter()
+        .filter(|e| e.name == "process_name")
+        .map(|e| e.pid)
+        .collect();
+    assert!(
+        sink.events.iter().any(|e| e.cat == "collective"),
+        "the resized cluster traces collectives"
+    );
+    for ev in &sink.events {
+        assert!(
+            named.contains(&ev.pid),
+            "pid {} has no process_name",
+            ev.pid
+        );
     }
 }

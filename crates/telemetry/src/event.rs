@@ -95,8 +95,8 @@ pub struct Event {
     pub ph: EventPhase,
     /// Timestamp in microseconds on the producer's clock.
     pub ts_us: f64,
-    /// Process lane: `pid` 0 is the engine/scheduler; chips map to
-    /// `pid = 1 + chip`.
+    /// Process lane: `pid` 0 is the engine/scheduler; `pid` 1 is the
+    /// cluster fabric (serving) or the simulated hardware (`flat sim`).
     pub pid: u32,
     /// Thread lane within the process: request id, engine lane, or
     /// hardware resource.

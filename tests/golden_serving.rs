@@ -50,8 +50,18 @@ fn pin(path: &Path, text: &str) {
     assert!(text == want, "output drifted from {}", path.display());
 }
 
-/// Pins one case's metrics, trace and attribution files.
+/// Pins one case's metrics, trace and attribution files, after checking
+/// that every process lane carrying an event is named.
 fn check(case: &str, json: &str, sink: &MemorySink) {
+    let named: Vec<u32> = sink
+        .events
+        .iter()
+        .filter(|e| e.name == "process_name")
+        .map(|e| e.pid)
+        .collect();
+    for ev in &sink.events {
+        assert!(named.contains(&ev.pid), "{case}: pid {} is unnamed", ev.pid);
+    }
     let doc = sink.to_chrome_trace();
     let trace = format!(
         "fnv1a64 {:016x}\nevents {}\n",
