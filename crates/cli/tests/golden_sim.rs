@@ -1,10 +1,12 @@
-//! Golden `flat sim` corpus: fixed configurations of the event backend
-//! and the agreement harness, byte-diffed against committed output.
+//! Golden `flat sim` corpus: fixed configurations of the closed form,
+//! the event backend and the agreement harness, byte-diffed against
+//! committed output.
 //!
-//! Each case pins the `--json` stdout of `flat sim --engine event` and
-//! `--engine both` under `tests/golden/sim/`; the sweep case pins
-//! `--engine both --sweep --json`, and the trace cases pin the FNV-1a
-//! hash and event count of a `--trace-json` document. Set
+//! Each case pins, under `tests/golden/sim/`, the `--json` stdout of
+//! `flat sim --engine analytical|event|both` and of `flat cost`; the
+//! sweep case pins `--engine both --sweep --json`, the trace cases pin
+//! the FNV-1a hash and event count of a `--trace-json` document, and
+//! the timeline cases pin the stdout of `flat trace`. Set
 //! `FLAT_BLESS=1` to rewrite them after an intentional change.
 
 use std::path::{Path, PathBuf};
@@ -26,6 +28,42 @@ const CASES: &[(&str, &[&str])] = &[
     (
         "base-serial-softmax",
         &["--seq", "1024", "--dataflow", "base", "--serial-softmax"],
+    ),
+];
+
+/// `(case, flags)` of the `flat trace` timelines: the fused walk at
+/// README's example, at seq 4096 and on the cloud chip; the sequential
+/// baseline with its softmax pipelined into A, serialized, and
+/// unbuffered; and a staged baseline and a coarse fused granularity.
+const TIMELINES: &[(&str, &[&str])] = &[
+    ("r64-seq512", &["--seq", "512", "--dataflow", "flat-r64"]),
+    ("base-seq4096", &["--seq", "4096", "--dataflow", "base"]),
+    (
+        "base-seq4096-serial-softmax",
+        &["--seq", "4096", "--dataflow", "base", "--serial-softmax"],
+    ),
+    (
+        "base-seq4096-no-double-buffer",
+        &["--seq", "4096", "--dataflow", "base", "--no-double-buffer"],
+    ),
+    ("base-h-seq4096", &["--seq", "4096", "--dataflow", "base-h"]),
+    ("flat-m-seq4096", &["--seq", "4096", "--dataflow", "flat-m"]),
+    (
+        "r64-seq4096-no-double-buffer",
+        &["--seq", "4096", "--dataflow", "flat-r64", "--no-double-buffer"],
+    ),
+    (
+        "cloud-xlm-r256-seq16384",
+        &[
+            "--platform",
+            "cloud",
+            "--model",
+            "xlm",
+            "--seq",
+            "16384",
+            "--dataflow",
+            "flat-r256",
+        ],
     ),
 ];
 
@@ -54,19 +92,24 @@ fn pin(path: &Path, text: &str) {
     assert!(text == want, "output drifted from {}", path.display());
 }
 
-/// Runs `flat sim <args>` and returns its stdout.
-fn sim(args: &[&str]) -> String {
+/// Runs `flat <command> <args>` and returns its stdout.
+fn flat(command: &str, args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_flat"))
-        .arg("sim")
+        .arg(command)
         .args(args)
         .output()
         .expect("binary runs");
     assert!(
         out.status.success(),
-        "flat sim {args:?}: {}",
+        "flat {command} {args:?}: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("stdout is UTF-8")
+}
+
+/// Runs `flat sim <args>` and returns its stdout.
+fn sim(args: &[&str]) -> String {
+    flat("sim", args)
 }
 
 #[test]
@@ -76,6 +119,24 @@ fn event_and_agreement_json_are_pinned() {
             let json = sim(&[&["--engine", engine, "--json"], *flags].concat());
             pin(&golden_dir().join(format!("{case}.{engine}.json")), &json);
         }
+    }
+}
+
+#[test]
+fn analytical_and_cost_json_are_pinned() {
+    for (case, flags) in CASES {
+        let json = sim(&[&["--engine", "analytical", "--json"], *flags].concat());
+        pin(&golden_dir().join(format!("{case}.analytical.json")), &json);
+        let json = flat("cost", &[&["--json"], *flags].concat());
+        pin(&golden_dir().join(format!("{case}.cost.json")), &json);
+    }
+}
+
+#[test]
+fn trace_timelines_are_pinned() {
+    for (case, flags) in TIMELINES {
+        let text = flat("trace", flags);
+        pin(&golden_dir().join(format!("timeline-{case}.txt")), &text);
     }
 }
 
