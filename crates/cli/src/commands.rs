@@ -536,7 +536,7 @@ pub fn trace(args: &Args) -> Result<(), String> {
             "--width {width} is past the {MAX_TRACE_WIDTH}-column limit"
         ));
     }
-    let cm = CostModel::new(&setup.accel);
+    let cm = CostModel::with_options(&setup.accel, parse::model_options(args)?);
     let schedule = cm.la_schedule(&setup.block, &df);
     println!(
         "# {} on {} — {} (B={}, N={})",

@@ -697,3 +697,26 @@ fn sim_event_trace_is_perfetto_shaped() {
         assert!(trace.contains(needle), "{needle} missing from trace");
     }
 }
+
+/// `flat trace` prices with the model-option flags `flat cost` takes:
+/// the makespan it prints is the cost's cycle count under each.
+#[test]
+fn trace_honours_the_model_option_flags() {
+    for flags in [
+        &["--no-double-buffer"][..],
+        &["--serial-softmax", "--dataflow", "base"],
+        &["--softmax", "log-lut", "--no-double-buffer"],
+    ] {
+        let args = [&["--seq", "4096"][..], flags].concat();
+        let cost = flat(&[&["cost", "--json"][..], &args].concat());
+        assert!(cost.status.success(), "stderr: {}", stderr(&cost));
+        let cost: serde_json::Value =
+            serde_json::from_str(&String::from_utf8_lossy(&cost.stdout)).expect("cost JSON");
+        let cycles = cost["cycles"].as_f64().expect("cycles");
+        let trace = flat(&[&["trace"][..], &args].concat());
+        assert!(trace.status.success(), "stderr: {}", stderr(&trace));
+        let text = String::from_utf8_lossy(&trace.stdout);
+        let want = format!("# makespan {cycles:.4e} cycles");
+        assert!(text.contains(&want), "{flags:?}: want {want:?} in {text}");
+    }
+}

@@ -50,7 +50,13 @@ const TIMELINES: &[(&str, &[&str])] = &[
     ("flat-m-seq4096", &["--seq", "4096", "--dataflow", "flat-m"]),
     (
         "r64-seq4096-no-double-buffer",
-        &["--seq", "4096", "--dataflow", "flat-r64", "--no-double-buffer"],
+        &[
+            "--seq",
+            "4096",
+            "--dataflow",
+            "flat-r64",
+            "--no-double-buffer",
+        ],
     ),
     (
         "cloud-xlm-r256-seq16384",

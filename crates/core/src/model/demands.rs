@@ -99,24 +99,57 @@ impl FusedLaneDemands {
         self.iterations as f64 * self.per_iteration_cycles() + self.warmup_cycles
     }
 
-    /// Whole-run busy cycles of each hardware lane, before the fold,
+    /// Per-iteration busy cycles of each hardware lane, before the fold,
     /// under the lane names of the `flat-desim` executor (`dma`, `pe`,
-    /// `sg`, `l2`, `sfu`). The DMA lane also carries the one-time warmup
-    /// fetch; `l2` is listed only when the accelerator has an L2 link.
+    /// `sg`, `l2`, `sfu`); `l2` is listed only when the accelerator has
+    /// an L2 link.
+    #[must_use]
+    pub fn iteration_lanes(&self) -> Vec<(&'static str, f64)> {
+        let mut lanes = vec![
+            ("dma", self.offchip_cycles()),
+            ("pe", self.compute_cycles),
+            ("sg", self.onchip_cycles()),
+        ];
+        if self.l2_cycles > 0.0 {
+            lanes.push(("l2", self.l2_cycles));
+        }
+        lanes.push(("sfu", self.sfu_cycles));
+        lanes
+    }
+
+    /// Whole-run busy cycles of each hardware lane: `iterations` times
+    /// [`iteration_lanes`](Self::iteration_lanes), the DMA lane also
+    /// carrying the one-time warmup fetch.
     #[must_use]
     pub fn lane_busy(&self) -> Vec<(&'static str, f64)> {
         let n = self.iterations as f64;
-        let mut lanes = vec![
-            ("dma", self.warmup_cycles + n * self.offchip_cycles()),
-            ("pe", n * self.compute_cycles),
-            ("sg", n * self.onchip_cycles()),
-        ];
-        if self.l2_cycles > 0.0 {
-            lanes.push(("l2", n * self.l2_cycles));
+        let mut lanes = self.iteration_lanes();
+        for (name, busy) in &mut lanes {
+            *busy *= n;
+            if *name == "dma" {
+                *busy += self.warmup_cycles;
+            }
         }
-        lanes.push(("sfu", n * self.sfu_cycles));
         lanes
     }
+}
+
+/// The lane that bounds a phase: the busiest of its lane demands
+/// (`(name, busy cycles)` as [`FusedLaneDemands::iteration_lanes`] and
+/// [`SequentialLaneDemands::lanes`] list them). Ties go to the lane
+/// listed first; no lanes give `""`.
+#[must_use]
+pub fn busiest_lane(lanes: &[(&'static str, f64)]) -> &'static str {
+    lanes
+        .iter()
+        .fold(("", f64::NEG_INFINITY), |best, &lane| {
+            if lane.1 > best.1 {
+                lane
+            } else {
+                best
+            }
+        })
+        .0
 }
 
 /// Whole-phase lane demands of one sequential-pipeline phase (Logit,
@@ -167,13 +200,12 @@ impl SequentialLaneDemands {
         [&self.logit, &self.softmax, &self.attend]
     }
 
-    /// Whole-run busy cycles of each hardware lane summed over the three
-    /// phases, under the lane names of the `flat-desim` executor (`dma`,
-    /// `pe`, `sg`, `sfu`). The DMA lane also carries the phase warmups.
+    /// Busy cycles of each hardware lane summed over `phases`, under the
+    /// lane names of the `flat-desim` executor (`dma`, `pe`, `sg`,
+    /// `sfu`). The DMA lane also carries the phase warmups.
     #[must_use]
-    pub fn lane_busy(&self) -> Vec<(&'static str, f64)> {
-        let sum =
-            |f: fn(&PhaseLaneDemands) -> f64| -> f64 { self.phases().into_iter().map(f).sum() };
+    pub fn lanes(&self, phases: &[&PhaseLaneDemands]) -> Vec<(&'static str, f64)> {
+        let sum = |f: fn(&PhaseLaneDemands) -> f64| -> f64 { phases.iter().map(|p| f(p)).sum() };
         vec![
             (
                 "dma",
@@ -183,6 +215,13 @@ impl SequentialLaneDemands {
             ("sg", sum(|p| p.onchip_bytes) / self.onchip_bytes_per_cycle),
             ("sfu", sum(|p| p.sfu_cycles)),
         ]
+    }
+
+    /// Whole-run busy cycles of each hardware lane:
+    /// [`lanes`](Self::lanes) over all three phases.
+    #[must_use]
+    pub fn lane_busy(&self) -> Vec<(&'static str, f64)> {
+        self.lanes(&self.phases())
     }
 }
 

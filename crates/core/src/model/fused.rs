@@ -52,7 +52,7 @@ impl CostModel<'_> {
         self.fused_cost_demands(block, df).1
     }
 
-    fn fused_cost_demands(
+    pub(crate) fn fused_cost_demands(
         &self,
         block: &AttentionBlock,
         df: &FusedDataflow,

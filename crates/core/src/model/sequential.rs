@@ -9,6 +9,18 @@ use flat_arch::ActivityCounts;
 use flat_tensor::Bytes;
 use flat_workloads::{AttentionBlock, OpKind};
 
+/// The cycles of the serial phases a sequential total sums, in
+/// execution order.
+pub(crate) struct SequentialPhaseCycles {
+    /// The Logit phase.
+    pub(crate) logit: f64,
+    /// The softmax pass, or `None` when it pipelines into the Attend
+    /// phase.
+    pub(crate) softmax: Option<f64>,
+    /// The Attend phase, softmax included when it pipelines.
+    pub(crate) attend: f64,
+}
+
 impl CostModel<'_> {
     /// Cost of the softmax pass over `elements` logits. When the logit
     /// tensor is SG-resident the SFU reads and writes on-chip; otherwise
@@ -78,12 +90,16 @@ impl CostModel<'_> {
         self.sequential_cost_demands(block, logit_df, attend_df).1
     }
 
-    fn sequential_cost_demands(
+    pub(crate) fn sequential_cost_demands(
         &self,
         block: &AttentionBlock,
         logit_df: &OperatorDataflow,
         attend_df: &OperatorDataflow,
-    ) -> (CostReport, crate::SequentialLaneDemands) {
+    ) -> (
+        CostReport,
+        crate::SequentialLaneDemands,
+        SequentialPhaseCycles,
+    ) {
         let cfg = *block.config();
         let dtype = cfg.dtype;
         let e = dtype.size_bytes();
@@ -225,9 +241,19 @@ impl CostModel<'_> {
                 footprint: a_report.footprint.max(softmax.footprint),
                 energy: a_report.energy + softmax.energy,
             };
-            (l_report.then(&a_sm), demands)
+            let cycles = SequentialPhaseCycles {
+                logit: l_report.cycles,
+                softmax: None,
+                attend: a_sm.cycles,
+            };
+            (l_report.then(&a_sm), demands, cycles)
         } else {
-            (l_report.then(&softmax).then(&a_report), demands)
+            let cycles = SequentialPhaseCycles {
+                logit: l_report.cycles,
+                softmax: Some(softmax.cycles),
+                attend: a_report.cycles,
+            };
+            (l_report.then(&softmax).then(&a_report), demands, cycles)
         }
     }
 }

@@ -2,45 +2,24 @@
 //! on the accelerator — the observable counterpart of the aggregate cost
 //! numbers, and the basis of the `trace` CLI command.
 //!
-//! The cost model collapses execution into totals; this module expands the
-//! same model into an explicit sequence of [`Phase`]s (what the PE array,
-//! SFU, and memory system are doing, and which resource bounds each span),
-//! so a user can *see* why a dataflow is slow.
+//! The timeline is the cost model's own decomposition: each phase spans
+//! the cycles the closed form prices for it, and its bound is the
+//! busiest lane of its lane demands ([`busiest_lane`]), named as
+//! [`FusedLaneDemands::lane_busy`] names them (`dma`, `pe`, `sg`, `l2`,
+//! `sfu`). A user can *see* why a dataflow is slow, in the vocabulary of
+//! `flat sim` and the event backend.
+//!
+//! [`busiest_lane`]: crate::busiest_lane
+//! [`FusedLaneDemands::lane_busy`]: crate::FusedLaneDemands::lane_busy
 
 use crate::model::CostModel;
-use crate::{BlockDataflow, CostReport, FusedDataflow, FusedSlices, Granularity, LaExecution};
-use flat_tensor::Gemm;
+use crate::{busiest_lane, CostReport, FusedDataflow, Granularity, LaExecution};
+use crate::{BlockDataflow, PhaseLaneDemands};
 use flat_workloads::AttentionBlock;
-use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// What limits a phase's duration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Bound {
-    /// PE-array streaming (plus NoC fill/drain).
-    Compute,
-    /// The on-chip SG interconnect.
-    OnChip,
-    /// The off-chip DRAM link.
-    OffChip,
-    /// The softmax unit.
-    Sfu,
-}
-
-impl fmt::Display for Bound {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Bound::Compute => "compute",
-            Bound::OnChip => "on-chip BW",
-            Bound::OffChip => "off-chip BW",
-            Bound::Sfu => "softmax",
-        };
-        f.write_str(name)
-    }
-}
+use serde::Serialize;
 
 /// One span of the execution timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Phase {
     /// Human-readable label (`"L (logit)"`, `"FLAT-tile 3/128"`, …).
     pub label: String,
@@ -48,10 +27,9 @@ pub struct Phase {
     pub start: f64,
     /// End time in cycles.
     pub end: f64,
-    /// The binding resource.
-    pub bound: Bound,
-    /// Compute utilization within the phase.
-    pub util: f64,
+    /// The busiest lane of the phase's demands (`dma`, `pe`, `sg`, `l2`
+    /// or `sfu`).
+    pub bound: &'static str,
 }
 
 impl Phase {
@@ -63,7 +41,7 @@ impl Phase {
 }
 
 /// A complete timeline for the L-A pair under a dataflow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Schedule {
     /// Dataflow label the schedule was built for.
     pub dataflow: String,
@@ -103,25 +81,12 @@ impl Schedule {
     }
 }
 
-/// Classifies which resource bound a phase, given its candidate times.
-fn classify(compute: f64, onchip: f64, offchip: f64, sfu: f64) -> Bound {
-    let max = compute.max(onchip).max(offchip).max(sfu);
-    if max == compute {
-        Bound::Compute
-    } else if max == offchip {
-        Bound::OffChip
-    } else if max == onchip {
-        Bound::OnChip
-    } else {
-        Bound::Sfu
-    }
-}
-
 impl CostModel<'_> {
     /// Builds the execution timeline of the L-A pair under `df`.
     ///
-    /// The totals agree with [`CostModel::la_cost`]; the timeline shows
-    /// how they decompose.
+    /// The phases are the ones the closed form prices: the makespan is
+    /// [`CostModel::la_cost`]'s cycle count, and each phase's bound is the
+    /// busiest lane of its lane demands.
     ///
     /// # Example
     ///
@@ -141,44 +106,36 @@ impl CostModel<'_> {
     pub fn la_schedule(&self, block: &AttentionBlock, df: &BlockDataflow) -> Schedule {
         match &df.la {
             LaExecution::Sequential { logit, attend } => {
-                // Re-derive the three sequential phases with their own
-                // reports so the timeline matches the cost function.
-                let cfg = *block.config();
-                let l_only =
-                    self.operator_cost(block.operator(flat_workloads::OpKind::Logit), logit, &cfg);
-                let a_only = self.operator_cost(
-                    block.operator(flat_workloads::OpKind::Attend),
-                    attend,
-                    &cfg,
-                );
-                let total = self.sequential_la_cost(block, logit, attend);
-                let softmax_cycles = (total.cycles - l_only.cycles - a_only.cycles).max(0.0);
-                let mut phases = Vec::new();
-                let mut t = 0.0;
-                for (label, report) in [("L (logit)", &l_only), ("A (attend)", &a_only)] {
-                    let off =
-                        report.traffic.offchip.as_f64() / self.accel.offchip_bytes_per_cycle();
-                    let on = report.traffic.onchip.as_f64() / self.accel.onchip_bytes_per_cycle();
-                    let compute = report.cycles - off.max(on).min(report.cycles);
-                    if label == "A (attend)" && softmax_cycles > 0.0 {
-                        phases.push(Phase {
-                            label: "softmax (whole tensor)".to_owned(),
-                            start: t,
-                            end: t + softmax_cycles,
-                            bound: Bound::Sfu,
-                            util: 0.0,
-                        });
-                        t += softmax_cycles;
-                    }
-                    phases.push(Phase {
-                        label: label.to_owned(),
-                        start: t,
-                        end: t + report.cycles,
-                        bound: classify(compute, on, off, 0.0),
-                        util: report.util(),
-                    });
-                    t += report.cycles;
+                let (total, d, cycles) = self.sequential_cost_demands(block, logit, attend);
+                let mut spans: Vec<(&str, f64, Vec<&PhaseLaneDemands>)> =
+                    vec![("L (logit)", cycles.logit, vec![&d.logit])];
+                match cycles.softmax {
+                    Some(softmax) => spans.extend([
+                        ("softmax (whole tensor)", softmax, vec![&d.softmax]),
+                        ("A (attend)", cycles.attend, vec![&d.attend]),
+                    ]),
+                    None => spans.push((
+                        "softmax + A (pipelined)",
+                        cycles.attend,
+                        vec![&d.softmax, &d.attend],
+                    )),
                 }
+                // Phases run back to back: summed in this order, their
+                // cycles are the total's, to the bit.
+                let mut t = 0.0;
+                let phases = spans
+                    .into_iter()
+                    .map(|(label, cycles, group)| {
+                        let start = t;
+                        t += cycles;
+                        Phase {
+                            label: label.to_owned(),
+                            start,
+                            end: t,
+                            bound: busiest_lane(&d.lanes(&group)),
+                        }
+                    })
+                    .collect();
                 Schedule {
                     dataflow: df.label(),
                     phases,
@@ -189,52 +146,50 @@ impl CostModel<'_> {
         }
     }
 
+    /// The fused timeline: the one-time operand fetch, up to three
+    /// explicit FLAT-tiles, then the folded steady state.
     fn fused_schedule(
         &self,
         block: &AttentionBlock,
         df: &FusedDataflow,
         label: String,
     ) -> Schedule {
-        let cfg = *block.config();
-        let total = self.fused_la_cost(block, df);
-        let s = FusedSlices::new(df.granularity, &cfg);
-        let iters = s.iterations;
-        let per_iter = total.cycles / iters as f64;
-
-        // Per-iteration resource times, reconstructed from totals.
-        let off =
-            total.traffic.offchip.as_f64() / self.accel.offchip_bytes_per_cycle() / iters as f64;
-        let on = total.traffic.onchip.as_f64() / self.accel.onchip_bytes_per_cycle() / iters as f64;
-        let sfu = self.sfu_cycles(s.intermediate) as f64;
-        let l_sub = Gemm::new(s.groups, s.rows, cfg.dk(), cfg.seq_kv);
-        let compute = 2.0 * crate::gemm_compute(&l_sub, df.stationarity_l, self.accel).steps as f64;
-        let bound = classify(compute, on, off, sfu);
-
+        let (total, d) = self.fused_cost_demands(block, df);
+        let per_iter = d.per_iteration_cycles();
+        let bound = busiest_lane(&d.iteration_lanes());
+        let gran = match df.granularity {
+            Granularity::Row(r) => format!("R{r}"),
+            g => g.label(),
+        };
+        let iters = d.iterations;
         let explicit = iters.min(3);
+        // Iteration `k` starts at `warmup + k x per-iteration`, so the
+        // last phase ends where the closed form does, to the bit.
+        let at = |k: u64| d.warmup_cycles + k as f64 * per_iter;
         let mut phases = Vec::new();
-        let mut t = 0.0;
+        if d.warmup_cycles > 0.0 {
+            // The cold fetch is the DMA lane's alone.
+            phases.push(Phase {
+                label: "warmup (first tile fetch)".to_owned(),
+                start: 0.0,
+                end: at(0),
+                bound: "dma",
+            });
+        }
         for i in 0..explicit {
-            let gran = match df.granularity {
-                Granularity::Row(r) => format!("R{r}"),
-                g => g.label(),
-            };
             phases.push(Phase {
                 label: format!("FLAT-tile {}/{} ({gran}: L+softmax+A)", i + 1, iters),
-                start: t,
-                end: t + per_iter,
+                start: at(i),
+                end: at(i + 1),
                 bound,
-                util: total.util(),
             });
-            t += per_iter;
         }
         if iters > explicit {
-            let rest = iters - explicit;
             phases.push(Phase {
-                label: format!("... {rest} more FLAT-tiles (steady state)"),
-                start: t,
-                end: total.cycles,
+                label: format!("... {} more FLAT-tiles (steady state)", iters - explicit),
+                start: at(explicit),
+                end: at(iters),
                 bound,
-                util: total.util(),
             });
         }
         Schedule {
@@ -262,18 +217,78 @@ mod tests {
         let df = BlockDataflow::flat(Granularity::Row(64));
         let sched = cm.la_schedule(&block, &df);
         let cost = cm.la_cost(&block, &df.la);
-        assert!((sched.makespan() - cost.cycles).abs() / cost.cycles < 1e-9);
+        assert_eq!(sched.makespan().to_bits(), cost.cycles.to_bits());
         assert_eq!(sched.total, cost);
+        assert_eq!(sched.phases[0].label, "warmup (first tile fetch)");
+        assert_eq!(sched.phases[0].bound, "dma");
+    }
+
+    /// Edge/BERT at seq 4096 under Base: L streams from a PE-bound
+    /// array, the pipelined softmax + A phase waits on the logit
+    /// tensor's DRAM round trip, and the two phases sum to `la_cost`.
+    #[test]
+    fn base_splits_into_pe_bound_l_and_dma_bound_softmax_a() {
+        let accel = Accelerator::edge();
+        let block = Model::bert().block(64, 4096);
+        let cm = CostModel::new(&accel);
+        let df = BlockDataflow::base();
+        let sched = cm.la_schedule(&block, &df);
+        let got: Vec<(&str, &str)> = sched
+            .phases
+            .iter()
+            .map(|p| (p.label.as_str(), p.bound))
+            .collect();
+        assert_eq!(
+            got,
+            [("L (logit)", "pe"), ("softmax + A (pipelined)", "dma")]
+        );
+        let cost = cm.la_cost(&block, &df.la);
+        assert_eq!(sched.makespan().to_bits(), cost.cycles.to_bits());
     }
 
     #[test]
-    fn sequential_schedule_has_three_phases() {
+    fn serial_softmax_is_its_own_phase() {
         let (accel, block) = setup();
-        let cm = CostModel::new(&accel);
-        let sched = cm.la_schedule(&block, &BlockDataflow::base());
-        let labels: Vec<&str> = sched.phases.iter().map(|p| p.label.as_str()).collect();
-        assert!(labels.contains(&"L (logit)"));
-        assert!(labels.contains(&"A (attend)"));
+        for opts in [
+            crate::ModelOptions {
+                overlap_softmax: false,
+                ..Default::default()
+            },
+            crate::ModelOptions {
+                double_buffered: false,
+                ..Default::default()
+            },
+        ] {
+            let cm = CostModel::with_options(&accel, opts);
+            let sched = cm.la_schedule(&block, &BlockDataflow::base());
+            let labels: Vec<&str> = sched.phases.iter().map(|p| p.label.as_str()).collect();
+            assert_eq!(
+                labels,
+                ["L (logit)", "softmax (whole tensor)", "A (attend)"]
+            );
+            let cost = cm.la_cost(&block, &BlockDataflow::base().la);
+            assert_eq!(sched.makespan().to_bits(), cost.cycles.to_bits());
+        }
+    }
+
+    /// An 8 MiB L2 behind a 10 GB/s link: each FLAT-R64 tile waits on
+    /// the L2 link, not the PE array.
+    #[test]
+    fn slow_l2_link_bounds_the_tile() {
+        let mut accel = Accelerator::edge();
+        accel.l2_sram = Some(flat_arch::L2Sram::new(
+            flat_tensor::Bytes::from_mib(8),
+            10.0e9,
+        ));
+        let block = Model::bert().block(64, 16_384);
+        let sched =
+            CostModel::new(&accel).la_schedule(&block, &BlockDataflow::flat(Granularity::Row(64)));
+        let tile = sched
+            .phases
+            .iter()
+            .find(|p| p.label.starts_with("FLAT-tile 1/"))
+            .expect("an explicit tile");
+        assert_eq!(tile.bound, "l2");
     }
 
     #[test]
@@ -315,7 +330,7 @@ mod tests {
         let cm = CostModel::new(&accel);
         // R=1 gives thousands of iterations; the schedule must fold them.
         let sched = cm.la_schedule(&block, &BlockDataflow::flat(Granularity::Row(1)));
-        assert!(sched.phases.len() <= 4);
+        assert!(sched.phases.len() <= 5);
         assert!(sched.phases.last().unwrap().label.contains("steady state"));
     }
 }

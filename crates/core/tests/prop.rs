@@ -3,8 +3,8 @@
 
 use flat_arch::Accelerator;
 use flat_core::{
-    fused_footprint, BlockDataflow, CostModel, FusedDataflow, Granularity, ModelOptions,
-    OperatorDataflow, Stationarity,
+    fused_footprint, BlockDataflow, CostModel, FusedDataflow, Granularity, LaExecution,
+    ModelOptions, OperatorDataflow, Stationarity,
 };
 use flat_tensor::Bytes;
 use flat_workloads::{AttentionBlock, AttentionConfig};
@@ -133,14 +133,28 @@ proptest! {
         prop_assert!(r.traffic.offchip.as_u64() >= io, "{} < {io}", r.traffic.offchip);
     }
 
-    /// Schedules decompose the exact cost: makespan equals la_cost cycles
-    /// and phases tile the timeline without gaps.
+    /// Schedules are the cost model's own decomposition, fused and
+    /// sequential, with and without double buffering: the makespan
+    /// equals la_cost cycles, phases tile the timeline without gaps, and
+    /// each phase's bound is the busiest lane of that phase's demands.
     #[test]
-    fn schedule_consistency(cfg in configs(), g in granularities()) {
+    fn schedule_consistency(
+        cfg in configs(),
+        g in granularities(),
+        fused in any::<bool>(),
+        db in any::<bool>(),
+    ) {
         let block = AttentionBlock::new(cfg);
         let accel = Accelerator::edge();
-        let cm = CostModel::new(&accel);
-        let df = BlockDataflow::flat(g);
+        let opts = ModelOptions { double_buffered: db, ..Default::default() };
+        let cm = CostModel::with_options(&accel, opts);
+        let df = if fused {
+            BlockDataflow::flat(g)
+        } else if g.requires_fusion() {
+            BlockDataflow::base()
+        } else {
+            BlockDataflow::base_staged(g)
+        };
         let sched = cm.la_schedule(&block, &df);
         let cost = cm.la_cost(&block, &df.la);
         prop_assert!((sched.makespan() - cost.cycles).abs() <= 1e-6 * cost.cycles.max(1.0));
@@ -148,6 +162,37 @@ proptest! {
         for p in &sched.phases {
             prop_assert!((p.start - t).abs() < 1e-6);
             t = p.end;
+        }
+        // The bound names a lane no other lane of the phase outruns.
+        let binds = |lanes: &[(&str, f64)], bound: &str| {
+            let max = lanes.iter().map(|l| l.1).fold(f64::NEG_INFINITY, f64::max);
+            lanes.iter().any(|&(name, busy)| name == bound && busy == max)
+        };
+        match &df.la {
+            LaExecution::Fused(f) => {
+                let d = cm.fused_lane_demands(&block, f);
+                let lanes = d.iteration_lanes();
+                for p in &sched.phases {
+                    if p.label.starts_with("warmup") {
+                        prop_assert_eq!(p.bound, "dma");
+                    } else {
+                        prop_assert!(binds(&lanes, p.bound), "{} bound by {}", p.label, p.bound);
+                    }
+                }
+            }
+            LaExecution::Sequential { logit, attend } => {
+                let d = cm.sequential_lane_demands(&block, logit, attend);
+                prop_assert_eq!(sched.phases.len(), if db { 2 } else { 3 });
+                for p in &sched.phases {
+                    let group = match p.label.as_str() {
+                        "L (logit)" => vec![&d.logit],
+                        "softmax (whole tensor)" => vec![&d.softmax],
+                        "A (attend)" => vec![&d.attend],
+                        _ => vec![&d.softmax, &d.attend],
+                    };
+                    prop_assert!(binds(&d.lanes(&group), p.bound), "{} bound by {}", p.label, p.bound);
+                }
+            }
         }
     }
 
