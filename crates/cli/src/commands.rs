@@ -683,8 +683,6 @@ fn event_options(
     Ok(flat_desim::EventOptions {
         model: parse::model_options(args)?,
         buffers,
-        // Keep exported traces viewable.
-        max_iterations: if trace_path.is_empty() { 4096 } else { 512 },
         record_trace: !trace_path.is_empty(),
         ..flat_desim::EventOptions::default()
     })
@@ -771,7 +769,12 @@ fn sim_both(
         flat_desim::agreement_with_report(&setup.accel, &setup.block, &df.la, opts)
             .map_err(|e| e.to_string())?;
     let sweep = if args.flag("sweep") {
-        flat_desim::agreement_sweep(&setup.accel, &[512, 1024, 4096], opts)
+        // Only the run `--trace-json` writes records a trace.
+        let untraced = flat_desim::EventOptions {
+            record_trace: false,
+            ..opts
+        };
+        flat_desim::agreement_sweep(&setup.accel, &[512, 1024, 4096], untraced)
             .map_err(|e| e.to_string())?
     } else {
         Vec::new()

@@ -720,3 +720,30 @@ fn trace_honours_the_model_option_flags() {
         assert!(text.contains(&want), "{flags:?}: want {want:?} in {text}");
     }
 }
+
+/// `--trace-json` records the run it writes and changes no result: the
+/// stdout of `flat sim` is byte-identical with and without it.
+#[test]
+fn trace_json_does_not_change_sim_results() {
+    let path = std::env::temp_dir().join(format!(
+        "flat_cli_test_sim_trace_{}.json",
+        std::process::id()
+    ));
+    let path_str = path.display().to_string();
+    for args in [
+        &[
+            "sim", "--seq", "1024", "--engine", "both", "--sweep", "--json",
+        ][..],
+        &["sim", "--seq", "1024", "--engine", "event", "--json"],
+    ] {
+        let plain = flat(args);
+        assert!(plain.status.success(), "stderr: {}", stderr(&plain));
+        let traced = flat(&[args, &["--trace-json", &path_str]].concat());
+        assert!(traced.status.success(), "stderr: {}", stderr(&traced));
+        assert!(
+            plain.stdout == traced.stdout,
+            "{args:?} moved with --trace-json"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}

@@ -47,8 +47,6 @@ pub struct EventOptions {
     /// true double buffering — what the analytical model assumes; 1
     /// serializes fetch against compute (the contended configuration).
     pub buffers: u32,
-    /// Sequential phases execute as this many equal pipelined slices.
-    pub phase_slices: u64,
     /// Iteration cap; longer workloads extrapolate the measured
     /// steady-state period.
     pub max_iterations: u64,
@@ -61,12 +59,14 @@ impl Default for EventOptions {
         EventOptions {
             model: ModelOptions::default(),
             buffers: 2,
-            phase_slices: 64,
             max_iterations: 4096,
             record_trace: false,
         }
     }
 }
+
+/// Sequential phases execute as this many equal pipelined slices.
+const PHASE_SLICES: u64 = 64;
 
 /// Lane tid assignment for trace export (pid 1 = the simulated chip).
 pub(crate) fn lane_tid(name: &str) -> u64 {
@@ -302,15 +302,9 @@ struct PhaseSpec {
     warmup: f64,
 }
 
-/// Runs one phase as `slices` equal pipeline slices.
-fn run_phase(
-    p: &PhaseSpec,
-    slices: u64,
-    db: bool,
-    buffers: u32,
-    record: bool,
-) -> Result<RunStats, EngineError> {
-    let s = slices.max(1);
+/// Runs one phase as [`PHASE_SLICES`] equal pipeline slices.
+fn run_phase(p: &PhaseSpec, db: bool, buffers: u32, record: bool) -> Result<RunStats, EngineError> {
+    let s = PHASE_SLICES;
     let sf = s as f64;
     let b = if db { buffers.max(1) as usize } else { 1 };
     let mut eng = Engine::new(record);
@@ -439,20 +433,13 @@ pub fn simulate_sequential_event(
         ]
     };
 
-    let slices = opts.phase_slices.max(1);
     let mut cycles = 0.0f64;
     let mut lanes: Vec<LaneUsage> = Vec::new();
     let mut trace = Vec::new();
     let mut peak = 0usize;
     let mut occ_weighted = 0.0f64;
     for p in &phases {
-        let stats = run_phase(
-            p,
-            slices,
-            d.double_buffered,
-            opts.buffers,
-            opts.record_trace,
-        )?;
+        let stats = run_phase(p, d.double_buffered, opts.buffers, opts.record_trace)?;
         for slice in &stats.trace {
             let lane = stats.contexts[slice.ctx].name.clone();
             trace.push((lane, slice.label, slice.start + cycles, slice.dur));
@@ -464,7 +451,7 @@ pub fn simulate_sequential_event(
         }
         cycles += stats.end_time;
     }
-    let total = slices * phases.len() as u64;
+    let total = PHASE_SLICES * phases.len() as u64;
     let mut report = EventReport {
         cycles,
         simulated_iterations: total,
