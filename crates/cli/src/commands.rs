@@ -25,6 +25,9 @@ USAGE:
                                        # --space collective co-optimizes partition x topology
                                        # x collective algorithm x overlap on a cluster
   flat trace --platform edge --model bert --seq 512 --dataflow flat-r64 [--width 48]
+             [--no-double-buffer] [--serial-softmax] [--softmax KIND]
+                                       # Gantt of the lane demands; [bound] is
+                                       # each phase's busiest lane
   flat loopnest --dataflow flat-r64 [--seq N]   # Figure 4-style loop nest
   flat sim   --platform edge --model bert --seq 512 --dataflow flat-r64 [--trace-json FILE]
              [--engine analytical|event|both] [--tolerance 0.05] [--buffers N]

@@ -5,6 +5,7 @@
 //! flat cost  --platform edge --model bert --seq 4096 --dataflow flat-r64 [--scope la|block|model] [--json]
 //! flat dse   --platform cloud --model xlm --seq 16384 [--space base|base-m|fused|full] [--objective max-util] [--json]
 //! flat trace --platform edge --model bert --seq 512 --dataflow flat-r64 [--width 48]
+//!            [--no-double-buffer] [--serial-softmax] [--softmax KIND]
 //! flat loopnest --dataflow flat-r64 [--seq N]
 //! flat sim   --platform edge --model bert --seq 512 --dataflow flat-r64 [--trace-json FILE]
 //! flat bw    --platform cloud --model xlm --seq 8192 [--target-milli 950]

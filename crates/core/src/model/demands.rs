@@ -137,19 +137,12 @@ impl FusedLaneDemands {
 /// The lane that bounds a phase: the busiest of its lane demands
 /// (`(name, busy cycles)` as [`FusedLaneDemands::iteration_lanes`] and
 /// [`SequentialLaneDemands::lanes`] list them). Ties go to the lane
-/// listed first; no lanes give `""`.
+/// listed first (`max_by` keeps the last of equal maxima, so the list
+/// is walked in reverse); no lanes give `""`.
 #[must_use]
 pub fn busiest_lane(lanes: &[(&'static str, f64)]) -> &'static str {
-    lanes
-        .iter()
-        .fold(("", f64::NEG_INFINITY), |best, &lane| {
-            if lane.1 > best.1 {
-                lane
-            } else {
-                best
-            }
-        })
-        .0
+    let busiest = lanes.iter().rev().max_by(|a, b| a.1.total_cmp(&b.1));
+    busiest.map_or("", |&(name, _)| name)
 }
 
 /// Whole-phase lane demands of one sequential-pipeline phase (Logit,

@@ -9,18 +9,6 @@ use flat_arch::ActivityCounts;
 use flat_tensor::Bytes;
 use flat_workloads::{AttentionBlock, OpKind};
 
-/// The cycles of the serial phases a sequential total sums, in
-/// execution order.
-pub(crate) struct SequentialPhaseCycles {
-    /// The Logit phase.
-    pub(crate) logit: f64,
-    /// The softmax pass, or `None` when it pipelines into the Attend
-    /// phase.
-    pub(crate) softmax: Option<f64>,
-    /// The Attend phase, softmax included when it pipelines.
-    pub(crate) attend: f64,
-}
-
 impl CostModel<'_> {
     /// Cost of the softmax pass over `elements` logits. When the logit
     /// tensor is SG-resident the SFU reads and writes on-chip; otherwise
@@ -90,6 +78,9 @@ impl CostModel<'_> {
         self.sequential_cost_demands(block, logit_df, attend_df).1
     }
 
+    /// The total, its lane demands, and the cycles of the serial phases
+    /// the total sums in execution order: L, the softmax pass (`None`
+    /// when it pipelines into A), and A (softmax included when it does).
     pub(crate) fn sequential_cost_demands(
         &self,
         block: &AttentionBlock,
@@ -98,7 +89,7 @@ impl CostModel<'_> {
     ) -> (
         CostReport,
         crate::SequentialLaneDemands,
-        SequentialPhaseCycles,
+        (f64, Option<f64>, f64),
     ) {
         let cfg = *block.config();
         let dtype = cfg.dtype;
@@ -241,18 +232,10 @@ impl CostModel<'_> {
                 footprint: a_report.footprint.max(softmax.footprint),
                 energy: a_report.energy + softmax.energy,
             };
-            let cycles = SequentialPhaseCycles {
-                logit: l_report.cycles,
-                softmax: None,
-                attend: a_sm.cycles,
-            };
+            let cycles = (l_report.cycles, None, a_sm.cycles);
             (l_report.then(&a_sm), demands, cycles)
         } else {
-            let cycles = SequentialPhaseCycles {
-                logit: l_report.cycles,
-                softmax: Some(softmax.cycles),
-                attend: a_report.cycles,
-            };
+            let cycles = (l_report.cycles, Some(softmax.cycles), a_report.cycles);
             (l_report.then(&softmax).then(&a_report), demands, cycles)
         }
     }

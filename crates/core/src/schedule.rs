@@ -13,7 +13,7 @@
 //! [`FusedLaneDemands::lane_busy`]: crate::FusedLaneDemands::lane_busy
 
 use crate::model::CostModel;
-use crate::{busiest_lane, CostReport, FusedDataflow, Granularity, LaExecution};
+use crate::{busiest_lane, CostReport, Granularity, LaExecution};
 use crate::{BlockDataflow, PhaseLaneDemands};
 use flat_workloads::AttentionBlock;
 use serde::Serialize;
@@ -104,96 +104,79 @@ impl CostModel<'_> {
     /// ```
     #[must_use]
     pub fn la_schedule(&self, block: &AttentionBlock, df: &BlockDataflow) -> Schedule {
-        match &df.la {
+        let (total, phases) = match &df.la {
             LaExecution::Sequential { logit, attend } => {
-                let (total, d, cycles) = self.sequential_cost_demands(block, logit, attend);
+                let (total, d, (l, softmax, a)) =
+                    self.sequential_cost_demands(block, logit, attend);
                 let mut spans: Vec<(&str, f64, Vec<&PhaseLaneDemands>)> =
-                    vec![("L (logit)", cycles.logit, vec![&d.logit])];
-                match cycles.softmax {
-                    Some(softmax) => spans.extend([
-                        ("softmax (whole tensor)", softmax, vec![&d.softmax]),
-                        ("A (attend)", cycles.attend, vec![&d.attend]),
+                    vec![("L (logit)", l, vec![&d.logit])];
+                match softmax {
+                    Some(sm) => spans.extend([
+                        ("softmax (whole tensor)", sm, vec![&d.softmax]),
+                        ("A (attend)", a, vec![&d.attend]),
                     ]),
-                    None => spans.push((
-                        "softmax + A (pipelined)",
-                        cycles.attend,
-                        vec![&d.softmax, &d.attend],
-                    )),
+                    None => spans.push(("softmax + A (pipelined)", a, vec![&d.softmax, &d.attend])),
                 }
                 // Phases run back to back: summed in this order, their
                 // cycles are the total's, to the bit.
                 let mut t = 0.0;
-                let phases = spans
-                    .into_iter()
-                    .map(|(label, cycles, group)| {
-                        let start = t;
-                        t += cycles;
-                        Phase {
-                            label: label.to_owned(),
-                            start,
-                            end: t,
-                            bound: busiest_lane(&d.lanes(&group)),
-                        }
-                    })
-                    .collect();
-                Schedule {
-                    dataflow: df.label(),
-                    phases,
-                    total,
-                }
+                let phases = spans.into_iter().map(|(label, cycles, group)| {
+                    let start = t;
+                    t += cycles;
+                    let bound = busiest_lane(&d.lanes(&group));
+                    Phase {
+                        label: label.to_owned(),
+                        start,
+                        end: t,
+                        bound,
+                    }
+                });
+                (total, phases.collect())
             }
-            LaExecution::Fused(fused) => self.fused_schedule(block, fused, df.label()),
-        }
-    }
-
-    /// The fused timeline: the one-time operand fetch, up to three
-    /// explicit FLAT-tiles, then the folded steady state.
-    fn fused_schedule(
-        &self,
-        block: &AttentionBlock,
-        df: &FusedDataflow,
-        label: String,
-    ) -> Schedule {
-        let (total, d) = self.fused_cost_demands(block, df);
-        let per_iter = d.per_iteration_cycles();
-        let bound = busiest_lane(&d.iteration_lanes());
-        let gran = match df.granularity {
-            Granularity::Row(r) => format!("R{r}"),
-            g => g.label(),
+            LaExecution::Fused(fused) => {
+                // The one-time operand fetch, up to three explicit
+                // FLAT-tiles, then the folded steady state.
+                let (total, d) = self.fused_cost_demands(block, fused);
+                let per_iter = d.per_iteration_cycles();
+                let bound = busiest_lane(&d.iteration_lanes());
+                // Iteration `k` starts at `warmup + k x per-iteration`, so
+                // the last phase ends where the closed form does, to the bit.
+                let at = |k: u64| d.warmup_cycles + k as f64 * per_iter;
+                let tiles = |label, from, to| Phase {
+                    label,
+                    start: at(from),
+                    end: at(to),
+                    bound,
+                };
+                let gran = match fused.granularity {
+                    Granularity::Row(r) => format!("R{r}"),
+                    g => g.label(),
+                };
+                let (iters, explicit) = (d.iterations, d.iterations.min(3));
+                let mut phases = Vec::new();
+                if d.warmup_cycles > 0.0 {
+                    // The cold fetch is the DMA lane's alone.
+                    let label = "warmup (first tile fetch)".to_owned();
+                    phases.push(Phase {
+                        label,
+                        start: 0.0,
+                        end: at(0),
+                        bound: "dma",
+                    });
+                }
+                for i in 0..explicit {
+                    let label = format!("FLAT-tile {}/{iters} ({gran}: L+softmax+A)", i + 1);
+                    phases.push(tiles(label, i, i + 1));
+                }
+                if iters > explicit {
+                    let label = format!("... {} more FLAT-tiles (steady state)", iters - explicit);
+                    phases.push(tiles(label, explicit, iters));
+                }
+                (total, phases)
+            }
         };
-        let iters = d.iterations;
-        let explicit = iters.min(3);
-        // Iteration `k` starts at `warmup + k x per-iteration`, so the
-        // last phase ends where the closed form does, to the bit.
-        let at = |k: u64| d.warmup_cycles + k as f64 * per_iter;
-        let mut phases = Vec::new();
-        if d.warmup_cycles > 0.0 {
-            // The cold fetch is the DMA lane's alone.
-            phases.push(Phase {
-                label: "warmup (first tile fetch)".to_owned(),
-                start: 0.0,
-                end: at(0),
-                bound: "dma",
-            });
-        }
-        for i in 0..explicit {
-            phases.push(Phase {
-                label: format!("FLAT-tile {}/{} ({gran}: L+softmax+A)", i + 1, iters),
-                start: at(i),
-                end: at(i + 1),
-                bound,
-            });
-        }
-        if iters > explicit {
-            phases.push(Phase {
-                label: format!("... {} more FLAT-tiles (steady state)", iters - explicit),
-                start: at(explicit),
-                end: at(iters),
-                bound,
-            });
-        }
         Schedule {
-            dataflow: label,
+            dataflow: df.label(),
             phases,
             total,
         }
