@@ -57,7 +57,7 @@ pub use dataflow::{
 };
 pub use footprint::{fused_footprint, fused_footprint_elems, table2_row_elems, FusedSlices};
 pub use model::{
-    busiest_lane, choose_l2_tiling, dram_traffic, gemm_compute, gemm_onchip_traffic, offchip_elems,
-    BlockCost, ComputeCost, CostModel, CostReport, DramTraffic, FusedLaneDemands, L2Tiling,
-    ModelOptions, OnchipTraffic, PhaseLaneDemands, SequentialLaneDemands, Staging, Traffic,
+    choose_l2_tiling, dram_traffic, gemm_compute, gemm_onchip_traffic, offchip_elems, BlockCost,
+    ComputeCost, CostModel, CostReport, DramTraffic, FusedLaneDemands, L2Tiling, ModelOptions,
+    OnchipTraffic, PhaseLaneDemands, SequentialLaneDemands, Staging, Traffic,
 };

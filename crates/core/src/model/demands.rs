@@ -140,7 +140,7 @@ impl FusedLaneDemands {
 /// listed first (`max_by` keeps the last of equal maxima, so the list
 /// is walked in reverse); no lanes give `""`.
 #[must_use]
-pub fn busiest_lane(lanes: &[(&'static str, f64)]) -> &'static str {
+pub(crate) fn busiest_lane(lanes: &[(&'static str, f64)]) -> &'static str {
     let busiest = lanes.iter().rev().max_by(|a, b| a.1.total_cmp(&b.1));
     busiest.map_or("", |&(name, _)| name)
 }

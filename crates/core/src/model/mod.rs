@@ -38,7 +38,8 @@ mod staging;
 
 pub use block::BlockCost;
 pub use compute::{gemm_compute, gemm_onchip_traffic, ComputeCost, OnchipTraffic};
-pub use demands::{busiest_lane, FusedLaneDemands, PhaseLaneDemands, SequentialLaneDemands};
+pub(crate) use demands::busiest_lane;
+pub use demands::{FusedLaneDemands, PhaseLaneDemands, SequentialLaneDemands};
 pub use l2::{choose_l2_tiling, dram_traffic, DramTraffic, L2Tiling};
 pub use report::{CostReport, Traffic};
 pub use staging::{offchip_elems, Staging};

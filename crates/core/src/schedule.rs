@@ -4,17 +4,16 @@
 //!
 //! The timeline is the cost model's own decomposition: each phase spans
 //! the cycles the closed form prices for it, and its bound is the
-//! busiest lane of its lane demands ([`busiest_lane`]), named as
+//! busiest lane of its lane demands, named as
 //! [`FusedLaneDemands::lane_busy`] names them (`dma`, `pe`, `sg`, `l2`,
 //! `sfu`). A user can *see* why a dataflow is slow, in the vocabulary of
 //! `flat sim` and the event backend.
 //!
-//! [`busiest_lane`]: crate::busiest_lane
 //! [`FusedLaneDemands::lane_busy`]: crate::FusedLaneDemands::lane_busy
 
-use crate::model::CostModel;
-use crate::{busiest_lane, CostReport, Granularity, LaExecution};
+use crate::model::{busiest_lane, CostModel};
 use crate::{BlockDataflow, PhaseLaneDemands};
+use crate::{CostReport, Granularity, LaExecution};
 use flat_workloads::AttentionBlock;
 use serde::Serialize;
 
